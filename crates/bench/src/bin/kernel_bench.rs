@@ -3,11 +3,12 @@
 //!
 //! Three kernel families got closed-form / banded / selection rewrites:
 //!
-//! 1. **Phase advance** — `AgingState::advance_phase` evaluates each
+//! 1. **Phase advance** — `AgingArena::advance_slot` evaluates each
 //!    trap bin's first-order occupancy ODE analytically over an entire
 //!    constant-condition phase (one `exp` per bin per phase) instead of
-//!    hour-stepping. Composition of exponentials differs in rounding, so
-//!    the check is a <= 1e-9 relative tolerance on occupancy levels.
+//!    hour-stepping `TrapBin::advance`. Composition of exponentials
+//!    differs in rounding, so the check is a <= 1e-9 relative tolerance
+//!    on occupancy levels.
 //! 2. **Banded local regression** — `KernelRegression::smooth` truncates
 //!    the Gaussian kernel at +-8 sigma over a sliding window
 //!    (O(n*w) vs. the O(n^2) `smooth_dense` reference). Dropped weights
@@ -23,8 +24,8 @@
 //!
 //! A fifth row times the **whole-device phase sweep**: the
 //! structure-of-arrays `AgingArena::advance_phase_all` batched path
-//! against the per-bank reference loop on identical stress histories,
-//! with aging-digest bit-identity as the unconditional check.
+//! against a per-wire `TrapBin::advance` loop on identical stress
+//! histories, with per-wire bit-identity as the unconditional check.
 //!
 //! Equivalence checks are **unconditional** — they gate CI in `--smoke`
 //! mode too. Speedup thresholds (phase advance 5x, smoother 3x, device
@@ -37,7 +38,7 @@ use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use bench::{exit_by, save_artifact, smoke_from_args, tm1_end_to_end_config, ObsSink, ShapeReport};
-use bti_physics::{AgingState, BtiModel, Celsius, DutyCycle, Hours, LogicLevel, Polarity};
+use bti_physics::{AgingArena, BtiModel, Celsius, DutyCycle, Hours, LogicLevel, Polarity, TrapBin};
 use cloud::{Provider, ProviderConfig};
 use fpga_fabric::{Design, FpgaDevice, NetActivity, TileCoord, WireId};
 use pentimento::analysis::{median_in_place, median_sorted, KernelEstimator, KernelRegression};
@@ -93,6 +94,29 @@ impl Row {
     }
 }
 
+/// One wire's CET bins per polarity (NBTI, PBTI), as the model builds them.
+type WireBins = [Vec<TrapBin>; 2];
+
+/// The physics oracle: steps every bin of `wire` once through
+/// `TrapBin::advance` at `duty`, or relaxes it (no capture) on `None`.
+fn oracle_step(model: &BtiModel, wire: &mut WireBins, dt: Hours, duty: Option<DutyCycle>) {
+    for (polarity, bins) in Polarity::ALL.into_iter().zip(wire) {
+        let (cap, emi) = model.acceleration(polarity, temp());
+        for b in bins {
+            match duty {
+                Some(d) => b.advance(dt, d.stress_share(polarity), cap, emi),
+                None => b.advance(dt, 0.0, 1.0, emi),
+            }
+        }
+    }
+}
+
+/// Normalized threshold-voltage shift of one polarity of `wire`.
+fn oracle_level(wire: &WireBins, polarity: Polarity) -> f64 {
+    let bins = &wire[usize::from(polarity == Polarity::Pbti)];
+    bins.iter().map(|b| b.weight * b.occupancy).sum()
+}
+
 fn rel_err(a: f64, b: f64) -> f64 {
     let denom = a.abs().max(b.abs());
     if denom == 0.0 {
@@ -114,44 +138,44 @@ fn phase_schedule(smoke: bool, state_index: usize) -> Vec<(usize, DutyCycle)> {
     ]
 }
 
-/// Reference vs. closed-form phase advance over a fleet of aging states.
+/// Hour-stepped reference vs. closed-form phase advance over a fleet of
+/// wire aging histories.
 fn bench_phase_advance(smoke: bool) -> Row {
     let model = BtiModel::ultrascale_plus();
     let states = if smoke { 16 } else { 96 };
 
     let start = Instant::now();
-    let reference: Vec<AgingState> = (0..states)
+    let reference: Vec<WireBins> = (0..states)
         .map(|i| {
-            let mut s = AgingState::new(&model);
+            let mut wire = Polarity::ALL.map(|p| model.fresh_bins(p));
             for (hours, duty) in phase_schedule(smoke, i) {
                 for _ in 0..hours {
-                    s.advance(&model, Hours::new(1.0), duty, temp());
+                    oracle_step(&model, &mut wire, Hours::new(1.0), Some(duty));
                 }
             }
-            s
+            wire
         })
         .collect();
     let reference_seconds = start.elapsed().as_secs_f64();
 
     let start = Instant::now();
-    let fast: Vec<AgingState> = (0..states)
-        .map(|i| {
-            let mut s = AgingState::new(&model);
-            for (hours, duty) in phase_schedule(smoke, i) {
-                s.advance_phase(&model, Hours::new(hours as f64), duty, temp());
-            }
-            s
-        })
-        .collect();
+    let mut fast = AgingArena::new(&model);
+    for i in 0..states {
+        let slot = fast.ensure(i as u64);
+        for (hours, duty) in phase_schedule(smoke, i) {
+            fast.advance_slot(slot, &model, Hours::new(hours as f64), duty, temp());
+        }
+    }
     let fast_seconds = start.elapsed().as_secs_f64();
 
     let max_rel_error = reference
         .iter()
-        .zip(&fast)
-        .flat_map(|(r, f)| {
-            [Polarity::Nbti, Polarity::Pbti]
+        .enumerate()
+        .flat_map(|(slot, r)| {
+            let f = fast.view_at(slot);
+            Polarity::ALL
                 .into_iter()
-                .map(move |p| rel_err(r.level(p), f.level(p)))
+                .map(move |p| rel_err(oracle_level(r, p), f.level(p)))
         })
         .fold(0.0_f64, f64::max);
 
@@ -268,9 +292,9 @@ fn bench_median(smoke: bool) -> Row {
 
 /// Whole-device phase advance: the structure-of-arrays
 /// `AgingArena::advance_phase_all` batched sweep against the pre-arena
-/// layout — per-wire `AgingState`s in a `HashMap`, each advanced by its
-/// own per-bank closed-form loop (`TrapBank::advance_phase`, one `exp`
-/// per bin per *wire* per phase). Half the routed columns carry a
+/// layout — per-wire bins in a `HashMap`, each stepped through its own
+/// `TrapBin::advance` loop (one `exp` per bin per *wire* per phase).
+/// Half the routed columns carry a
 /// loaded design's nets at mixed duties; the other half were
 /// conditioned once and relax, so every sweep exercises two kernel
 /// groups and the relax path. Every wire's occupancies and odometer
@@ -337,19 +361,22 @@ fn bench_device_sweep(smoke: bool) -> Row {
         fast_seconds = fast_seconds.min(start.elapsed().as_secs_f64());
     }
 
-    // Reference leg: the per-bank loop over heap-allocated states,
-    // stepped exactly the way the replaced `run_for` implementation did
-    // — rebuild the driven set, walk each net's route through the hash
-    // map, then relax the complement, every step.
-    let lab = temp();
-    let mut states: HashMap<WireId, AgingState> = HashMap::new();
+    // Reference leg: the per-wire loop over heap-allocated bins (plus
+    // each wire's odometer), stepped exactly the way the replaced
+    // `run_for` implementation did — rebuild the driven set, walk each
+    // net's route through the hash map, then relax the complement, every
+    // step.
+    let mut states: HashMap<WireId, (f64, WireBins)> = HashMap::new();
+    let fresh = || (0.0, Polarity::ALL.map(|p| model.fresh_bins(p)));
+    let step = |state: &mut (f64, WireBins), dt: Hours, duty: Option<DutyCycle>| {
+        oracle_step(&model, &mut state.1, dt, duty);
+        state.0 += dt.value();
+    };
     for (i, route) in routes.iter().enumerate() {
         if i % 2 != 0 {
             for seg in route.segments() {
-                states
-                    .entry(seg.id)
-                    .or_insert_with(|| AgingState::new(&model))
-                    .advance_phase(&model, burn, DutyCycle::ALWAYS_ONE, lab);
+                let state = states.entry(seg.id).or_insert_with(fresh);
+                step(state, burn, Some(DutyCycle::ALWAYS_ONE));
             }
         }
     }
@@ -369,16 +396,14 @@ fn bench_device_sweep(smoke: bool) -> Row {
                 if i % 2 == 0 {
                     let duty = net_duty(i).duty();
                     for seg in route.segments() {
-                        states
-                            .entry(seg.id)
-                            .or_insert_with(|| AgingState::new(&model))
-                            .advance_phase(&model, dt, duty, lab);
+                        let state = states.entry(seg.id).or_insert_with(fresh);
+                        step(state, dt, Some(duty));
                     }
                 }
             }
             for (id, state) in &mut states {
                 if !driven.contains(id) {
-                    state.relax(&model, dt, lab);
+                    step(state, dt, None);
                 }
             }
         }
@@ -386,23 +411,18 @@ fn bench_device_sweep(smoke: bool) -> Row {
     }
 
     let mut bit_identical = states.len() == dev.aged_wire_count();
-    for (id, state) in &states {
+    for (id, (hours, wire)) in &states {
         let Some(view) = dev.wire_aging(*id) else {
             bit_identical = false;
             break;
         };
-        bit_identical &=
-            view.stress_hours().value().to_bits() == state.stress_hours().value().to_bits();
-        for polarity in [Polarity::Nbti, Polarity::Pbti] {
-            let bank = match polarity {
-                Polarity::Nbti => state.nbti_bank(),
-                Polarity::Pbti => state.pbti_bank(),
-            };
+        bit_identical &= view.stress_hours().value().to_bits() == hours.to_bits();
+        for (polarity, bins) in Polarity::ALL.into_iter().zip(wire) {
             let arena = view.occupancy(polarity);
-            bit_identical &= arena.len() == bank.bins().len()
+            bit_identical &= arena.len() == bins.len()
                 && arena
                     .iter()
-                    .zip(bank.bins())
+                    .zip(bins)
                     .all(|(a, b)| a.to_bits() == b.occupancy.to_bits());
         }
     }
@@ -518,7 +538,7 @@ fn main() {
     );
     let device_sweep = &rows[4];
     report.check(
-        "whole-device arena sweep is bit-identical to the per-bank loop",
+        "whole-device arena sweep is bit-identical to the per-wire loop",
         device_sweep.bit_identical,
         format!("speedup x{:.2}", device_sweep.speedup()),
     );
@@ -540,7 +560,7 @@ fn main() {
             format!("x{:.2}", rows[1].speedup()),
         );
         report.check(
-            "whole-device arena sweep is >= 10x faster than the per-bank loop",
+            "whole-device arena sweep is >= 10x faster than the per-wire loop",
             rows[4].gate_passed(),
             format!("x{:.2}", rows[4].speedup()),
         );

@@ -4,7 +4,7 @@
 //! of the same burn are two-plus orders of magnitude larger.
 
 use bench::{exit_by, ShapeReport};
-use bti_physics::{AgingState, BtiModel, Celsius, Hours, LogicLevel};
+use bti_physics::{AgingArena, BtiModel, Celsius, Hours, LogicLevel};
 use fpga_fabric::{LutConfigCell, PrecisionInstrument, TileCoord};
 
 fn main() {
@@ -24,9 +24,10 @@ fn main() {
         cell.hold(&model, LogicLevel::One, Hours::new(hours), t60);
         let lut_imprint = cell.imprint_ps(&model, 1.0);
 
-        let mut route_state = AgingState::new(&model);
-        route_state.advance_static(&model, Hours::new(hours), LogicLevel::One, t60);
-        let route_imprint = route_state.delta_ps(&model, 1_000.0);
+        let mut route = AgingArena::new(&model);
+        let slot = route.ensure(0);
+        route.advance_slot(slot, &model, Hours::new(hours), LogicLevel::One.duty(), t60);
+        let route_imprint = route.view_at(slot).delta_ps_scaled(&model, 1_000.0, 1.0);
 
         let cloud = PrecisionInstrument::cloud_tdc_floor();
         let lab = PrecisionInstrument::zick_lab();

@@ -1,16 +1,15 @@
-//! Structure-of-arrays aging storage for a whole device.
+//! Structure-of-arrays aging storage: the crate's one aging store.
 //!
-//! [`crate::AgingState`] is the right shape for *one* resource: two
-//! [`crate::TrapBank`]s, each a `Vec` of [`TrapBin`]s, every bin carrying
-//! its own copy of the time-constant structure. A device has tens of
-//! thousands of aged wires, and every one of them shares the *same*
-//! time-constant grid — only the occupancies (and a lifetime odometer)
-//! differ per wire. Storing that as `HashMap<WireId, AgingState>` makes a
-//! device-level phase advance a pointer-chasing loop over tiny heap
-//! objects, and makes per-device memory proportional to the full
-//! `TrapBin` struct rather than to the one `f64` that actually varies.
+//! Every resource governed by one [`BtiModel`] shares the *same* CET
+//! time-constant grid ([`BtiModel::fresh_bins`]) — only the occupancies
+//! (and a lifetime odometer) differ per resource. A device has tens of
+//! thousands of aged wires; an inverter, a LUT cell or a classifier's
+//! reference route has one. Storing a full [`TrapBin`] struct per bin per
+//! resource would make a device-level phase advance a pointer-chasing
+//! loop over tiny heap objects, and per-device memory proportional to the
+//! whole struct rather than to the one `f64` that actually varies.
 //!
-//! [`AgingArena`] flips the layout to structure-of-arrays:
+//! [`AgingArena`] therefore stores aging structure-of-arrays:
 //!
 //! * the static bin structure (`tau_capture`, `tau_emission`, `weight`,
 //!   and the per-polarity offset table) is stored **once** per arena, in
@@ -32,11 +31,14 @@
 //! driven wires of one constant-condition phase by duty cycle, derives
 //! each group's [`PhaseKernel`] once through the shared [`DecayCache`],
 //! and applies it across the contiguous occupancy slices in a tight loop
-//! — two flops per bin, no pointer chasing, no per-wire `exp`. The
-//! kernels replicate [`TrapBin::advance`] expression-for-expression
-//! (including the no-clamp early returns for `Δt = 0` and all-zero
-//! rates), so the sweep is **bit-identical** to advancing each wire's
-//! banks one at a time; `tests/kernel_equivalence.rs` pins that down.
+//! — two flops per bin, no pointer chasing, no per-wire `exp`. Single
+//! resources step through the uncached per-wire path instead
+//! ([`AgingArena::advance_slot`], [`AgingArena::relax_slot`]). Both paths
+//! replicate [`TrapBin::advance`] expression-for-expression (including
+//! the no-clamp early returns for `Δt = 0` and all-zero rates), so either
+//! is **bit-identical** to stepping each wire's bins through
+//! `TrapBin::advance`, the physics oracle; `tests/kernel_equivalence.rs`
+//! pins that down.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -83,19 +85,19 @@ impl AgingArena {
     /// Creates an empty arena for wires governed by `model`.
     ///
     /// The bin structure (tau grids, weights, per-polarity offsets) is
-    /// captured from the model's fresh banks once, here; every wire that
-    /// ever enters the arena shares it.
+    /// captured from the model's fresh CET bins once, here; every wire
+    /// that ever enters the arena shares it.
     #[must_use]
     pub fn new(model: &BtiModel) -> Self {
-        let nbti = model.fresh_bank(Polarity::Nbti);
-        let pbti = model.fresh_bank(Polarity::Pbti);
-        let bins: Vec<&TrapBin> = nbti.bins().iter().chain(pbti.bins()).collect();
+        let nbti = model.fresh_bins(Polarity::Nbti);
+        let pbti = model.fresh_bins(Polarity::Pbti);
+        let bins = || nbti.iter().chain(&pbti);
         Self {
-            nbti_len: nbti.bins().len(),
-            pbti_len: pbti.bins().len(),
-            tau_capture: bins.iter().map(|b| b.tau_capture.value()).collect(),
-            tau_emission: bins.iter().map(|b| b.tau_emission.value()).collect(),
-            weight: bins.iter().map(|b| b.weight).collect(),
+            nbti_len: nbti.len(),
+            pbti_len: pbti.len(),
+            tau_capture: bins().map(|b| b.tau_capture.value()).collect(),
+            tau_emission: bins().map(|b| b.tau_emission.value()).collect(),
+            weight: bins().map(|b| b.weight).collect(),
             occupancy: Vec::new(),
             stress_hours: Vec::new(),
             keys: Vec::new(),
@@ -181,8 +183,7 @@ impl AgingArena {
     /// block of route conditioning outside the whole-device sweep.
     ///
     /// `dt` must be the phase length the kernel was built for; it feeds
-    /// only the lifetime odometer (exactly like
-    /// [`crate::AgingState::apply_phase_kernel`]).
+    /// only the lifetime odometer.
     ///
     /// # Panics
     ///
@@ -248,11 +249,12 @@ impl AgingArena {
         }
     }
 
-    /// Reference-path conditioning of one wire: derives this wire's bin
+    /// Conditions one wire for `dt` at `duty`: derives this wire's bin
     /// kernels from scratch (one `exp` per bin, no cache) and applies
-    /// them — the arena transcription of [`crate::AgingState::advance`],
-    /// bit-identical to it.
-    pub fn advance_slot_reference(
+    /// them — bit-identical to stepping each bin once through
+    /// [`TrapBin::advance`]. The path of single resources, and of devices
+    /// pinned to the reference kernels.
+    pub fn advance_slot(
         &mut self,
         slot: usize,
         model: &BtiModel,
@@ -268,22 +270,17 @@ impl AgingArena {
         self.advance_slot_raw(slot, dt, (n_share, nc, ne), (p_share, pc, pe));
     }
 
-    /// Reference-path relaxation of one wire (traps only emit), the
-    /// arena transcription of [`crate::AgingState::relax`].
-    pub fn relax_slot_reference(
-        &mut self,
-        slot: usize,
-        model: &BtiModel,
-        dt: Hours,
-        temperature: Celsius,
-    ) {
+    /// Relaxes one wire for `dt` with the resource completely unstressed
+    /// (an unconfigured wire on a wiped device): traps only emit, nothing
+    /// captures.
+    pub fn relax_slot(&mut self, slot: usize, model: &BtiModel, dt: Hours, temperature: Celsius) {
         assert!(dt.value() >= 0.0, "aging duration must be non-negative");
         let (_, ne) = model.acceleration(Polarity::Nbti, temperature);
         let (_, pe) = model.acceleration(Polarity::Pbti, temperature);
         self.advance_slot_raw(slot, dt, (0.0, 1.0, ne), (0.0, 1.0, pe));
     }
 
-    /// Shared reference-path core: per-bin [`BinKernel::for_bin`] with
+    /// Shared per-wire core: per-bin [`BinKernel::for_bin`] with
     /// explicit `(share, capture_accel, emission_accel)` per polarity.
     fn advance_slot_raw(
         &mut self,
@@ -404,7 +401,7 @@ impl AgingArena {
     /// [`advance_phase_all`](AgingArena::advance_phase_all): every wire
     /// derives its bin kernels from scratch, one `exp` per bin per wire.
     /// Bit-identical results; only the wall-clock differs — this is the
-    /// per-bank loop the batched sweep is benchmarked against.
+    /// per-wire loop the batched sweep is benchmarked against.
     pub fn advance_phase_all_reference(
         &mut self,
         model: &BtiModel,
@@ -416,11 +413,11 @@ impl AgingArena {
         let mut is_driven = vec![false; self.len()];
         for &(slot, duty) in driven {
             is_driven[slot] = true;
-            self.advance_slot_reference(slot, model, dt, duty, temperature);
+            self.advance_slot(slot, model, dt, duty, temperature);
         }
         for (slot, &driven) in is_driven.iter().enumerate() {
             if !driven {
-                self.relax_slot_reference(slot, model, dt, temperature);
+                self.relax_slot(slot, model, dt, temperature);
             }
         }
     }
@@ -496,7 +493,7 @@ impl PhasePlan {
 }
 
 /// Applies a phase kernel to one wire's occupancy slice (NBTI bins
-/// first, then PBTI — the same bank order `AgingState` updates in).
+/// first, then PBTI — the arena's bank order).
 fn apply_banks(occ: &mut [f64], nbti_len: usize, kernel: &PhaseKernel) {
     let (nbti, pbti) = occ.split_at_mut(nbti_len);
     for (o, k) in nbti.iter_mut().zip(kernel.nbti()) {
@@ -530,9 +527,9 @@ impl Fnv {
 /// Borrowed read-out view of one wire's aging inside an [`AgingArena`].
 ///
 /// A view, not a copy: readout paths (delay queries, fingerprinting)
-/// run per-segment in hot loops, and materializing an `AgingState` per
-/// query would reintroduce exactly the per-wire allocations the arena
-/// removes. The view carries only three slice borrows and the odometer.
+/// run per-segment in hot loops, and materializing per-wire bins per
+/// query would reintroduce exactly the allocations the arena removes.
+/// The view carries only two slice borrows and the odometer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WireAging<'a> {
     nbti_len: usize,
@@ -544,9 +541,8 @@ pub struct WireAging<'a> {
 }
 
 impl WireAging<'_> {
-    /// Normalized threshold-voltage shift of one polarity in `[0, 1]` —
-    /// the same left-to-right weighted sum as [`crate::TrapBank::level`],
-    /// term for term, so the two read-outs agree bitwise.
+    /// Normalized threshold-voltage shift of one polarity in `[0, 1]`:
+    /// the left-to-right sum of `weight × occupancy` over its bins.
     #[must_use]
     pub fn level(&self, polarity: Polarity) -> f64 {
         let (w, o) = match polarity {
@@ -603,33 +599,63 @@ impl WireAging<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AgingState;
+    use crate::LogicLevel;
 
     fn model() -> BtiModel {
         BtiModel::ultrascale_plus()
     }
 
-    /// Mirrors a set of `AgingState`s through the old one-wire-at-a-time
-    /// path for comparison against the arena sweep.
-    fn shadow_states(n: usize, m: &BtiModel) -> Vec<AgingState> {
-        (0..n).map(|_| AgingState::new(m)).collect()
+    /// The physics oracle: one wire's fresh bins per polarity, stepped
+    /// through [`TrapBin::advance`]; `None` relaxes (no capture).
+    fn oracle_step(
+        m: &BtiModel,
+        bins: &mut [Vec<TrapBin>; 2],
+        dt: Hours,
+        duty: Option<DutyCycle>,
+        t: Celsius,
+    ) {
+        for (polarity, bins) in Polarity::ALL.into_iter().zip(bins) {
+            let (cap, emi) = m.acceleration(polarity, t);
+            for b in bins {
+                match duty {
+                    Some(d) => b.advance(dt, d.stress_share(polarity), cap, emi),
+                    None => b.advance(dt, 0.0, 1.0, emi),
+                }
+            }
+        }
     }
 
-    fn assert_matches_state(view: WireAging<'_>, state: &AgingState) {
-        assert_eq!(view.stress_hours(), state.stress_hours());
-        for polarity in Polarity::ALL {
-            let bank = match polarity {
-                Polarity::Nbti => state.nbti_bank(),
-                Polarity::Pbti => state.pbti_bank(),
-            };
-            let occ: Vec<f64> = bank.bins().iter().map(|b| b.occupancy).collect();
+    fn fresh_oracle(m: &BtiModel) -> [Vec<TrapBin>; 2] {
+        Polarity::ALL.map(|p| m.fresh_bins(p))
+    }
+
+    fn assert_matches_oracle(view: WireAging<'_>, oracle: &[Vec<TrapBin>; 2]) {
+        for (polarity, bins) in Polarity::ALL.into_iter().zip(oracle) {
+            let occ: Vec<f64> = bins.iter().map(|b| b.occupancy).collect();
             assert_eq!(view.occupancy(polarity), &occ[..]);
+            let level: f64 = bins.iter().map(|b| b.weight * b.occupancy).sum();
             assert_eq!(
                 view.level(polarity).to_bits(),
-                bank.level().to_bits(),
-                "level read-out must match the bank sum bitwise"
+                level.to_bits(),
+                "level read-out must match the weighted bin sum bitwise"
             );
         }
+    }
+
+    /// A one-slot arena after `hours` of static `level` at 60 °C.
+    fn burned(m: &BtiModel, level: LogicLevel, hours: f64) -> AgingArena {
+        let mut arena = AgingArena::new(m);
+        let slot = arena.ensure(0);
+        arena.advance_slot(slot, m, Hours::new(hours), level.duty(), t60());
+        arena
+    }
+
+    fn t60() -> Celsius {
+        Celsius::new(60.0)
+    }
+
+    fn delta(arena: &AgingArena, m: &BtiModel, route_ps: f64) -> f64 {
+        arena.view_at(0).delta_ps_scaled(m, route_ps, 1.0)
     }
 
     #[test]
@@ -639,11 +665,13 @@ mod tests {
         let slot = arena.ensure(42);
         assert_eq!(arena.len(), 1);
         assert_eq!(arena.ensure(42), slot, "ensure is idempotent");
-        assert_matches_state(arena.view_at(slot), &AgingState::new(&m));
+        assert_matches_oracle(arena.view_at(slot), &fresh_oracle(&m));
+        assert_eq!(arena.view_at(slot).stress_hours(), Hours::ZERO);
+        assert_eq!(delta(&arena, &m, 10_000.0), 0.0);
     }
 
     #[test]
-    fn batched_sweep_matches_per_state_path_bitwise() {
+    fn batched_sweep_matches_the_bin_oracle_bitwise() {
         let m = model();
         let mut cache = DecayCache::new(&m);
         let mut arena = AgingArena::new(&m);
@@ -651,23 +679,215 @@ mod tests {
         for &k in &keys {
             arena.ensure(k);
         }
-        let mut shadow = shadow_states(keys.len(), &m);
+        let mut shadow: Vec<[Vec<TrapBin>; 2]> = keys.iter().map(|_| fresh_oracle(&m)).collect();
         let t = Celsius::new(61.25);
         // Wires 0/1 driven at distinct duties, 2/3 relaxing.
-        let driven = [
-            (0usize, DutyCycle::ALWAYS_ONE),
-            (1usize, DutyCycle::new(0.25).unwrap()),
-        ];
+        let quarter = DutyCycle::new(0.25).unwrap();
+        let driven = [(0usize, DutyCycle::ALWAYS_ONE), (1usize, quarter)];
+        let duties = [Some(DutyCycle::ALWAYS_ONE), Some(quarter), None, None];
         for _ in 0..24 {
             arena.advance_phase_all(&m, &mut cache, Hours::new(1.0), t, &driven);
-            shadow[0].advance(&m, Hours::new(1.0), DutyCycle::ALWAYS_ONE, t);
-            shadow[1].advance(&m, Hours::new(1.0), DutyCycle::new(0.25).unwrap(), t);
-            shadow[2].relax(&m, Hours::new(1.0), t);
-            shadow[3].relax(&m, Hours::new(1.0), t);
+            for (bins, duty) in shadow.iter_mut().zip(duties) {
+                oracle_step(&m, bins, Hours::new(1.0), duty, t);
+            }
         }
         for (i, &k) in keys.iter().enumerate() {
-            assert_matches_state(arena.wire(k).unwrap(), &shadow[i]);
+            let view = arena.wire(k).unwrap();
+            assert_eq!(view.stress_hours(), Hours::new(24.0));
+            assert_matches_oracle(view, &shadow[i]);
         }
+    }
+
+    #[test]
+    fn per_wire_path_matches_the_bin_oracle_bitwise() {
+        let m = model();
+        let mut arena = AgingArena::new(&m);
+        let slot = arena.ensure(9);
+        let mut oracle = fresh_oracle(&m);
+        let t = Celsius::new(66.5);
+        for (hours, duty) in [
+            (200.0, Some(DutyCycle::ALWAYS_ONE)),
+            (0.0, Some(DutyCycle::BALANCED)),
+            (13.0, None),
+            (40.0, Some(DutyCycle::ALWAYS_ZERO)),
+        ] {
+            let dt = Hours::new(hours);
+            match duty {
+                Some(d) => arena.advance_slot(slot, &m, dt, d, t),
+                None => arena.relax_slot(slot, &m, dt, t),
+            }
+            oracle_step(&m, &mut oracle, dt, duty, t);
+            assert_matches_oracle(arena.view_at(slot), &oracle);
+        }
+        assert_eq!(arena.view_at(slot).stress_hours(), Hours::new(253.0));
+    }
+
+    #[test]
+    fn burn_sign_encodes_the_held_value() {
+        let m = model();
+        let one = burned(&m, LogicLevel::One, 200.0);
+        let zero = burned(&m, LogicLevel::Zero, 200.0);
+        assert!(delta(&one, &m, 10_000.0) > 0.0);
+        assert!(delta(&zero, &m, 10_000.0) < 0.0);
+        let view = one.view_at(0);
+        assert!(view.level(Polarity::Pbti) > view.level(Polarity::Nbti));
+    }
+
+    #[test]
+    fn opposite_duty_does_not_stress() {
+        let m = model();
+        let arena = burned(&m, LogicLevel::Zero, 500.0);
+        assert_eq!(arena.view_at(0).level(Polarity::Pbti), 0.0);
+    }
+
+    #[test]
+    fn stress_grows_sublinearly_like_log_time() {
+        let m = model();
+        let mut arena = burned(&m, LogicLevel::One, 0.0);
+        let mut previous = 0.0;
+        let mut increments = Vec::new();
+        for _ in 0..8 {
+            arena.advance_slot(0, &m, Hours::new(25.0), DutyCycle::ALWAYS_ONE, t60());
+            let level = arena.view_at(0).level(Polarity::Pbti);
+            increments.push(level - previous);
+            previous = level;
+        }
+        // Later equal-length stress intervals add less than earlier ones.
+        assert!(increments.first().unwrap() > increments.last().unwrap());
+        assert!(increments.iter().all(|&inc| inc >= 0.0));
+    }
+
+    #[test]
+    fn recovery_leaves_permanent_component() {
+        let m = model();
+        let mut arena = burned(&m, LogicLevel::One, 200.0);
+        let peak = arena.view_at(0).level(Polarity::Pbti);
+        arena.advance_slot(0, &m, Hours::new(1e6), DutyCycle::ALWAYS_ZERO, t60());
+        let bins = m.fresh_bins(Polarity::Pbti);
+        let occ = arena.view_at(0).occupancy(Polarity::Pbti).to_vec();
+        let permanent: f64 = bins
+            .iter()
+            .zip(&occ)
+            .filter(|(b, _)| b.is_permanent())
+            .map(|(b, o)| b.weight * o)
+            .sum();
+        let level = arena.view_at(0).level(Polarity::Pbti);
+        assert!(permanent > 0.0);
+        assert!((level - permanent).abs() < 1e-9);
+        assert!(level < peak);
+    }
+
+    #[test]
+    fn magnitude_200h_matches_paper_figure6() {
+        // Figure 6 (new ZCU102 at 60 C, 200 h): 1000 ps -> ~1-2 ps,
+        // 2000 ps -> ~2-3 ps, 5000 ps -> ~5-6 ps, 10000 ps -> ~10-11 ps.
+        let m = model();
+        let one = burned(&m, LogicLevel::One, 200.0);
+        let zero = burned(&m, LogicLevel::Zero, 200.0);
+        for (len, lo, hi) in [
+            (1_000.0, 0.8, 2.2),
+            (2_000.0, 1.8, 3.2),
+            (5_000.0, 4.5, 6.5),
+            (10_000.0, 9.0, 12.0),
+        ] {
+            let up = delta(&one, &m, len);
+            let down = -delta(&zero, &m, len);
+            assert!(up > lo && up < hi, "burn-1 {len} ps: Δps = {up}");
+            assert!(down > lo && down < hi, "burn-0 {len} ps: Δps = {down}");
+        }
+    }
+
+    #[test]
+    fn burn_one_recovery_crosses_zero_between_30_and_50_hours() {
+        // Experiment 1: burn-1 routes return to the pre-burn state 30-50 h
+        // after the value is complemented.
+        let m = model();
+        let mut arena = burned(&m, LogicLevel::One, 200.0);
+        let crossing = (1..=80).find(|_| {
+            arena.advance_slot(0, &m, Hours::new(1.0), DutyCycle::ALWAYS_ZERO, t60());
+            delta(&arena, &m, 10_000.0) <= 0.0
+        });
+        let crossing = crossing.expect("burn-1 recovery must cross zero within 80 h");
+        assert!(
+            (25..=55).contains(&crossing),
+            "crossing at {crossing} h, expected 30-50 h"
+        );
+    }
+
+    #[test]
+    fn burn_zero_recovery_takes_over_200_hours() {
+        // Experiment 1: burn-0 routes recover, but take > 200 h.
+        let m = model();
+        let mut arena = burned(&m, LogicLevel::Zero, 200.0);
+        arena.advance_slot(0, &m, Hours::new(200.0), DutyCycle::ALWAYS_ONE, t60());
+        let at_400 = delta(&arena, &m, 10_000.0);
+        assert!(
+            at_400 < 0.0,
+            "burn-0 routes must not have fully recovered after 200 h: {at_400}"
+        );
+        // ... but they do keep recovering (elastic, non-permanent).
+        arena.advance_slot(0, &m, Hours::new(200.0), DutyCycle::ALWAYS_ONE, t60());
+        assert!(delta(&arena, &m, 10_000.0) > at_400);
+    }
+
+    #[test]
+    fn recovery_slope_separates_previous_bits() {
+        // Experiment 3: attacker holds everything at 0. Routes that held 1
+        // drop fast (PBTI emission); routes that held 0 stay flat.
+        let m = model();
+        let slope = |burn: LogicLevel| {
+            let mut arena = burned(&m, burn, 200.0);
+            let start = delta(&arena, &m, 10_000.0);
+            arena.advance_slot(0, &m, Hours::new(25.0), DutyCycle::ALWAYS_ZERO, t60());
+            delta(&arena, &m, 10_000.0) - start
+        };
+        let (slope1, slope0) = (slope(LogicLevel::One), slope(LogicLevel::Zero));
+        assert!(slope1 < 0.0);
+        assert!(
+            slope1.abs() > 5.0 * slope0.abs(),
+            "burn-1 slope {slope1} should dwarf burn-0 slope {slope0}"
+        );
+    }
+
+    #[test]
+    fn balanced_duty_leaves_little_net_signal() {
+        // Section 8 mitigation: periodically inverting the data (duty 0.5)
+        // suppresses the recoverable imprint.
+        let m = model();
+        let mut balanced = burned(&m, LogicLevel::One, 0.0);
+        balanced.advance_slot(0, &m, Hours::new(200.0), DutyCycle::BALANCED, t60());
+        let residual = delta(&balanced, &m, 10_000.0).abs();
+        let full = delta(&burned(&m, LogicLevel::One, 200.0), &m, 10_000.0);
+        assert!(
+            residual < 0.2 * full.abs(),
+            "residual {residual} vs full burn {full}"
+        );
+    }
+
+    #[test]
+    fn higher_temperature_accelerates_burn_in() {
+        let m = model();
+        let at = |celsius: f64| {
+            let mut arena = burned(&m, LogicLevel::One, 0.0);
+            arena.advance_slot(
+                0,
+                &m,
+                Hours::new(50.0),
+                DutyCycle::ALWAYS_ONE,
+                Celsius::new(celsius),
+            );
+            delta(&arena, &m, 10_000.0)
+        };
+        assert!(at(80.0) > at(40.0));
+    }
+
+    #[test]
+    fn wear_scales_delta_down() {
+        let m = model();
+        let arena = burned(&m, LogicLevel::One, 200.0);
+        let new_dev = arena.view_at(0).delta_ps_scaled(&m, 10_000.0, 1.0);
+        let old_dev = arena.view_at(0).delta_ps_scaled(&m, 10_000.0, 0.1);
+        assert!((old_dev - 0.1 * new_dev).abs() < 1e-9);
     }
 
     #[test]

@@ -23,8 +23,8 @@ pub struct TrapBin {
     /// Emission (recovery) time constant, in hours, at the reference
     /// temperature. `f64::INFINITY` marks a permanent trap population.
     pub tau_emission: Hours,
-    /// This bin's share of the bank's total trap population. Weights across
-    /// a bank sum to 1.
+    /// This bin's share of its polarity's total trap population. Weights
+    /// across one polarity's CET grid sum to 1.
     pub weight: f64,
     /// Fraction of this bin's traps currently charged, in `[0, 1]`.
     pub occupancy: f64,

@@ -18,8 +18,8 @@ pub enum BtiError {
         /// Human-readable constraint that was violated.
         constraint: &'static str,
     },
-    /// A trap bank was configured with no bins.
-    EmptyTrapBank,
+    /// A polarity's CET grid was configured with no bins.
+    EmptyCetGrid,
     /// A negative time span was supplied to an aging update.
     NegativeDuration(f64),
 }
@@ -38,7 +38,7 @@ impl fmt::Display for BtiError {
                 f,
                 "parameter {name} = {value} violates constraint: {constraint}"
             ),
-            Self::EmptyTrapBank => f.write_str("trap bank must contain at least one bin"),
+            Self::EmptyCetGrid => f.write_str("CET grid must contain at least one bin"),
             Self::NegativeDuration(v) => {
                 write!(f, "aging duration must be non-negative, got {v} hours")
             }

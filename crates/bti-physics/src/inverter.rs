@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{AgingState, BtiModel, Celsius, Hours, LogicLevel, Polarity};
+use crate::{AgingArena, BtiModel, Celsius, Hours, LogicLevel, Polarity, WireAging};
 
 /// A minimal aging-aware CMOS inverter.
 ///
@@ -25,7 +25,8 @@ use crate::{AgingState, BtiModel, Celsius, Hours, LogicLevel, Polarity};
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Inverter {
-    state: AgingState,
+    /// One slot: the inverter's transistor pair.
+    aging: AgingArena,
     nominal_delay_ps: f64,
 }
 
@@ -38,8 +39,10 @@ impl Inverter {
     #[must_use]
     pub fn new(model: &BtiModel, nominal_delay_ps: f64) -> Self {
         assert!(nominal_delay_ps > 0.0, "stage delay must be positive");
+        let mut aging = AgingArena::new(model);
+        aging.ensure(0);
         Self {
-            state: AgingState::new(model),
+            aging,
             nominal_delay_ps,
         }
     }
@@ -55,21 +58,28 @@ impl Inverter {
         dt: Hours,
         temperature: Celsius,
     ) {
-        self.state.advance_static(model, dt, level, temperature);
+        self.aging
+            .advance_slot(0, model, dt, level.duty(), temperature);
     }
 
     /// Propagation delay of an output *rising* edge (input fell): limited
     /// by the PMOS pull-up, i.e. by NBTI damage.
     #[must_use]
     pub fn rise_delay_ps(&self, model: &BtiModel) -> f64 {
-        self.nominal_delay_ps + self.state.rise_shift_ps(model, self.nominal_delay_ps)
+        self.nominal_delay_ps
+            + self
+                .aging()
+                .rise_shift_ps_scaled(model, self.nominal_delay_ps, 1.0)
     }
 
     /// Propagation delay of an output *falling* edge (input rose): limited
     /// by the NMOS pull-down, i.e. by PBTI damage.
     #[must_use]
     pub fn fall_delay_ps(&self, model: &BtiModel) -> f64 {
-        self.nominal_delay_ps + self.state.fall_shift_ps(model, self.nominal_delay_ps)
+        self.nominal_delay_ps
+            + self
+                .aging()
+                .fall_shift_ps_scaled(model, self.nominal_delay_ps, 1.0)
     }
 
     /// Figure 2's `Δps`: falling minus rising propagation delay.
@@ -80,14 +90,14 @@ impl Inverter {
 
     /// The aging state, for inspection.
     #[must_use]
-    pub fn aging(&self) -> &AgingState {
-        &self.state
+    pub fn aging(&self) -> WireAging<'_> {
+        self.aging.view_at(0)
     }
 
     /// Normalized damage level of one transistor.
     #[must_use]
     pub fn damage(&self, polarity: Polarity) -> f64 {
-        self.state.level(polarity)
+        self.aging().level(polarity)
     }
 }
 

@@ -15,13 +15,16 @@
 //! * **PBTI** stresses NMOS transistors while a node holds logical **1** and
 //!   slows *falling* transitions.
 //!
-//! Each stressed resource carries one [`TrapBank`] per polarity: a
+//! Each stressed resource carries a set of [`TrapBin`]s per polarity: a
 //! discretized *capture–emission time map* (Grasser-style empirical BTI
-//! model). A bank is a set of defect-trap bins with log-spaced capture and
-//! emission time constants. Occupancy rises exponentially toward saturation
-//! under stress and decays exponentially during recovery, with Arrhenius
-//! temperature acceleration on both rates. A few bins have infinite emission
-//! time constants and model the *permanent* component of BTI.
+//! model) with log-spaced capture and emission time constants, built by
+//! [`BtiModel::fresh_bins`]. Occupancy rises exponentially toward
+//! saturation under stress and decays exponentially during recovery, with
+//! Arrhenius temperature acceleration on both rates. A few bins have
+//! infinite emission time constants and model the *permanent* component of
+//! BTI. Every resource of a model shares the same grid, so all aging state
+//! lives in one store, the [`AgingArena`]: one slot per resource, holding
+//! only the occupancies and a lifetime odometer.
 //!
 //! The observable used throughout the paper is the difference between
 //! falling and rising propagation delay of a route:
@@ -49,16 +52,18 @@
 //! # Example
 //!
 //! ```
-//! use bti_physics::{AgingState, BtiModel, Celsius, DutyCycle, Hours};
+//! use bti_physics::{AgingArena, BtiModel, Celsius, DutyCycle, Hours};
 //!
 //! let model = BtiModel::ultrascale_plus();
-//! let mut route = AgingState::new(&model);
+//! let mut arena = AgingArena::new(&model);
+//! let route = arena.ensure(0);
 //!
 //! // Hold logical 1 on the route for 200 hours at 60 C (full burn-in).
-//! route.advance(&model, Hours::new(200.0), DutyCycle::ALWAYS_ONE, Celsius::new(60.0));
+//! let (burn, t60) = (DutyCycle::ALWAYS_ONE, Celsius::new(60.0));
+//! arena.advance_slot(route, &model, Hours::new(200.0), burn, t60);
 //!
 //! // The imprint: falling transitions through a 10000 ps route are now slower.
-//! let delta = route.delta_ps(&model, 10_000.0);
+//! let delta = arena.view_at(route).delta_ps_scaled(&model, 10_000.0, 1.0);
 //! assert!(delta > 9.0 && delta < 12.0, "Δps = {delta}");
 //! ```
 
@@ -66,27 +71,23 @@
 #![warn(missing_docs)]
 
 mod arena;
-mod bank;
 mod bin;
 mod error;
 mod inverter;
 mod model;
 mod phase;
 mod polarity;
-mod state;
 mod temperature;
 mod units;
 mod wear;
 
 pub use arena::{AgingArena, PhasePlan, WireAging};
-pub use bank::TrapBank;
 pub use bin::TrapBin;
 pub use error::BtiError;
 pub use inverter::Inverter;
 pub use model::{BtiModel, BtiModelBuilder, PolarityParams};
 pub use phase::{BinKernel, CacheStats, DecayCache, PhaseKernel};
 pub use polarity::{DutyCycle, LogicLevel, Polarity};
-pub use state::AgingState;
 pub use temperature::{arrhenius_acceleration, arrhenius_acceleration_kelvin, BOLTZMANN_EV_PER_K};
 pub use units::{Celsius, Hours, Kelvin, Picoseconds};
 pub use wear::WearModel;

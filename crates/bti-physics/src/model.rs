@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{arrhenius_acceleration, BtiError, Celsius, Polarity, TrapBank};
+use crate::{arrhenius_acceleration, BtiError, Celsius, Hours, Polarity, TrapBin};
 
 /// Kinetic and sensitivity parameters for one BTI polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -58,7 +58,7 @@ impl PolarityParams {
 /// A fully parameterized BTI aging model.
 ///
 /// The model owns the calibration constants; per-resource dynamic state
-/// lives in [`crate::AgingState`]. Construct the paper-calibrated
+/// lives in an [`crate::AgingArena`]. Construct the paper-calibrated
 /// UltraScale+ model with [`BtiModel::ultrascale_plus`], or customize one
 /// through [`BtiModel::builder`].
 ///
@@ -126,23 +126,24 @@ impl BtiModel {
         self.reference_temperature
     }
 
-    /// Creates a factory-fresh trap bank for one polarity.
+    /// The factory-fresh CET bins of one polarity, all occupancies zero:
+    /// the capture–emission time grid every resource governed by this
+    /// model shares.
+    ///
+    /// The grid has `bin_count` bins whose capture and emission time
+    /// constants are log-spaced over the polarity's tau ranges, paired
+    /// rank-by-rank (the fastest-capturing traps are also the
+    /// fastest-emitting — the usual diagonal correlation of measured CET
+    /// maps), plus one never-emitting bin holding `permanent_fraction` of
+    /// the population when that fraction is nonzero. Weights sum to 1.
     ///
     /// # Panics
     ///
     /// Does not panic: model construction already validated the
     /// parameters.
     #[must_use]
-    pub fn fresh_bank(&self, polarity: Polarity) -> TrapBank {
-        let p = self.params(polarity);
-        TrapBank::log_spaced(
-            polarity,
-            p.bin_count,
-            p.tau_capture_range,
-            p.tau_emission_range,
-            p.permanent_fraction,
-        )
-        .expect("validated parameters always build a bank")
+    pub fn fresh_bins(&self, polarity: Polarity) -> Vec<TrapBin> {
+        cet_bins(self.params(polarity)).expect("validated parameters always build a CET grid")
     }
 
     /// Arrhenius acceleration factors `(capture, emission)` for a polarity
@@ -176,6 +177,84 @@ impl Default for BtiModel {
     fn default() -> Self {
         Self::ultrascale_plus()
     }
+}
+
+/// Builds and validates one polarity's CET grid (see
+/// [`BtiModel::fresh_bins`]); `p` must already have passed
+/// [`PolarityParams::validate`], which bounds `permanent_fraction`. The
+/// weights are divided by their sum, so they add up to 1 whatever
+/// rounding the per-bin shares carried.
+///
+/// # Errors
+///
+/// Returns [`BtiError::InvalidParameter`] when a tau bound is
+/// non-positive or a range is inverted, or [`BtiError::EmptyCetGrid`]
+/// when the bin count is zero.
+fn cet_bins(p: &PolarityParams) -> Result<Vec<TrapBin>, BtiError> {
+    fn check(name: &'static str, value: f64) -> Result<(), BtiError> {
+        if value > 0.0 && value.is_finite() {
+            Ok(())
+        } else {
+            Err(BtiError::InvalidParameter {
+                name,
+                value,
+                constraint: "must be positive and finite",
+            })
+        }
+    }
+    let n = p.bin_count;
+    let (tau_c_range, tau_e_range) = (p.tau_capture_range, p.tau_emission_range);
+    if n == 0 {
+        return Err(BtiError::EmptyCetGrid);
+    }
+    check("tau_c_min", tau_c_range.0)?;
+    check("tau_c_max", tau_c_range.1)?;
+    check("tau_e_min", tau_e_range.0)?;
+    check("tau_e_max", tau_e_range.1)?;
+    if tau_c_range.0 > tau_c_range.1 || tau_e_range.0 > tau_e_range.1 {
+        return Err(BtiError::InvalidParameter {
+            name: "tau_range",
+            value: tau_c_range.0,
+            constraint: "range minimum must not exceed maximum",
+        });
+    }
+
+    let recoverable_weight = (1.0 - p.permanent_fraction) / n as f64;
+    let mut bins = Vec::with_capacity(n + 1);
+    for i in 0..n {
+        let frac = if n == 1 {
+            0.5
+        } else {
+            i as f64 / (n - 1) as f64
+        };
+        let tau_c = log_interp(tau_c_range.0, tau_c_range.1, frac);
+        let tau_e = log_interp(tau_e_range.0, tau_e_range.1, frac);
+        bins.push(TrapBin::new(
+            Hours::new(tau_c),
+            Hours::new(tau_e),
+            recoverable_weight,
+        ));
+    }
+    if p.permanent_fraction > 0.0 {
+        // Permanent traps capture on the same (mid-range, geometric mean)
+        // timescale but never emit.
+        let tau_c = (tau_c_range.0 * tau_c_range.1).sqrt();
+        bins.push(TrapBin {
+            tau_capture: Hours::new(tau_c),
+            tau_emission: Hours::new(f64::INFINITY),
+            weight: p.permanent_fraction,
+            occupancy: 0.0,
+        });
+    }
+    let total: f64 = bins.iter().map(|b| b.weight).sum();
+    for b in &mut bins {
+        b.weight /= total;
+    }
+    Ok(bins)
+}
+
+fn log_interp(lo: f64, hi: f64, frac: f64) -> f64 {
+    (lo.ln() + (hi.ln() - lo.ln()) * frac).exp()
 }
 
 /// Builder for [`BtiModel`] (C-BUILDER). Defaults to the UltraScale+
@@ -250,30 +329,18 @@ impl BtiModelBuilder {
     /// # Errors
     ///
     /// Returns [`BtiError::InvalidParameter`] when any parameter is out of
-    /// range, or [`BtiError::EmptyTrapBank`] when a bin count is zero.
+    /// range, or [`BtiError::EmptyCetGrid`] when a bin count is zero.
     pub fn build(&self) -> Result<BtiModel, BtiError> {
         self.nbti.validate("nbti")?;
         self.pbti.validate("pbti")?;
-        if self.nbti.bin_count == 0 || self.pbti.bin_count == 0 {
-            return Err(BtiError::EmptyTrapBank);
-        }
-        let model = BtiModel {
+        // Grid construction validates the bin counts and tau ranges.
+        cet_bins(&self.nbti)?;
+        cet_bins(&self.pbti)?;
+        Ok(BtiModel {
             nbti: self.nbti,
             pbti: self.pbti,
             reference_temperature: self.reference_temperature,
-        };
-        // Bank construction re-validates the tau ranges.
-        for polarity in Polarity::ALL {
-            let p = model.params(polarity);
-            TrapBank::log_spaced(
-                polarity,
-                p.bin_count,
-                p.tau_capture_range,
-                p.tau_emission_range,
-                p.permanent_fraction,
-            )?;
-        }
-        Ok(model)
+        })
     }
 }
 
@@ -328,7 +395,7 @@ mod tests {
         let mut b = BtiModel::builder();
         let mut p = *BtiModel::ultrascale_plus().pbti();
         p.bin_count = 0;
-        assert_eq!(b.pbti(p).build().unwrap_err(), BtiError::EmptyTrapBank);
+        assert_eq!(b.pbti(p).build().unwrap_err(), BtiError::EmptyCetGrid);
     }
 
     #[test]
@@ -341,12 +408,43 @@ mod tests {
     }
 
     #[test]
-    fn fresh_banks_are_empty() {
+    fn fresh_bins_are_empty_and_normalized() {
         let m = BtiModel::ultrascale_plus();
         for polarity in Polarity::ALL {
-            let bank = m.fresh_bank(polarity);
-            assert_eq!(bank.level(), 0.0);
-            assert_eq!(bank.polarity(), polarity);
+            let bins = m.fresh_bins(polarity);
+            assert_eq!(bins.len(), m.params(polarity).bin_count + 1);
+            assert!(bins.iter().all(|b| b.occupancy == 0.0));
+            let total: f64 = bins.iter().map(|b| b.weight).sum();
+            assert!((total - 1.0).abs() < 1e-12);
+            assert_eq!(bins.iter().filter(|b| b.is_permanent()).count(), 1);
         }
+    }
+
+    #[test]
+    fn builder_rejects_inverted_tau_range() {
+        let mut b = BtiModel::builder();
+        let mut p = *BtiModel::ultrascale_plus().nbti();
+        p.tau_capture_range = (100.0, 1.0);
+        assert!(matches!(
+            b.nbti(p).build().unwrap_err(),
+            BtiError::InvalidParameter {
+                name: "tau_range",
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn builder_rejects_non_positive_tau() {
+        let mut b = BtiModel::builder();
+        let mut p = *BtiModel::ultrascale_plus().pbti();
+        p.tau_emission_range = (0.0, 10.0);
+        assert!(matches!(
+            b.pbti(p).build().unwrap_err(),
+            BtiError::InvalidParameter {
+                name: "tau_e_min",
+                ..
+            }
+        ));
     }
 }

@@ -119,7 +119,7 @@ impl PhaseKernel {
     /// Builds the kernel for an *actively conditioned* phase at `duty`.
     ///
     /// `nbti_bins` / `pbti_bins` supply the bin time-constant structure
-    /// (occupancies are ignored); every bank built by the same model
+    /// (occupancies are ignored); every resource of the same model
     /// shares that structure, which is what makes the kernel reusable
     /// across wires.
     #[must_use]
@@ -148,11 +148,11 @@ impl PhaseKernel {
     }
 
     /// Builds the kernel for an *undriven* phase: traps only emit,
-    /// nothing captures — the closed form of [`crate::TrapBank::relax`].
+    /// nothing captures — the closed form of
+    /// [`crate::AgingArena::relax_slot`].
     ///
-    /// With a zero stress share the capture rate is exactly zero, so this
-    /// is the same arithmetic `relax` performs (it passes a unit capture
-    /// acceleration that is multiplied away).
+    /// With a zero stress share the capture rate is exactly zero, so the
+    /// unit capture acceleration passed here is multiplied away.
     #[must_use]
     pub fn relaxed(
         model: &BtiModel,
@@ -269,8 +269,8 @@ impl DecayCache {
     #[must_use]
     pub fn new(model: &BtiModel) -> Self {
         Self {
-            nbti_proto: model.fresh_bank(Polarity::Nbti).bins().to_vec(),
-            pbti_proto: model.fresh_bank(Polarity::Pbti).bins().to_vec(),
+            nbti_proto: model.fresh_bins(Polarity::Nbti),
+            pbti_proto: model.fresh_bins(Polarity::Pbti),
             map: HashMap::new(),
             stats: CacheStats::default(),
         }
@@ -369,7 +369,7 @@ impl Default for DecayCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AgingState, LogicLevel, TrapBank};
+    use crate::{AgingArena, LogicLevel};
 
     fn model() -> BtiModel {
         BtiModel::ultrascale_plus()
@@ -379,19 +379,14 @@ mod tests {
     fn kernel_apply_is_bit_identical_to_bin_advance() {
         let m = model();
         for polarity in Polarity::ALL {
-            let mut bank = m.fresh_bank(polarity);
-            let mut shadow = bank.clone();
-            // A few phases with distinct conditions and occupancies.
-            for (dt, share) in [(1.0, 1.0), (17.0, 0.25), (0.0, 1.0), (200.0, 0.0)] {
-                let dt = Hours::new(dt);
-                bank.advance(dt, DutyCycle::new(0.5).unwrap(), 1.3, 0.9);
-                shadow.advance(dt, DutyCycle::new(0.5).unwrap(), 1.3, 0.9);
-                let _ = share;
+            let mut bins = m.fresh_bins(polarity);
+            // Distinct occupancies across the grid.
+            for b in &mut bins {
+                b.advance(Hours::new(17.0), 0.5, 1.3, 0.9);
             }
-            assert_eq!(bank, shadow);
-            for (b, s) in bank.bins().iter().zip(shadow.bins()) {
+            for b in &bins {
                 let k = BinKernel::for_bin(b, Hours::new(13.0), 0.7, 1.1, 0.8);
-                let mut reference = *s;
+                let mut reference = *b;
                 reference.advance(Hours::new(13.0), 0.7, 1.1, 0.8);
                 assert_eq!(
                     k.apply(b.occupancy).to_bits(),
@@ -414,55 +409,51 @@ mod tests {
     #[test]
     fn zero_dt_yields_identity() {
         let m = model();
-        let bank = m.fresh_bank(Polarity::Pbti);
-        let k = BinKernel::for_bin(&bank.bins()[0], Hours::ZERO, 1.0, 1.0, 1.0);
+        let bins = m.fresh_bins(Polarity::Pbti);
+        let k = BinKernel::for_bin(&bins[0], Hours::ZERO, 1.0, 1.0, 1.0);
         assert!(!k.active);
     }
 
     #[test]
     fn permanent_bin_relaxation_is_identity() {
         let m = model();
-        let bank = m.fresh_bank(Polarity::Nbti);
-        let permanent = bank
-            .bins()
+        let bins = m.fresh_bins(Polarity::Nbti);
+        let permanent = bins
             .iter()
             .find(|b| b.is_permanent())
-            .expect("NBTI bank has a permanent bin");
+            .expect("NBTI grid has a permanent bin");
         let k = BinKernel::for_bin(permanent, Hours::new(1000.0), 0.0, 1.0, 1.0);
         assert!(!k.active, "no capture, no emission: nothing to integrate");
     }
 
+    /// Two fresh one-wire arenas side by side: slot 0 of each.
+    fn twin_arenas(m: &BtiModel) -> (AgingArena, AgingArena) {
+        let mut arena = AgingArena::new(m);
+        arena.ensure(0);
+        (arena.clone(), arena)
+    }
+
     #[test]
-    fn cached_state_advance_matches_reference_bitwise() {
+    fn cached_kernels_match_the_per_wire_path_bitwise() {
         let m = model();
         let mut cache = DecayCache::new(&m);
-        let mut fast = AgingState::new(&m);
-        let mut reference = AgingState::new(&m);
+        let (mut fast, mut reference) = twin_arenas(&m);
         let t = Celsius::new(67.5);
+        let dt = Hours::new(1.0);
         for _ in 0..48 {
-            let kernel = cache.conditioned(&m, Hours::new(1.0), LogicLevel::One.duty(), t);
-            fast.apply_phase_kernel(kernel, Hours::new(1.0));
-            reference.advance(&m, Hours::new(1.0), LogicLevel::One.duty(), t);
+            let kernel = cache.conditioned(&m, dt, LogicLevel::One.duty(), t);
+            fast.apply_kernel(0, kernel, dt);
+            reference.advance_slot(0, &m, dt, LogicLevel::One.duty(), t);
         }
         assert_eq!(fast, reference);
         assert_eq!(cache.len(), 1, "one condition tuple, one kernel");
         for _ in 0..24 {
-            let kernel = cache.relaxed(&m, Hours::new(1.0), t);
-            fast.apply_phase_kernel(kernel, Hours::new(1.0));
-            reference.relax(&m, Hours::new(1.0), t);
+            let kernel = cache.relaxed(&m, dt, t);
+            fast.apply_kernel(0, kernel, dt);
+            reference.relax_slot(0, &m, dt, t);
         }
         assert_eq!(fast, reference);
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn bank_advance_phase_is_bit_identical_to_advance() {
-        let m = model();
-        let mut closed = m.fresh_bank(Polarity::Pbti);
-        let mut stepped = m.fresh_bank(Polarity::Pbti);
-        closed.advance_phase(Hours::new(200.0), DutyCycle::ALWAYS_ONE, 1.2, 0.8);
-        stepped.advance(Hours::new(200.0), DutyCycle::ALWAYS_ONE, 1.2, 0.8);
-        assert_eq!(closed, stepped);
     }
 
     #[test]
@@ -471,40 +462,18 @@ mod tests {
         // phase update exactly in ℝ; in f64 the exp compositions differ
         // by a few ulps per step, so the contract is ≤ 1e-9 relative.
         let m = model();
-        let mut phase = AgingState::new(&m);
-        let mut hourly = AgingState::new(&m);
+        let (mut phase, mut hourly) = twin_arenas(&m);
         let t = Celsius::new(60.0);
-        phase.advance(&m, Hours::new(200.0), DutyCycle::ALWAYS_ONE, t);
+        phase.advance_slot(0, &m, Hours::new(200.0), DutyCycle::ALWAYS_ONE, t);
         for _ in 0..200 {
-            hourly.advance(&m, Hours::new(1.0), DutyCycle::ALWAYS_ONE, t);
+            hourly.advance_slot(0, &m, Hours::new(1.0), DutyCycle::ALWAYS_ONE, t);
         }
-        let (a, b) = (phase.level(Polarity::Pbti), hourly.level(Polarity::Pbti));
+        let a = phase.view_at(0).level(Polarity::Pbti);
+        let b = hourly.view_at(0).level(Polarity::Pbti);
         assert!(
             (a - b).abs() <= 1e-9 * b.abs().max(1.0),
             "phase {a} vs hourly {b}"
         );
-    }
-
-    #[test]
-    fn mismatched_kernel_width_is_rejected() {
-        let m = model();
-        let mut bank = TrapBank::new(
-            Polarity::Nbti,
-            vec![TrapBin::new(Hours::new(10.0), Hours::new(10.0), 1.0)],
-        )
-        .unwrap();
-        let kernel = PhaseKernel::conditioned(
-            &m,
-            m.fresh_bank(Polarity::Nbti).bins(),
-            m.fresh_bank(Polarity::Pbti).bins(),
-            Hours::new(1.0),
-            DutyCycle::BALANCED,
-            Celsius::new(60.0),
-        );
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            bank.apply_kernel(kernel.nbti());
-        }));
-        assert!(result.is_err(), "width mismatch must panic, not truncate");
     }
 
     #[test]
@@ -551,15 +520,14 @@ mod tests {
         // the new counters must make the cliff visible.
         let m = model();
         let mut cache = DecayCache::new(&m);
-        let mut fast = AgingState::new(&m);
-        let mut reference = AgingState::new(&m);
+        let (mut fast, mut reference) = twin_arenas(&m);
         let distinct = DECAY_CACHE_CAPACITY + 64;
         for i in 0..distinct {
             let t = Celsius::new(40.0 + i as f64 * 1e-7);
             let dt = Hours::new(1.0);
             let kernel = cache.conditioned(&m, dt, DutyCycle::ALWAYS_ONE, t);
-            fast.apply_phase_kernel(kernel, dt);
-            reference.advance(&m, dt, DutyCycle::ALWAYS_ONE, t);
+            fast.apply_kernel(0, kernel, dt);
+            reference.advance_slot(0, &m, dt, DutyCycle::ALWAYS_ONE, t);
         }
         assert_eq!(fast, reference, "reset must not perturb results");
         let stats = cache.stats();

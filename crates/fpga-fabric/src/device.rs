@@ -424,7 +424,7 @@ impl FpgaDevice {
             for seg in route.segments() {
                 let slot = self.aging.ensure(u64::from(seg.id.0));
                 self.aging
-                    .advance_slot_reference(slot, &self.model, dt, duty, temperature);
+                    .advance_slot(slot, &self.model, dt, duty, temperature);
             }
             return;
         }

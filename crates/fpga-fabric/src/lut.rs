@@ -14,7 +14,7 @@
 //! imprint lands in the tens of femtoseconds, far below the cloud
 //! sensor's noise floor and readable only by Zick-style lab equipment.
 
-use bti_physics::{AgingState, BtiModel, Celsius, Hours, LogicLevel};
+use bti_physics::{AgingArena, BtiModel, Celsius, Hours, LogicLevel, WireAging};
 use serde::{Deserialize, Serialize};
 
 use crate::TileCoord;
@@ -33,17 +33,20 @@ pub const LUT_BUFFER_SENSITIVITY_SCALE: f64 = 0.25;
 pub struct LutConfigCell {
     location: TileCoord,
     bit_index: u8,
-    state: AgingState,
+    /// One slot: the cell's output buffer.
+    aging: AgingArena,
 }
 
 impl LutConfigCell {
     /// Creates a fresh config cell at `location`, bit `bit_index`.
     #[must_use]
     pub fn new(model: &BtiModel, location: TileCoord, bit_index: u8) -> Self {
+        let mut aging = AgingArena::new(model);
+        aging.ensure(0);
         Self {
             location,
             bit_index,
-            state: AgingState::new(model),
+            aging,
         }
     }
 
@@ -62,14 +65,15 @@ impl LutConfigCell {
     /// Holds a configuration value in the cell for `dt` (what happens for
     /// the whole time a bitstream is loaded).
     pub fn hold(&mut self, model: &BtiModel, value: LogicLevel, dt: Hours, temperature: Celsius) {
-        self.state.advance_static(model, dt, value, temperature);
+        self.aging
+            .advance_slot(0, model, dt, value.duty(), temperature);
     }
 
     /// The cell's Δps imprint observable through its output buffer, with
     /// a device wear factor — *tens of femtoseconds* after a full burn-in.
     #[must_use]
     pub fn imprint_ps(&self, model: &BtiModel, wear: f64) -> f64 {
-        self.state.delta_ps_scaled(
+        self.aging().delta_ps_scaled(
             model,
             LUT_BUFFER_DELAY_PS,
             wear * LUT_BUFFER_SENSITIVITY_SCALE,
@@ -78,8 +82,8 @@ impl LutConfigCell {
 
     /// Access to the raw aging state (for lab-grade analysis).
     #[must_use]
-    pub fn aging(&self) -> &AgingState {
-        &self.state
+    pub fn aging(&self) -> WireAging<'_> {
+        self.aging.view_at(0)
     }
 }
 
@@ -167,14 +171,16 @@ mod tests {
         // same burn leaves a ~100x larger imprint on a 1000 ps route than
         // on a LUT cell.
         let model = BtiModel::ultrascale_plus();
-        let mut route_state = AgingState::new(&model);
-        route_state.advance_static(
+        let mut route = AgingArena::new(&model);
+        let slot = route.ensure(0);
+        route.advance_slot(
+            slot,
             &model,
             Hours::new(200.0),
-            LogicLevel::One,
+            LogicLevel::One.duty(),
             Celsius::new(60.0),
         );
-        let route_imprint = route_state.delta_ps(&model, 1_000.0);
+        let route_imprint = route.view_at(slot).delta_ps_scaled(&model, 1_000.0, 1.0);
         let (_, cell) = burned_cell(LogicLevel::One, 200.0);
         let lut_imprint = cell.imprint_ps(&model, 1.0);
         assert!(

@@ -14,12 +14,13 @@
 //! file always reports the same percentiles, but two runs of the same
 //! workload time differently.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use obs::{json_f64, CampaignEvent, EventKind};
 
 use crate::parse::MetricsSnapshot;
+use crate::stream::StreamingIndicators;
 
 /// Schema version of the indicator report JSON.
 pub const INDICATORS_SCHEMA_VERSION: u32 = 1;
@@ -126,7 +127,6 @@ pub const FLEET_TICK_HISTOGRAM: &str = "fleet.tick_ms";
 /// Extracts the spans table from a metrics snapshot: every
 /// `span_seconds.*` histogram (stats in seconds) plus the fleet
 /// scheduler's [`FLEET_TICK_HISTOGRAM`] (stats in milliseconds).
-/// Shared by the batch and streaming engines so the table cannot drift.
 pub(crate) fn spans_from_metrics(metrics: &MetricsSnapshot) -> BTreeMap<String, SpanStats> {
     let mut spans = BTreeMap::new();
     for (name, hist) in &metrics.histograms {
@@ -152,9 +152,9 @@ pub(crate) fn spans_from_metrics(metrics: &MetricsSnapshot) -> BTreeMap<String, 
 
 /// Derives the indicator set from a trace (and optionally the matching
 /// metrics snapshot, which contributes the wall-clock span percentiles).
-/// The events may be in any order; derivation sorts a copy by the
-/// canonical content key first, so attribution matches the Recorder's
-/// total order.
+/// The events may be in any order; derivation stable-sorts a copy by the
+/// canonical content key, so attribution matches the Recorder's total
+/// order, then folds it through the [`StreamingIndicators`] accumulator.
 #[must_use]
 pub fn compute(
     events: &[CampaignEvent],
@@ -163,90 +163,11 @@ pub fn compute(
 ) -> Indicators {
     let mut sorted: Vec<&CampaignEvent> = events.iter().collect();
     sorted.sort_by(|a, b| a.cmp_key(b));
-
-    let mut kind_counts: BTreeMap<EventKind, u64> =
-        EventKind::ALL.into_iter().map(|k| (k, 0)).collect();
-    let mut routes: BTreeSet<u64> = BTreeSet::new();
-    let mut retry_total = 0.0;
-    let mut retry_cells: BTreeMap<RetryCellKey, f64> = BTreeMap::new();
-    let mut backoff_events = 0u64;
-    let mut backoff_seconds_total = 0.0;
-    let mut cache_hits = 0.0;
-    let mut cache_misses = 0.0;
-    let mut abstains = 0u64;
-    let mut quorum_failures = 0.0;
-    let mut measure_phases = 0u64;
-    let mut phase_events: BTreeMap<String, u64> = BTreeMap::new();
-    let mut current_phase = PRE_PHASE.to_owned();
-
+    let mut engine = StreamingIndicators::new(config);
     for event in sorted {
-        if event.kind == EventKind::PhaseTransition {
-            current_phase = if event.detail.is_empty() {
-                PRE_PHASE.to_owned()
-            } else {
-                event.detail.clone()
-            };
-            if event.detail == "measure" {
-                measure_phases += 1;
-            }
-        }
-        *kind_counts.entry(event.kind).or_insert(0) += 1;
-        *phase_events.entry(current_phase.clone()).or_insert(0) += 1;
-        if let Some(route) = event.route {
-            routes.insert(route);
-        }
-        match event.kind {
-            EventKind::Retry => {
-                retry_total += event.value;
-                let key = RetryCellKey {
-                    phase: current_phase.clone(),
-                    route: event.route,
-                };
-                *retry_cells.entry(key).or_insert(0.0) += event.value;
-            }
-            EventKind::Backoff => {
-                backoff_events += 1;
-                backoff_seconds_total += event.value;
-            }
-            EventKind::CacheHit => cache_hits += event.value,
-            EventKind::CacheMiss => cache_misses += event.value,
-            EventKind::Abstain => abstains += 1,
-            EventKind::QuorumFailure => quorum_failures += event.value,
-            _ => {}
-        }
+        engine.accumulate(event);
     }
-
-    let retry_storms: Vec<(RetryCellKey, f64)> = retry_cells
-        .iter()
-        .filter(|&(_, &total)| total > config.retry_storm_threshold)
-        .map(|(key, &total)| (key.clone(), total))
-        .collect();
-
-    let cache_traffic = cache_hits + cache_misses;
-    let spans = metrics.map(spans_from_metrics).unwrap_or_default();
-
-    Indicators {
-        events: events.len() as u64,
-        kind_counts,
-        routes_observed: routes.len() as u64,
-        retry_total,
-        retry_cells,
-        retry_storms,
-        retry_storm_threshold: config.retry_storm_threshold,
-        backoff_events,
-        backoff_seconds_total,
-        cache_hits,
-        cache_misses,
-        cache_hit_ratio: (cache_traffic > 0.0).then(|| cache_hits / cache_traffic),
-        abstains,
-        abstain_rate_per_route: (!routes.is_empty()).then(|| abstains as f64 / routes.len() as f64),
-        quorum_failures,
-        measure_phases,
-        quorum_failures_per_measure_phase: (measure_phases > 0)
-            .then(|| quorum_failures / measure_phases as f64),
-        phase_events,
-        spans,
-    }
+    engine.report(metrics)
 }
 
 fn json_opt(v: Option<f64>) -> String {

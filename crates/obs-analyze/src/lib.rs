@@ -22,7 +22,7 @@
 //!    lineage with tolerance-banded gates: identity claims gate
 //!    unconditionally, timing gates arm only on real parallel hardware,
 //!    numerical error is banded with head room.
-//! 5. [`stream`] — a bounded-memory incremental twin of
+//! 5. [`stream`] — the bounded-memory indicator accumulator behind
 //!    [`indicators::compute`]: [`StreamingIndicators`] consumes the
 //!    trace line by line (arbitrary chunk boundaries) and produces the
 //!    byte-identical [`Indicators`] value, so fleet-scale traces never

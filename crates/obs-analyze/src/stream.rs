@@ -1,4 +1,4 @@
-//! Incremental (streaming) twin of [`crate::indicators::compute`].
+//! The indicator accumulator, fed incrementally.
 //!
 //! [`StreamingIndicators`] consumes a JSONL trace one chunk, line, or
 //! event at a time and maintains every indicator accumulator — the
@@ -7,14 +7,11 @@
 //! never materializes the event `Vec`, so fleet-scale traces stream
 //! through a fixed-size buffer.
 //!
-//! The batch `indicators::compute` stays the *reference implementation*
-//! (the arena/reference-twin pattern from the aging arena): this module
-//! deliberately duplicates the accumulation logic instead of sharing it,
-//! and the property tests in `tests/streaming_cache.rs` prove the two
-//! agree byte-for-byte on arbitrary traces. Only the [`Indicators`]
-//! result struct and its renderers are shared, so once the accumulators
-//! agree the JSON/Markdown renderings are byte-identical by
-//! construction.
+//! It is also the only accumulator: batch [`crate::indicators::compute`]
+//! is a stable sort followed by folding each event through the same
+//! code, so streaming and batch reports agree by construction. The
+//! property tests in `tests/streaming_cache.rs` still check that end to
+//! end on arbitrary traces.
 //!
 //! Determinism contract (DESIGN.md §15): the input must already be in
 //! the Recorder's canonical content order (`CampaignEvent::cmp_key`
@@ -84,8 +81,7 @@ impl StreamingIndicators {
             lines: 0,
             last: None,
             events: 0,
-            // Every kind listed with a zero count, exactly as the
-            // reference `compute` pre-fills its map.
+            // Every kind listed, zeros included.
             kind_counts: EventKind::ALL.into_iter().map(|k| (k, 0)).collect(),
             routes: BTreeSet::new(),
             retry_total: 0.0,
@@ -198,6 +194,17 @@ impl StreamingIndicators {
                 return false;
             }
         }
+        self.accumulate(&event);
+        if let Some(alerts) = &mut self.alerts {
+            alerts.ingest(&event);
+        }
+        self.last = Some(event);
+        true
+    }
+
+    /// Folds one event into the indicator accumulators, trusting the
+    /// caller for canonical order (batch `compute` sorts first).
+    pub(crate) fn accumulate(&mut self, event: &CampaignEvent) {
         if event.kind == EventKind::PhaseTransition {
             self.current_phase = if event.detail.is_empty() {
                 PRE_PHASE.to_owned()
@@ -236,16 +243,10 @@ impl StreamingIndicators {
             _ => {}
         }
         self.events += 1;
-        if let Some(alerts) = &mut self.alerts {
-            alerts.ingest(&event);
-        }
-        self.last = Some(event);
-        true
     }
 
     /// Seals the stream and assembles the [`Indicators`] report,
-    /// optionally folding in span percentiles from a metrics snapshot
-    /// (exactly as the batch `compute` does).
+    /// optionally folding in span percentiles from a metrics snapshot.
     ///
     /// # Errors
     ///
@@ -260,6 +261,11 @@ impl StreamingIndicators {
                 "unterminated final trace line (missing trailing newline; artifact truncated?)",
             ));
         }
+        Ok(self.report(metrics))
+    }
+
+    /// Assembles the [`Indicators`] report from the accumulators.
+    pub(crate) fn report(self, metrics: Option<&MetricsSnapshot>) -> Indicators {
         let retry_storms: Vec<(RetryCellKey, f64)> = self
             .retry_cells
             .iter()
@@ -268,7 +274,7 @@ impl StreamingIndicators {
             .collect();
         let cache_traffic = self.cache_hits + self.cache_misses;
         let spans = metrics.map(spans_from_metrics).unwrap_or_default();
-        Ok(Indicators {
+        Indicators {
             events: self.events,
             kind_counts: self.kind_counts,
             routes_observed: self.routes.len() as u64,
@@ -290,7 +296,7 @@ impl StreamingIndicators {
                 .then(|| self.quorum_failures / self.measure_phases as f64),
             phase_events: self.phase_events,
             spans,
-        })
+        }
     }
 }
 

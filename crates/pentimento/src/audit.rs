@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use bti_physics::{AgingState, BtiModel, Celsius, Hours, LogicLevel};
+use bti_physics::{AgingArena, BtiModel, Celsius, Hours, LogicLevel};
 use fpga_fabric::{Design, NetActivity};
 use serde::{Deserialize, Serialize};
 
@@ -183,14 +183,17 @@ pub fn audit_design(
     // One reference burn per polarity is enough: the imprint scales
     // linearly in route length and wear.
     let imprint_per_ps = |level: LogicLevel| -> f64 {
-        let mut state = AgingState::new(&model);
-        state.advance_static(
+        let mut route = AgingArena::new(&model);
+        let slot = route.ensure(0);
+        route.advance_slot(
+            slot,
             &model,
             Hours::new(scenario.exposure_hours),
-            level,
+            level.duty(),
             scenario.temperature,
         );
-        state
+        route
+            .view_at(slot)
             .delta_ps_scaled(&model, 1.0, scenario.wear_factor)
             .abs()
     };

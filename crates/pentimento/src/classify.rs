@@ -1,6 +1,6 @@
 //! Bit classifiers: turning Δps time series back into secret bits.
 
-use bti_physics::{AgingState, BtiModel, Celsius, Hours, LogicLevel};
+use bti_physics::{AgingArena, BtiModel, Celsius, Hours, LogicLevel};
 use serde::{Deserialize, Serialize};
 
 use crate::RouteSeries;
@@ -227,17 +227,13 @@ impl RecoverySlopeClassifier {
     ) -> Self {
         let unit = 1_000.0; // reference route length, ps
         let slope_for = |level: LogicLevel| -> f64 {
-            let mut state = AgingState::new(model);
-            state.advance_static(model, Hours::new(burn_hours), level, burn_temperature);
-            let start = state.delta_ps_scaled(model, unit, wear_estimate);
-            state.advance_static(
-                model,
-                Hours::new(window_hours),
-                LogicLevel::Zero,
-                attack_temperature,
-            );
-            let end = state.delta_ps_scaled(model, unit, wear_estimate);
-            (end - start) / window_hours
+            let mut route = burned_reference(model, level, burn_hours, burn_temperature);
+            let delta =
+                |route: &AgingArena| route.view_at(0).delta_ps_scaled(model, unit, wear_estimate);
+            let start = delta(&route);
+            let zero = LogicLevel::Zero.duty();
+            route.advance_slot(0, model, Hours::new(window_hours), zero, attack_temperature);
+            (delta(&route) - start) / window_hours
         };
         let s1 = slope_for(LogicLevel::One);
         let s0 = slope_for(LogicLevel::Zero);
@@ -245,6 +241,26 @@ impl RecoverySlopeClassifier {
             threshold_per_ps: (s1 + s0) / 2.0 / unit,
         }
     }
+}
+
+/// The attacker's reference route for calibration: a one-slot arena
+/// (slot 0) held at `level` for `burn_hours` at `burn_temperature`.
+fn burned_reference(
+    model: &BtiModel,
+    level: LogicLevel,
+    burn_hours: f64,
+    burn_temperature: Celsius,
+) -> AgingArena {
+    let mut route = AgingArena::new(model);
+    let slot = route.ensure(0);
+    route.advance_slot(
+        slot,
+        model,
+        Hours::new(burn_hours),
+        level.duty(),
+        burn_temperature,
+    );
+    route
 }
 
 impl BitClassifier for RecoverySlopeClassifier {
@@ -304,13 +320,15 @@ impl MatchedFilterClassifier {
     ) -> Self {
         let unit = 1_000.0;
         let template_for = |level: LogicLevel| -> Vec<f64> {
-            let mut state = AgingState::new(model);
-            state.advance_static(model, Hours::new(burn_hours), level, burn_temperature);
-            let origin = state.delta_ps_scaled(model, unit, wear_estimate);
+            let mut route = burned_reference(model, level, burn_hours, burn_temperature);
+            let delta =
+                |route: &AgingArena| route.view_at(0).delta_ps_scaled(model, unit, wear_estimate);
+            let origin = delta(&route);
             let mut template = vec![0.0];
             for _ in 0..window_hours {
-                state.advance_static(model, Hours::new(1.0), LogicLevel::Zero, attack_temperature);
-                template.push((state.delta_ps_scaled(model, unit, wear_estimate) - origin) / unit);
+                let zero = LogicLevel::Zero.duty();
+                route.advance_slot(0, model, Hours::new(1.0), zero, attack_temperature);
+                template.push((delta(&route) - origin) / unit);
             }
             template
         };

@@ -10,12 +10,12 @@
 use fpga_fabric::{FpgaDevice, Route};
 use obs::Recorder;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::stream::{stream_seed, STREAM_CALIBRATE, STREAM_MEASURE};
-use crate::{Measurement, TdcConfig, TdcError, TdcSensor};
+use crate::{TdcConfig, TdcError, TdcSensor};
 
 /// A bank of TDC sensors sharing one configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -58,28 +58,11 @@ impl TdcArray {
         &self.sensors
     }
 
-    /// Calibration phase for the whole bank: finds each sensor's θ_init.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first calibration failure.
-    pub fn calibrate_all<R: Rng + ?Sized>(
-        &mut self,
-        device: &FpgaDevice,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, TdcError> {
-        self.sensors
-            .iter_mut()
-            .map(|s| s.calibrate(device, rng))
-            .collect()
-    }
-
     /// Calibration phase for the whole bank, fanned across worker threads
     /// with one derived RNG stream per sensor: sensor `i` draws from
     /// `stream_seed(master_seed, i, STREAM_CALIBRATE)`, so the result is
     /// bit-identical at every thread count and independent of scheduling
-    /// order — unlike [`TdcArray::calibrate_all`], whose shared `rng`
-    /// entangles each sensor with its predecessors.
+    /// order: no sensor's draws depend on another's.
     ///
     /// # Errors
     ///
@@ -144,52 +127,10 @@ impl TdcArray {
         Ok(())
     }
 
-    /// Measurement phase for the whole bank.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first sensor failure (e.g. uncalibrated sensors).
-    pub fn measure_all<R: Rng + ?Sized>(
-        &self,
-        device: &FpgaDevice,
-        rng: &mut R,
-    ) -> Result<Vec<Measurement>, TdcError> {
-        self.sensors
-            .iter()
-            .map(|s| s.measure(device, rng))
-            .collect()
-    }
-
-    /// Measures every sensor `repeats` times and returns the mean Δps per
-    /// route — the averaging trick the attack drivers use to push the
-    /// noise floor below weak cloud imprints.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first sensor failure; `repeats` of zero is rejected.
-    pub fn measure_deltas_averaged<R: Rng + ?Sized>(
-        &self,
-        device: &FpgaDevice,
-        repeats: usize,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, TdcError> {
-        if repeats == 0 {
-            return Err(TdcError::InvalidConfig("repeats must be at least 1"));
-        }
-        self.sensors
-            .iter()
-            .map(|sensor| {
-                let mut acc = 0.0;
-                for _ in 0..repeats {
-                    acc += sensor.measure(device, rng)?.delta_ps;
-                }
-                Ok(acc / repeats as f64)
-            })
-            .collect()
-    }
-
     /// Batched read: measures the whole bank in one call, fanned across
-    /// worker threads, averaging `repeats` reads per sensor. Sensor `i`
+    /// worker threads, averaging `repeats` reads per sensor — the
+    /// averaging trick the attack drivers use to push the noise floor
+    /// below weak cloud imprints. Sensor `i`
     /// at measurement phase `phase` (0 for the hour-zero baseline) draws
     /// from its own stream `stream_seed(master_seed, i, STREAM_MEASURE +
     /// phase)`, so the returned deltas are bit-identical at every thread
@@ -197,8 +138,8 @@ impl TdcArray {
     ///
     /// # Errors
     ///
-    /// Returns the failure of the lowest-indexed failing sensor;
-    /// `repeats` of zero is rejected.
+    /// Returns the failure of the lowest-indexed failing sensor (e.g. an
+    /// uncalibrated one); `repeats` of zero is rejected.
     pub fn measure_deltas_streamed(
         &self,
         device: &FpgaDevice,
@@ -260,8 +201,6 @@ mod tests {
     use super::*;
     use bti_physics::{DutyCycle, Hours};
     use fpga_fabric::{RouteRequest, TileCoord};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use std::collections::HashSet;
 
     fn routes(device: &FpgaDevice, n: usize) -> Vec<Route> {
@@ -284,13 +223,26 @@ mod tests {
         let mut array =
             TdcArray::place(&device, routes(&device, 4), TdcConfig::lab()).expect("places");
         assert_eq!(array.len(), 4);
-        let mut rng = StdRng::seed_from_u64(81);
-        let thetas = array.calibrate_all(&device, &mut rng).expect("calibrates");
+        let thetas = array
+            .calibrate_all_streamed(&device, 81)
+            .expect("calibrates");
         assert_eq!(thetas.len(), 4);
-        let measurements = array.measure_all(&device, &mut rng).expect("measures");
-        for m in measurements {
-            assert!(m.delta_ps.abs() < 1.5);
+        let deltas = array
+            .measure_deltas_streamed(&device, 1, 81, 0)
+            .expect("measures");
+        for delta in deltas {
+            assert!(delta.abs() < 1.5);
         }
+    }
+
+    #[test]
+    fn uncalibrated_bank_cannot_measure() {
+        let device = FpgaDevice::zcu102_new(80);
+        let array = TdcArray::place(&device, routes(&device, 2), TdcConfig::lab()).expect("places");
+        assert_eq!(
+            array.measure_deltas_streamed(&device, 1, 80, 0),
+            Err(TdcError::NotCalibrated)
+        );
     }
 
     #[test]
@@ -298,21 +250,23 @@ mod tests {
         let device = FpgaDevice::zcu102_new(82);
         let mut array =
             TdcArray::place(&device, routes(&device, 2), TdcConfig::cloud()).expect("places");
-        let mut rng = StdRng::seed_from_u64(82);
-        array.calibrate_all(&device, &mut rng).expect("calibrates");
-        let spread = |repeats: usize, rng: &mut StdRng| {
+        array
+            .calibrate_all_streamed(&device, 82)
+            .expect("calibrates");
+        // Each phase is a fresh noise draw of the same (unaged) routes.
+        let spread = |repeats: usize| {
             let reads: Vec<f64> = (0..20)
-                .map(|_| {
+                .map(|phase| {
                     array
-                        .measure_deltas_averaged(&device, repeats, rng)
+                        .measure_deltas_streamed(&device, repeats, 82, phase)
                         .expect("measures")[0]
                 })
                 .collect();
             let mean = reads.iter().sum::<f64>() / reads.len() as f64;
             (reads.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / reads.len() as f64).sqrt()
         };
-        let single = spread(1, &mut rng);
-        let averaged = spread(8, &mut rng);
+        let single = spread(1);
+        let averaged = spread(8);
         assert!(averaged < 0.6 * single, "{averaged} vs {single}");
     }
 
@@ -321,9 +275,8 @@ mod tests {
         let reference = FpgaDevice::zcu102_new(83);
         let mut ref_array =
             TdcArray::place(&reference, routes(&reference, 3), TdcConfig::lab()).expect("places");
-        let mut rng = StdRng::seed_from_u64(83);
         let thetas = ref_array
-            .calibrate_all(&reference, &mut rng)
+            .calibrate_all_streamed(&reference, 83)
             .expect("calibrates");
 
         let victim = FpgaDevice::zcu102_new(84);
@@ -333,8 +286,7 @@ mod tests {
         assert!(array.set_theta_inits(&thetas[..2]).is_err());
         // Readings may need retuning on a different die, but the bank must
         // at least be measurable without a fresh calibration.
-        let result = array.measure_all(&victim, &mut rng);
-        assert!(result.is_ok());
+        assert!(array.measure_deltas_streamed(&victim, 1, 84, 0).is_ok());
     }
 
     #[test]
@@ -342,12 +294,13 @@ mod tests {
         let mut device = FpgaDevice::zcu102_new(85);
         let rs = routes(&device, 2);
         let mut array = TdcArray::place(&device, rs.clone(), TdcConfig::lab()).expect("places");
-        let mut rng = StdRng::seed_from_u64(85);
-        array.calibrate_all(&device, &mut rng).expect("calibrates");
+        array
+            .calibrate_all_streamed(&device, 85)
+            .expect("calibrates");
         device.condition_route(&rs[0], DutyCycle::ALWAYS_ONE, Hours::new(150.0));
         device.condition_route(&rs[1], DutyCycle::ALWAYS_ZERO, Hours::new(150.0));
         let deltas = array
-            .measure_deltas_averaged(&device, 4, &mut rng)
+            .measure_deltas_streamed(&device, 4, 85, 1)
             .expect("measures");
         assert!(deltas[0] > 2.0, "burn-1 route: {}", deltas[0]);
         assert!(deltas[1] < -2.0, "burn-0 route: {}", deltas[1]);
@@ -364,8 +317,6 @@ mod tests {
     fn zero_repeats_rejected() {
         let device = FpgaDevice::zcu102_new(87);
         let array = TdcArray::place(&device, routes(&device, 1), TdcConfig::lab()).expect("places");
-        let mut rng = StdRng::seed_from_u64(87);
-        assert!(array.measure_deltas_averaged(&device, 0, &mut rng).is_err());
         assert!(array.measure_deltas_streamed(&device, 0, 87, 0).is_err());
     }
 

@@ -32,6 +32,12 @@ echo "== kernel_bench smoke (fast-path equivalence) =="
 # noise on shared CI hosts must not fail the build.
 cargo run --release -q -p bench --bin kernel_bench -- --smoke
 
+echo "== fig2_inverter + lut_comparison (single-resource aging shape checks) =="
+# The inverter and the LUT-SRAM cell each age in a one-slot AgingArena;
+# both bins exit non-zero when a paper shape check fails.
+cargo run --release -q -p bench --bin fig2_inverter
+cargo run --release -q -p bench --bin lut_comparison
+
 echo "== attack_accuracy trace smoke (observability artifacts + overhead) =="
 # The traced smoke run must produce a parseable JSONL trace and metrics
 # JSON, leave the CSV artifact byte-identical to the untraced run, and

@@ -8,12 +8,14 @@
 //! # Quickstart
 //!
 //! ```
-//! use pentimento_repro::bti_physics::{AgingState, BtiModel, Celsius, Hours, LogicLevel};
+//! use pentimento_repro::bti_physics::{AgingArena, BtiModel, Celsius, Hours, LogicLevel};
 //!
 //! let model = BtiModel::ultrascale_plus();
-//! let mut route = AgingState::new(&model);
-//! route.advance_static(&model, Hours::new(200.0), LogicLevel::One, Celsius::new(60.0));
-//! assert!(route.delta_ps(&model, 10_000.0) > 9.0);
+//! let mut arena = AgingArena::new(&model);
+//! let route = arena.ensure(0);
+//! let burn = LogicLevel::One.duty();
+//! arena.advance_slot(route, &model, Hours::new(200.0), burn, Celsius::new(60.0));
+//! assert!(arena.view_at(route).delta_ps_scaled(&model, 10_000.0, 1.0) > 9.0);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -4,13 +4,14 @@
 //!
 //! Three families, three contracts:
 //!
-//! 1. **Closed-form phase advance** — `AgingState::advance_phase` over a
+//! 1. **Closed-form phase advance** — `AgingArena::advance_slot` over a
 //!    random piecewise-constant phase schedule tracks hour-by-hour
-//!    `advance` stepping to <= 1e-9 relative (the two compose the same
-//!    exponentials in different order, so bit-identity is impossible —
-//!    but a *single* phase must be bit-identical to a single `advance`
-//!    call of the same duration, which is what the device layer's
-//!    kernel cache relies on).
+//!    `TrapBin::advance` stepping (the physics oracle) to <= 1e-9
+//!    relative (the two compose the same exponentials in different
+//!    order, so bit-identity is impossible — but a *single* phase must
+//!    be bit-identical to a single `TrapBin::advance` call of the same
+//!    duration, which is what the device layer's kernel cache relies
+//!    on).
 //! 2. **Banded local regression** — `smooth` (Gaussian kernel truncated
 //!    at +-8 sigma) matches the dense `smooth_dense` reference to
 //!    <= 1e-9 relative on random sorted grids, including bandwidths so
@@ -20,17 +21,14 @@
 //! 3. **Selection median** — `median_in_place` is *bit-identical* to
 //!    the sort-based `median_sorted` on NaN-free input, both parities.
 //!
-//! ISSUE 8 adds a fourth family: the structure-of-arrays
-//! [`AgingArena`] batched sweep (`advance_phase_all`) must be
-//! *bit-identical* to advancing every wire's banks one at a time with
-//! the per-bank closed form (`TrapBank::advance_phase`, via
-//! `AgingState`), across random wire counts, mixed duties, saturating
-//! occupancies and interleaved relax phases — and the TM1 attack rows
-//! must come out byte-identical through either device path.
+//! A fourth family: the structure-of-arrays [`AgingArena`] batched
+//! sweep (`advance_phase_all`) must be *bit-identical* to stepping every
+//! wire's bins one at a time through `TrapBin::advance`, across random
+//! wire counts, mixed duties, saturating occupancies and interleaved
+//! relax phases — and the TM1 attack rows must come out byte-identical
+//! through either device path.
 
-use bti_physics::{
-    AgingArena, AgingState, BtiModel, Celsius, DecayCache, DutyCycle, Hours, Polarity,
-};
+use bti_physics::{AgingArena, BtiModel, Celsius, DecayCache, DutyCycle, Hours, Polarity, TrapBin};
 use pentimento::analysis::{median_in_place, median_sorted, KernelEstimator, KernelRegression};
 use proptest::prelude::*;
 
@@ -67,6 +65,38 @@ fn device_history() -> impl Strategy<Value = (usize, Vec<(f64, Vec<Option<f64>>)
             ),
         )
     })
+}
+
+/// One wire's CET bins per polarity (NBTI, PBTI), as the model builds them.
+type WireBins = [Vec<TrapBin>; 2];
+
+fn fresh_wire(model: &BtiModel) -> WireBins {
+    Polarity::ALL.map(|p| model.fresh_bins(p))
+}
+
+/// The physics oracle: steps every bin of `wire` once through
+/// `TrapBin::advance` at `duty`, or relaxes it (no capture) on `None`.
+fn oracle_step(
+    model: &BtiModel,
+    wire: &mut WireBins,
+    dt: Hours,
+    duty: Option<DutyCycle>,
+    temp: Celsius,
+) {
+    for (polarity, bins) in Polarity::ALL.into_iter().zip(wire) {
+        let (cap, emi) = model.acceleration(polarity, temp);
+        for b in bins {
+            match duty {
+                Some(d) => b.advance(dt, d.stress_share(polarity), cap, emi),
+                None => b.advance(dt, 0.0, 1.0, emi),
+            }
+        }
+    }
+}
+
+/// Normalized threshold-voltage shift of one polarity's bins.
+fn level(bins: &[TrapBin]) -> f64 {
+    bins.iter().map(|b| b.weight * b.occupancy).sum()
 }
 
 /// Max relative disagreement between two occupancy levels.
@@ -114,21 +144,21 @@ proptest! {
     ) {
         let model = BtiModel::ultrascale_plus();
         let temp = Celsius::new(temp_c);
-        let mut stepped = AgingState::new(&model);
-        let mut phased = AgingState::new(&model);
+        let mut stepped = fresh_wire(&model);
+        let mut phased = AgingArena::new(&model);
+        let slot = phased.ensure(0);
+        let mut hours_total = 0.0;
         for &(hours, frac) in &schedule {
             let duty = DutyCycle::new(frac).expect("fraction in [0, 1]");
             for _ in 0..hours {
-                stepped.advance(&model, Hours::new(1.0), duty, temp);
+                oracle_step(&model, &mut stepped, Hours::new(1.0), Some(duty), temp);
+                hours_total += 1.0;
             }
-            phased.advance_phase(&model, Hours::new(hours as f64), duty, temp);
+            phased.advance_slot(slot, &model, Hours::new(hours as f64), duty, temp);
         }
-        prop_assert_eq!(
-            stepped.stress_hours().value(),
-            phased.stress_hours().value()
-        );
-        for polarity in [Polarity::Nbti, Polarity::Pbti] {
-            let (r, f) = (stepped.level(polarity), phased.level(polarity));
+        prop_assert_eq!(hours_total, phased.view_at(slot).stress_hours().value());
+        for (polarity, bins) in Polarity::ALL.into_iter().zip(&stepped) {
+            let (r, f) = (level(bins), phased.view_at(slot).level(polarity));
             prop_assert!(
                 rel_err(r, f) <= 1e-9,
                 "{polarity:?}: stepped {r} vs phased {f} (rel {})",
@@ -139,7 +169,7 @@ proptest! {
 
     /// (1b) Single-phase bit-identity: over one constant-condition
     /// stretch the closed form IS the reference update, bit for bit —
-    /// on a fresh state and on an arbitrarily pre-aged one.
+    /// on a fresh wire and on an arbitrarily pre-aged one.
     #[test]
     fn single_phase_is_bit_identical_to_advance(
         prefix in phase_schedule(),
@@ -149,25 +179,25 @@ proptest! {
     ) {
         let model = BtiModel::ultrascale_plus();
         let temp = Celsius::new(temp_c);
-        let mut reference = AgingState::new(&model);
-        let mut fast = AgingState::new(&model);
+        let mut reference = fresh_wire(&model);
+        let mut fast = AgingArena::new(&model);
+        let slot = fast.ensure(0);
         for &(h, f) in &prefix {
             let duty = DutyCycle::new(f).expect("fraction in [0, 1]");
-            // Identical aging history on both states.
-            reference.advance(&model, Hours::new(h as f64), duty, temp);
-            fast.advance(&model, Hours::new(h as f64), duty, temp);
+            // Identical aging history on both sides.
+            oracle_step(&model, &mut reference, Hours::new(h as f64), Some(duty), temp);
+            fast.advance_slot(slot, &model, Hours::new(h as f64), duty, temp);
         }
         let duty = DutyCycle::new(frac).expect("fraction in [0, 1]");
-        reference.advance(&model, Hours::new(hours), duty, temp);
-        fast.advance_phase(&model, Hours::new(hours), duty, temp);
-        for (r, f) in reference
-            .nbti_bank()
-            .bins()
-            .iter()
-            .chain(reference.pbti_bank().bins())
-            .zip(fast.nbti_bank().bins().iter().chain(fast.pbti_bank().bins()))
-        {
-            prop_assert_eq!(r.occupancy.to_bits(), f.occupancy.to_bits());
+        oracle_step(&model, &mut reference, Hours::new(hours), Some(duty), temp);
+        let mut cache = DecayCache::new(&model);
+        let kernel = cache.conditioned(&model, Hours::new(hours), duty, temp);
+        fast.apply_kernel(slot, kernel, Hours::new(hours));
+        for (polarity, bins) in Polarity::ALL.into_iter().zip(&reference) {
+            let occ = fast.view_at(slot).occupancy(polarity).to_vec();
+            for (r, f) in bins.iter().zip(occ) {
+                prop_assert_eq!(r.occupancy.to_bits(), f.to_bits());
+            }
         }
     }
 
@@ -220,9 +250,8 @@ proptest! {
     /// occupancies on the clamp boundary), zero-length phases and
     /// interleaved relax phases, the batched `advance_phase_all` and
     /// its uncached reference twin must match per-wire
-    /// `TrapBank::advance_phase` / `relax` stepping bit for bit — every
-    /// occupancy, every odometer, every level read-out, and the sorted
-    /// digest.
+    /// `TrapBin::advance` stepping bit for bit — every occupancy, every
+    /// level read-out, and the sorted digest.
     #[test]
     fn arena_sweep_is_bit_identical_to_per_bank_advance(
         (wires, phases) in device_history(),
@@ -240,8 +269,8 @@ proptest! {
             arena.ensure(k);
             twin.ensure(k);
         }
-        let mut shadow: Vec<AgingState> =
-            (0..wires).map(|_| AgingState::new(&model)).collect();
+        let mut shadow: Vec<WireBins> = (0..wires).map(|_| fresh_wire(&model)).collect();
+        let mut hours_total = 0.0;
         for (dt_hours, assignment) in &phases {
             let dt = Hours::new(*dt_hours);
             let driven: Vec<(usize, DutyCycle)> = assignment
@@ -256,39 +285,23 @@ proptest! {
                 .collect();
             arena.advance_phase_all(&model, &mut cache, dt, temp, &driven);
             twin.advance_phase_all_reference(&model, dt, temp, &driven);
-            for (state, frac) in shadow.iter_mut().zip(assignment) {
-                match frac {
-                    Some(f) => state.advance_phase(
-                        &model,
-                        dt,
-                        DutyCycle::new(*f).expect("fraction in [0, 1]"),
-                        temp,
-                    ),
-                    None => state.relax(&model, dt, temp),
-                }
+            for (wire, frac) in shadow.iter_mut().zip(assignment) {
+                let duty = frac.map(|f| DutyCycle::new(f).expect("fraction in [0, 1]"));
+                oracle_step(&model, wire, dt, duty, temp);
             }
+            hours_total += dt_hours;
         }
         prop_assert_eq!(arena.digest(), twin.digest());
         for (i, &k) in keys.iter().enumerate() {
             let view = arena.wire(k).expect("wire inserted");
-            prop_assert_eq!(
-                view.stress_hours().value().to_bits(),
-                shadow[i].stress_hours().value().to_bits()
-            );
-            for polarity in [Polarity::Nbti, Polarity::Pbti] {
-                let bank = match polarity {
-                    Polarity::Nbti => shadow[i].nbti_bank(),
-                    Polarity::Pbti => shadow[i].pbti_bank(),
-                };
+            prop_assert_eq!(view.stress_hours().value().to_bits(), f64::to_bits(hours_total));
+            for (polarity, bins) in Polarity::ALL.into_iter().zip(&shadow[i]) {
                 let occ = view.occupancy(polarity);
-                prop_assert_eq!(occ.len(), bank.bins().len());
-                for (a, b) in occ.iter().zip(bank.bins()) {
+                prop_assert_eq!(occ.len(), bins.len());
+                for (a, b) in occ.iter().zip(bins) {
                     prop_assert_eq!(a.to_bits(), b.occupancy.to_bits());
                 }
-                prop_assert_eq!(
-                    view.level(polarity).to_bits(),
-                    bank.level().to_bits()
-                );
+                prop_assert_eq!(view.level(polarity).to_bits(), level(bins).to_bits());
             }
         }
     }

@@ -1,12 +1,13 @@
 //! Streaming/batch twin parity and result-cache durability
 //! (DESIGN.md §15).
 //!
-//! The streaming indicator engine deliberately re-implements the batch
-//! accumulators (reference-twin pattern), so these tests are the proof
-//! that the two derivations agree: for arbitrary Recorder traces — fed
-//! line by line or re-chunked at arbitrary byte boundaries, including
-//! mid-UTF-8 — the streamed [`Indicators`] must be *byte-identical* to
-//! the batch `compute` in both JSON and Markdown renderings. The same
+//! Batch `compute` folds a stable-sorted copy of the trace through the
+//! streaming engine's accumulator, so the two derivations agree by
+//! construction; these tests check the whole path end to end: for
+//! arbitrary Recorder traces — fed line by line or re-chunked at
+//! arbitrary byte boundaries, including mid-UTF-8 — the streamed
+//! [`Indicators`] must be *byte-identical* to the batch `compute` in
+//! both JSON and Markdown renderings. The same
 //! contract covers the online alert engine (DESIGN.md §16): an
 //! attached `with_alerts` log replayed at arbitrary `push_chunk`
 //! strides must equal the batch `compute_alerts` twin byte-for-byte,
