@@ -115,6 +115,15 @@ impl CarryChain {
         self.cumulative_ps[i]
     }
 
+    /// All cumulative delays: entry `i` is
+    /// [`prefix_delay_ps(i)`](Self::prefix_delay_ps), so the slice has
+    /// `len() + 1` entries and ends with the total. Element delays are
+    /// strictly positive, so the slice strictly increases.
+    #[must_use]
+    pub fn cumulative_ps(&self) -> &[f64] {
+        &self.cumulative_ps
+    }
+
     /// Total delay through the chain.
     #[must_use]
     pub fn total_delay_ps(&self) -> f64 {
@@ -155,8 +164,10 @@ mod tests {
         for i in 0..=c.len() {
             let p = c.prefix_delay_ps(i);
             assert!(p > prev);
+            assert_eq!(c.cumulative_ps()[i], p);
             prev = p;
         }
+        assert_eq!(c.cumulative_ps().len(), c.len() + 1);
     }
 
     #[test]

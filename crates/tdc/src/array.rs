@@ -77,10 +77,10 @@ impl TdcArray {
     }
 
     /// [`TdcArray::calibrate_all_streamed`] with an optional telemetry
-    /// recorder: the batch is timed as one `tdc.calibrate_batch` span and
-    /// counted per sensor. Only aggregate counters are recorded (never
-    /// per-worker events), so an attached recorder cannot leak thread
-    /// interleavings into a trace.
+    /// recorder: the batch is timed as one `tdc.calibrate_batch` span and,
+    /// when it succeeds, counted per sensor. Only aggregate counters are
+    /// recorded (never per-worker events), so an attached recorder cannot
+    /// leak thread interleavings into a trace.
     ///
     /// # Errors
     ///
@@ -93,7 +93,7 @@ impl TdcArray {
     ) -> Result<Vec<f64>, TdcError> {
         let _span = recorder.map(|r| r.span("tdc.calibrate_batch"));
         let count = self.sensors.len() as u64;
-        let result = self
+        let result: Result<Vec<f64>, TdcError> = self
             .sensors
             .par_iter_mut()
             .enumerate()
@@ -103,7 +103,7 @@ impl TdcArray {
                 sensor.calibrate(device, &mut rng)
             })
             .collect();
-        if let Some(r) = recorder {
+        if let (Some(r), Ok(_)) = (recorder, &result) {
             r.incr("tdc.calibrations", count);
         }
         result
@@ -151,10 +151,10 @@ impl TdcArray {
     }
 
     /// [`TdcArray::measure_deltas_streamed`] with an optional telemetry
-    /// recorder: the batch is timed as one `tdc.measure_batch` span, and
-    /// the batch/read counters grow by the batch totals. Only aggregate
-    /// counters are recorded (never per-worker events), so an attached
-    /// recorder cannot leak thread interleavings into a trace.
+    /// recorder: the batch is timed as one `tdc.measure_batch` span, and a
+    /// successful batch grows the batch/read counters by its totals. Only
+    /// aggregate counters are recorded (never per-worker events), so an
+    /// attached recorder cannot leak thread interleavings into a trace.
     ///
     /// # Errors
     ///
@@ -188,7 +188,7 @@ impl TdcArray {
                 Ok(acc / repeats as f64)
             })
             .collect();
-        if let Some(r) = recorder {
+        if let (Some(r), Ok(_)) = (recorder, &result) {
             r.incr("tdc.batched_reads", 1);
             r.incr("tdc.sensor_reads", (self.sensors.len() * repeats) as u64);
         }
@@ -243,6 +243,15 @@ mod tests {
             array.measure_deltas_streamed(&device, 1, 80, 0),
             Err(TdcError::NotCalibrated)
         );
+        // A failed batch did no reads, so an attached recorder counts none.
+        let recorder = Recorder::new();
+        assert_eq!(
+            array.measure_deltas_streamed_observed(&device, 3, 80, 0, Some(&recorder)),
+            Err(TdcError::NotCalibrated)
+        );
+        for counter in ["tdc.calibrations", "tdc.batched_reads", "tdc.sensor_reads"] {
+            assert_eq!(recorder.counter(counter), 0, "{counter}");
+        }
     }
 
     #[test]

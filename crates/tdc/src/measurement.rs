@@ -75,16 +75,19 @@ impl Trace {
     #[must_use]
     pub fn quorum_distance(&self, kind: TransitionKind) -> Option<(f64, f64)> {
         let words = self.words(kind);
-        let valid: Vec<f64> = words
+        // Distances are small integers, so an integer total converts to
+        // the same f64 as summing the distances as floats.
+        let (valid, total) = words
             .iter()
             .filter(|w| !w.is_saturated())
-            .map(|w| w.propagation_distance() as f64)
-            .collect();
-        if valid.is_empty() {
+            .fold((0usize, 0usize), |(n, total), w| {
+                (n + 1, total + w.propagation_distance())
+            });
+        if valid == 0 {
             return None;
         }
-        let mean = valid.iter().sum::<f64>() / valid.len() as f64;
-        Some((mean, valid.len() as f64 / words.len().max(1) as f64))
+        let mean = total as f64 / valid as f64;
+        Some((mean, valid as f64 / words.len().max(1) as f64))
     }
 
     /// The fraction of this trace's samples (worst polarity) that carried
@@ -131,6 +134,21 @@ pub struct Measurement {
     pub trace_count: usize,
 }
 
+/// One trace reduced to what aggregation needs: its θ and the mean
+/// propagation distance of each polarity, each computed once.
+#[derive(Debug, Clone, Copy)]
+struct TraceDistances {
+    theta_ps: f64,
+    rise: f64,
+    fall: f64,
+}
+
+impl TraceDistances {
+    fn delta_ps(&self) -> f64 {
+        (self.rise - self.fall) * CARRY_ELEMENT_PS
+    }
+}
+
 impl Measurement {
     /// Aggregates traces into a measurement.
     ///
@@ -140,38 +158,15 @@ impl Measurement {
     #[must_use]
     pub fn from_traces(traces: &[Trace]) -> Self {
         assert!(!traces.is_empty(), "a measurement needs at least one trace");
-        let n = traces.len() as f64;
-        let rise_bits = traces
+        let rows: Vec<TraceDistances> = traces
             .iter()
-            .map(|t| t.mean_distance(TransitionKind::Rising))
-            .sum::<f64>()
-            / n;
-        let fall_bits = traces
-            .iter()
-            .map(|t| t.mean_distance(TransitionKind::Falling))
-            .sum::<f64>()
-            / n;
-        let delta = traces.iter().map(Trace::delta_ps).sum::<f64>() / n;
-        // Absolute delay estimate: route delay = θ − distance·2.8 ps.
-        let rise_delay = traces
-            .iter()
-            .map(|t| t.theta_ps() - t.mean_distance(TransitionKind::Rising) * CARRY_ELEMENT_PS)
-            .sum::<f64>()
-            / n;
-        let fall_delay = traces
-            .iter()
-            .map(|t| t.theta_ps() - t.mean_distance(TransitionKind::Falling) * CARRY_ELEMENT_PS)
-            .sum::<f64>()
-            / n;
-        Self {
-            theta_init_ps: traces[0].theta_ps(),
-            rise_distance_bits: rise_bits,
-            fall_distance_bits: fall_bits,
-            delta_ps: delta,
-            rise_delay_ps: rise_delay,
-            fall_delay_ps: fall_delay,
-            trace_count: traces.len(),
-        }
+            .map(|t| TraceDistances {
+                theta_ps: t.theta_ps(),
+                rise: t.mean_distance(TransitionKind::Rising),
+                fall: t.mean_distance(TransitionKind::Falling),
+            })
+            .collect();
+        Self::aggregate(&rows)
     }
 
     /// Robust aggregation for hostile capture paths: per-sample quorum
@@ -191,32 +186,24 @@ impl Measurement {
     /// traces (and at least one) survive both stages.
     pub fn try_from_traces(traces: &[Trace], min_quorum: f64) -> Result<Self, TdcError> {
         let required = (traces.len() / 2).max(1);
-        struct Usable<'a> {
-            trace: &'a Trace,
-            rise: f64,
-            fall: f64,
-        }
-        let usable: Vec<Usable<'_>> = traces
+        let usable: Vec<TraceDistances> = traces
             .iter()
             .filter_map(|t| {
                 let (rise, rise_frac) = t.quorum_distance(TransitionKind::Rising)?;
                 let (fall, fall_frac) = t.quorum_distance(TransitionKind::Falling)?;
-                (rise_frac.min(fall_frac) >= min_quorum).then_some(Usable {
-                    trace: t,
+                (rise_frac.min(fall_frac) >= min_quorum).then_some(TraceDistances {
+                    theta_ps: t.theta_ps(),
                     rise,
                     fall,
                 })
             })
             .collect();
-        let deltas: Vec<f64> = usable
-            .iter()
-            .map(|u| (u.rise - u.fall) * CARRY_ELEMENT_PS)
-            .collect();
+        let deltas: Vec<f64> = usable.iter().map(TraceDistances::delta_ps).collect();
         let keep = mad_inlier_mask(&deltas, 5.0);
-        let kept: Vec<&Usable<'_>> = usable
+        let kept: Vec<TraceDistances> = usable
             .iter()
             .zip(&keep)
-            .filter_map(|(u, &k)| k.then_some(u))
+            .filter_map(|(u, &k)| k.then_some(*u))
             .collect();
         if kept.len() < required {
             return Err(TdcError::Dropout {
@@ -224,33 +211,23 @@ impl Measurement {
                 required_traces: required,
             });
         }
-        let n = kept.len() as f64;
-        let rise_bits = kept.iter().map(|u| u.rise).sum::<f64>() / n;
-        let fall_bits = kept.iter().map(|u| u.fall).sum::<f64>() / n;
-        let delta = kept
-            .iter()
-            .map(|u| (u.rise - u.fall) * CARRY_ELEMENT_PS)
-            .sum::<f64>()
-            / n;
-        let rise_delay = kept
-            .iter()
-            .map(|u| u.trace.theta_ps() - u.rise * CARRY_ELEMENT_PS)
-            .sum::<f64>()
-            / n;
-        let fall_delay = kept
-            .iter()
-            .map(|u| u.trace.theta_ps() - u.fall * CARRY_ELEMENT_PS)
-            .sum::<f64>()
-            / n;
-        Ok(Self {
-            theta_init_ps: kept[0].trace.theta_ps(),
-            rise_distance_bits: rise_bits,
-            fall_distance_bits: fall_bits,
-            delta_ps: delta,
-            rise_delay_ps: rise_delay,
-            fall_delay_ps: fall_delay,
-            trace_count: kept.len(),
-        })
+        Ok(Self::aggregate(&kept))
+    }
+
+    /// Averages non-empty per-trace distances into a measurement. The
+    /// absolute delay estimate is route delay = θ − distance·2.8 ps.
+    fn aggregate(rows: &[TraceDistances]) -> Self {
+        let n = rows.len() as f64;
+        let mean = |f: fn(&TraceDistances) -> f64| rows.iter().map(f).sum::<f64>() / n;
+        Self {
+            theta_init_ps: rows[0].theta_ps,
+            rise_distance_bits: mean(|r| r.rise),
+            fall_distance_bits: mean(|r| r.fall),
+            delta_ps: mean(TraceDistances::delta_ps),
+            rise_delay_ps: mean(|r| r.theta_ps - r.rise * CARRY_ELEMENT_PS),
+            fall_delay_ps: mean(|r| r.theta_ps - r.fall * CARRY_ELEMENT_PS),
+            trace_count: rows.len(),
+        }
     }
 }
 

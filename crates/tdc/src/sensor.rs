@@ -1,6 +1,6 @@
 //! The sensor proper: placement, calibration, and measurement.
 
-use fpga_fabric::{CarryChain, FpgaDevice, Route, TileCoord, TransitionKind};
+use fpga_fabric::{CarryChain, FpgaDevice, Route, RouteDelay, TileCoord, TransitionKind};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -114,6 +114,9 @@ impl TdcSensor {
 
     /// Captures a single sample: launches one `kind` edge with the capture
     /// clock offset by `theta_ps` and snapshots the chain.
+    ///
+    /// Walks the whole route on every call; the trace and measurement
+    /// paths walk it once and reuse the delay for every sample.
     #[must_use]
     pub fn capture_sample<R: Rng + ?Sized>(
         &self,
@@ -123,36 +126,59 @@ impl TdcSensor {
         rng: &mut R,
     ) -> CaptureWord {
         let route_delay = device.route_delay(&self.route).for_transition(kind);
+        self.capture_at(route_delay, theta_ps, kind, rng)
+    }
+
+    /// One sample against a route delay already read off the device.
+    ///
+    /// The capture margin `front_time − passed_at(i)` never increases
+    /// along the chain (its cumulative delays strictly increase), so the
+    /// elements the edge settled past form a prefix and the ones it
+    /// settled short of form a suffix. Two binary searches find them;
+    /// only the metastable elements in between are scored, in index
+    /// order, so the word and the RNG draws match an element-by-element
+    /// scan exactly.
+    fn capture_at<R: Rng + ?Sized>(
+        &self,
+        route_delay_ps: f64,
+        theta_ps: f64,
+        kind: TransitionKind,
+        rng: &mut R,
+    ) -> CaptureWord {
         let jitter = gaussian(rng) * self.config.jitter_sigma_ps;
         // Time the edge has had inside the chain when the capture fires.
-        let front_time = theta_ps + jitter - route_delay;
+        let front_time = theta_ps + jitter - route_delay_ps;
         let w = self.config.metastable_window_ps;
-        let bits = (0..self.chain.len())
-            .map(|i| {
-                let passed_at = self.chain.prefix_delay_ps(i + 1);
-                let margin = front_time - passed_at;
-                let transition_passed = if margin > w / 2.0 {
-                    true
-                } else if margin < -w / 2.0 {
-                    false
-                } else if w > 0.0 {
-                    // Metastable: resolves with probability linear in the
-                    // capture margin.
-                    rng.gen_bool((0.5 + margin / w).clamp(0.0, 1.0))
-                } else {
-                    margin >= 0.0
-                };
-                match kind {
-                    TransitionKind::Rising => transition_passed,
-                    TransitionKind::Falling => !transition_passed,
-                }
-            })
-            .collect();
+        // Element `i` is passed once the edge clears its output.
+        let passed_at = &self.chain.cumulative_ps()[1..];
+        let settled = passed_at.partition_point(|&p| front_time - p > w / 2.0);
+        // The scan's own `< −w/2` test negated, so that even a NaN margin
+        // lands in the metastable band exactly as it did there.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let reached = passed_at.partition_point(|&p| !(front_time - p < -w / 2.0));
+        let polarity = |transition_passed: bool| match kind {
+            TransitionKind::Rising => transition_passed,
+            TransitionKind::Falling => !transition_passed,
+        };
+        let mut bits = Vec::with_capacity(passed_at.len());
+        bits.resize(settled, polarity(true));
+        for &p in &passed_at[settled..reached] {
+            let margin = front_time - p;
+            let transition_passed = if w > 0.0 {
+                // Metastable: resolves with probability linear in the
+                // capture margin.
+                rng.gen_bool((0.5 + margin / w).clamp(0.0, 1.0))
+            } else {
+                margin >= 0.0
+            };
+            bits.push(polarity(transition_passed));
+        }
+        bits.resize(passed_at.len(), polarity(false));
         CaptureWord::new(kind, bits)
     }
 
     /// Captures one trace (both polarities, `samples_per_trace` each) at a
-    /// fixed θ.
+    /// fixed θ, walking the route once for the whole trace.
     #[must_use]
     pub fn capture_trace<R: Rng + ?Sized>(
         &self,
@@ -160,17 +186,46 @@ impl TdcSensor {
         theta_ps: f64,
         rng: &mut R,
     ) -> Trace {
+        self.capture_trace_at(device.route_delay(&self.route), theta_ps, rng)
+    }
+
+    /// One trace against a route delay already read off the device.
+    fn capture_trace_at<R: Rng + ?Sized>(
+        &self,
+        delay: RouteDelay,
+        theta_ps: f64,
+        rng: &mut R,
+    ) -> Trace {
         // The clock generator can only realize phases on its grid.
         let theta_ps = self.clock.quantize(theta_ps);
         let sample = |kind, rng: &mut R| {
+            let route_delay = delay.for_transition(kind);
             (0..self.config.samples_per_trace)
-                .map(|_| self.capture_sample(device, theta_ps, kind, rng))
+                .map(|_| self.capture_at(route_delay, theta_ps, kind, rng))
                 .collect::<Vec<_>>()
         };
         let rising = sample(TransitionKind::Rising, rng);
         let falling = sample(TransitionKind::Falling, rng);
         self.faults
             .corrupt_trace(Trace::new(theta_ps, rising, falling))
+    }
+
+    /// The traces of one measurement: θ steps down from θ_init, and the
+    /// route is walked once for all of them — BTI moves its delay over
+    /// hours, not within a measurement.
+    fn capture_measurement<R: Rng + ?Sized>(
+        &self,
+        device: &FpgaDevice,
+        rng: &mut R,
+    ) -> Result<Vec<Trace>, TdcError> {
+        let theta_init = self.theta_init_ps.ok_or(TdcError::NotCalibrated)?;
+        let delay = device.route_delay(&self.route);
+        Ok((0..self.config.traces_per_measurement)
+            .map(|i| {
+                let theta = theta_init - i as f64 * self.config.theta_step_ps;
+                self.capture_trace_at(delay, theta, rng)
+            })
+            .collect())
     }
 
     /// Calibration phase: sweeps θ downward until both transition fronts
@@ -188,6 +243,7 @@ impl TdcSensor {
         // and walk θ down until the fronts appear mid-chain. A coarse
         // sweep (half a chain per step) finds the neighbourhood fast; a
         // fine sweep then lands inside the target window.
+        let delay = device.route_delay(&self.route);
         let chain_total = self.chain.total_delay_ps();
         let start = self.route.nominal_ps() * 1.25 + chain_total + 100.0;
         let len = self.chain.len() as f64;
@@ -199,7 +255,7 @@ impl TdcSensor {
         let mut theta = start;
         let coarse_limit = (start / coarse_step).ceil() as usize + 1;
         loop {
-            let trace = self.capture_trace(device, theta, rng);
+            let trace = self.capture_trace_at(delay, theta, rng);
             attempts += 1;
             let rise = trace.mean_distance(TransitionKind::Rising);
             let fall = trace.mean_distance(TransitionKind::Falling);
@@ -216,7 +272,7 @@ impl TdcSensor {
         let fine_step = self.config.theta_step_ps;
         let fine_limit = (2.0 * coarse_step / fine_step).ceil() as usize + 4;
         for _ in 0..fine_limit {
-            let trace = self.capture_trace(device, theta, rng);
+            let trace = self.capture_trace_at(delay, theta, rng);
             attempts += 1;
             let rise = trace.mean_distance(TransitionKind::Rising);
             let fall = trace.mean_distance(TransitionKind::Falling);
@@ -246,13 +302,7 @@ impl TdcSensor {
         device: &FpgaDevice,
         rng: &mut R,
     ) -> Result<Measurement, TdcError> {
-        let theta_init = self.theta_init_ps.ok_or(TdcError::NotCalibrated)?;
-        let traces: Vec<Trace> = (0..self.config.traces_per_measurement)
-            .map(|i| {
-                let theta = theta_init - i as f64 * self.config.theta_step_ps;
-                self.capture_trace(device, theta, rng)
-            })
-            .collect();
+        let traces = self.capture_measurement(device, rng)?;
         Ok(Measurement::from_traces(&traces))
     }
 
@@ -275,13 +325,7 @@ impl TdcSensor {
         min_quorum: f64,
         rng: &mut R,
     ) -> Result<Measurement, TdcError> {
-        let theta_init = self.theta_init_ps.ok_or(TdcError::NotCalibrated)?;
-        let traces: Vec<Trace> = (0..self.config.traces_per_measurement)
-            .map(|i| {
-                let theta = theta_init - i as f64 * self.config.theta_step_ps;
-                self.capture_trace(device, theta, rng)
-            })
-            .collect();
+        let traces = self.capture_measurement(device, rng)?;
         Measurement::try_from_traces(&traces, min_quorum)
     }
 
@@ -311,6 +355,7 @@ mod tests {
     use super::*;
     use bti_physics::{DutyCycle, Hours};
     use fpga_fabric::RouteRequest;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -321,6 +366,101 @@ mod tests {
             .unwrap();
         let sensor = TdcSensor::place(&device, route, TdcConfig::lab()).unwrap();
         (device, sensor, StdRng::seed_from_u64(seed))
+    }
+
+    /// The element-by-element capture the bisection replaced: every
+    /// element's margin is tested in index order.
+    fn capture_scan<R: Rng + ?Sized>(
+        sensor: &TdcSensor,
+        route_delay_ps: f64,
+        theta_ps: f64,
+        kind: TransitionKind,
+        rng: &mut R,
+    ) -> CaptureWord {
+        let jitter = gaussian(rng) * sensor.config.jitter_sigma_ps;
+        let front_time = theta_ps + jitter - route_delay_ps;
+        let w = sensor.config.metastable_window_ps;
+        let bits = (0..sensor.chain.len())
+            .map(|i| {
+                let passed_at = sensor.chain.prefix_delay_ps(i + 1);
+                let margin = front_time - passed_at;
+                let transition_passed = if margin > w / 2.0 {
+                    true
+                } else if margin < -w / 2.0 {
+                    false
+                } else if w > 0.0 {
+                    rng.gen_bool((0.5 + margin / w).clamp(0.0, 1.0))
+                } else {
+                    margin >= 0.0
+                };
+                match kind {
+                    TransitionKind::Rising => transition_passed,
+                    TransitionKind::Falling => !transition_passed,
+                }
+            })
+            .collect();
+        CaptureWord::new(kind, bits)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Bisected capture equals the scan: same words, and the RNG left
+        /// in the same state after every sample. Fronts land before,
+        /// inside and past chains on both sides of 64 elements; "snapped"
+        /// cases put the front exactly on an element boundary or a window
+        /// edge with no jitter, where the `>`/`<` ties decide.
+        #[test]
+        fn bisected_capture_matches_element_scan(
+            window_ps in prop_oneof![Just(0.0), Just(0.5), Just(1.5), Just(10.0)],
+            chain_length in 1usize..=130,
+            front_frac in 0.0f64..1.0,
+            (jitter_sigma_ps, snapped) in prop_oneof![
+                (0.0f64..8.0).prop_map(|j| (j, false)),
+                Just((0.0, true)),
+            ],
+            window_offset in prop_oneof![Just(-0.5), Just(0.0), Just(0.5)],
+            seed in 0u64..1_000_000,
+        ) {
+            let device = FpgaDevice::zcu102_new(seed % 7);
+            let route = device
+                .route_with_target_delay(&RouteRequest::new(TileCoord::new(4, 4), 1_000.0))
+                .unwrap();
+            let config = TdcConfig {
+                chain_length,
+                jitter_sigma_ps,
+                metastable_window_ps: window_ps,
+                ..TdcConfig::lab()
+            };
+            let sensor = TdcSensor::place(&device, route, config).unwrap();
+            let route_delay = device.route_delay(sensor.route());
+            let cumulative = sensor.chain().cumulative_ps();
+            let total = sensor.chain().total_delay_ps();
+            let front = if snapped {
+                let k = ((front_frac * cumulative.len() as f64) as usize).min(chain_length);
+                cumulative[k] + window_offset * window_ps
+            } else {
+                front_frac * (total + 2.0 * window_ps + 40.0) - window_ps - 20.0
+            };
+            let mut fast_rng = StdRng::seed_from_u64(seed);
+            let mut scan_rng = fast_rng.clone();
+            for kind in [TransitionKind::Rising, TransitionKind::Falling] {
+                let delay = route_delay.for_transition(kind);
+                let theta = front + delay;
+                for _ in 0..4 {
+                    let fast = sensor.capture_at(delay, theta, kind, &mut fast_rng);
+                    let scan = capture_scan(&sensor, delay, theta, kind, &mut scan_rng);
+                    prop_assert_eq!(&fast, &scan);
+                    prop_assert_eq!(fast_rng.state(), scan_rng.state());
+                }
+                // The zero-delay form makes the front exactly `front`, so
+                // snapped cases hit their ties bit for bit.
+                let fast = sensor.capture_at(0.0, front, kind, &mut fast_rng);
+                let scan = capture_scan(&sensor, 0.0, front, kind, &mut scan_rng);
+                prop_assert_eq!(&fast, &scan);
+                prop_assert_eq!(fast_rng.state(), scan_rng.state());
+            }
+        }
     }
 
     #[test]

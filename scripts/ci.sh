@@ -47,6 +47,10 @@ echo "== attack_accuracy trace smoke (observability artifacts + overhead) =="
 t0=$(date +%s%N)
 cargo run --release -q -p bench --bin attack_accuracy -- --smoke
 t1=$(date +%s%N)
+# The checked-in CSV is the smoke output: a sensing change that moves
+# any bit of it must fail here, not only traced-vs-untraced below.
+git diff --exit-code -- results/attack_accuracy.csv \
+    || { echo "FAIL: attack_accuracy.csv differs from the checked-in copy"; exit 1; }
 cp results/attack_accuracy.csv /tmp/ci_untraced_attack_accuracy.csv
 t2=$(date +%s%N)
 cargo run --release -q -p bench --bin attack_accuracy -- --smoke \
