@@ -9,9 +9,9 @@ use bench::{
 use bti_physics::LogicLevel;
 use cloud::{Provider, ProviderConfig};
 use obs::json_f64;
-use pentimento::threat_model1::{self, ThreatModel1Config};
-use pentimento::threat_model2::{self, ThreatModel2Config};
-use pentimento::{MeasurementMode, RouteSeries};
+use pentimento::threat_model1::ThreatModel1Config;
+use pentimento::threat_model2::ThreatModel2Config;
+use pentimento::{Campaign, CampaignConfig, MeasurementMode, Mission, RouteSeries};
 use rayon::prelude::*;
 
 fn per_length_accuracy(
@@ -188,10 +188,16 @@ fn run() {
                 }
             };
             let compute = || {
-                let mut provider = Provider::new(ProviderConfig::aws_f1_like(1, seed));
-                provider.set_recorder(rec.clone());
-                let outcome = threat_model1::run_traced(&mut provider, &config, rec.as_deref())
-                    .expect("attack completes");
+                let provider = Provider::new(ProviderConfig::aws_f1_like(1, seed));
+                let mission = Mission::ThreatModel1(config.clone());
+                let outcome = Campaign::new_observed(
+                    provider,
+                    mission,
+                    CampaignConfig::default(),
+                    rec.clone(),
+                )
+                .and_then(|mut campaign| campaign.run())
+                .expect("attack completes");
                 let per_len = lengths
                     .iter()
                     .map(|&target| {
@@ -267,10 +273,16 @@ fn run() {
                 victim_hold_and_recover_hours: 0,
             };
             let compute = || {
-                let mut provider = Provider::new(ProviderConfig::aws_f1_like(2, seed));
-                provider.set_recorder(rec.clone());
-                let outcome = threat_model2::run_traced(&mut provider, &config, rec.as_deref())
-                    .expect("attack completes");
+                let provider = Provider::new(ProviderConfig::aws_f1_like(2, seed));
+                let mission = Mission::ThreatModel2(config.clone());
+                let outcome = Campaign::new_observed(
+                    provider,
+                    mission,
+                    CampaignConfig::default(),
+                    rec.clone(),
+                )
+                .and_then(|mut campaign| campaign.run())
+                .expect("attack completes");
                 let mut long_correct = 0;
                 let mut long_total = 0;
                 let per_len = lengths

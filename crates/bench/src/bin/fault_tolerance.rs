@@ -5,9 +5,12 @@
 //! Three claims are checked:
 //!
 //! 1. **Benign equivalence** — a campaign with every fault rate at zero
-//!    recovers *exactly* the bits (and the byte-identical series) of the
-//!    plain threat-model drivers: the resilience machinery is free when
-//!    the weather is good.
+//!    recovers *exactly* the bits (and the byte-identical series) of
+//!    `threat_model1::run` / `threat_model2::run`: the resilience
+//!    machinery is free when the weather is good. Those entry points are
+//!    themselves campaigns with no fault plan, so the protocol is shared
+//!    by construction and the check reduces to "a zero-rate plan injects
+//!    nothing"; it stays so the artifacts keep their bytes.
 //! 2. **Graceful degradation** — as fault intensity rises, more faults
 //!    actually land and accuracy falls (or holds), rather than the
 //!    campaign crashing: every hostile run completes.
@@ -250,8 +253,8 @@ impl CellOut {
     }
 }
 
-/// Cached form of the plain-driver reference runs claim 1 compares
-/// against.
+/// Cached form of the `threat_model{1,2}::run` reference runs claim 1
+/// compares against.
 struct DriverOut {
     accuracy: f64,
     digest: u64,
@@ -425,10 +428,13 @@ fn run() {
         format!("{} of {} completed", rows.len(), RATES.len() * 2),
     );
 
-    // ----- Claim 1: benign equivalence with the plain drivers. ----------
-    // The drivers are cells too; their outcome digests stand in for the
-    // full series/recovered comparison (equal digest ⇔ bit-equal Debug
-    // rendering ⇔ bit-equal outcome).
+    // ----- Claim 1: benign equivalence with `threat_model{1,2}::run`. ---
+    // Both entry points are campaigns with no fault plan, so the rate-0
+    // rows share their protocol by construction and only the zero-rate
+    // plans differ; the check is kept so the CSV and JSON artifacts keep
+    // their bytes. The reference runs are cells too; their outcome
+    // digests stand in for the full series/recovered comparison (equal
+    // digest ⇔ bit-equal Debug rendering ⇔ bit-equal outcome).
     let driver_cell =
         |name: &str, config_dbg: String, run: &dyn Fn() -> DriverOut| match cache.as_ref() {
             Some(cache) => cache.cell(

@@ -42,7 +42,7 @@ use bti_physics::{AgingArena, BtiModel, Celsius, DutyCycle, Hours, LogicLevel, P
 use cloud::{Provider, ProviderConfig};
 use fpga_fabric::{Design, FpgaDevice, NetActivity, TileCoord, WireId};
 use pentimento::analysis::{median_in_place, median_sorted, KernelEstimator, KernelRegression};
-use pentimento::threat_model1;
+use pentimento::{Campaign, CampaignConfig, Mission};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -445,20 +445,21 @@ fn bench_device_sweep(smoke: bool) -> Row {
 fn bench_end_to_end(sink: Option<&ObsSink>) -> Row {
     let config = tm1_end_to_end_config(SEED);
     let rec = sink.map(ObsSink::recorder);
+    let run = |provider: Provider| {
+        let mission = Mission::ThreatModel1(config.clone());
+        Campaign::new_observed(provider, mission, CampaignConfig::default(), rec.clone())
+            .and_then(|mut campaign| campaign.run())
+            .expect("attack completes")
+    };
 
     let start = Instant::now();
     let mut provider = Provider::new(ProviderConfig::aws_f1_like(1, SEED));
     provider.set_reference_kernels(true);
-    provider.set_recorder(rec.clone());
-    let reference = threat_model1::run_traced(&mut provider, &config, rec.as_deref())
-        .expect("attack completes");
+    let reference = run(provider);
     let reference_seconds = start.elapsed().as_secs_f64();
 
     let start = Instant::now();
-    let mut provider = Provider::new(ProviderConfig::aws_f1_like(1, SEED));
-    provider.set_recorder(rec.clone());
-    let fast = threat_model1::run_traced(&mut provider, &config, rec.as_deref())
-        .expect("attack completes");
+    let fast = run(Provider::new(ProviderConfig::aws_f1_like(1, SEED)));
     let fast_seconds = start.elapsed().as_secs_f64();
 
     let bit_identical = reference.series == fast.series

@@ -27,8 +27,8 @@ use std::time::Instant;
 use bench::{exit_by, save_artifact, threads_from_args, ObsSink, ShapeReport};
 use cloud::{Provider, ProviderConfig};
 use obs::Recorder;
-use pentimento::threat_model1::{self, ThreatModel1Config, ThreatModel1Outcome};
-use pentimento::MeasurementMode;
+use pentimento::threat_model1::ThreatModel1Config;
+use pentimento::{Campaign, CampaignConfig, CampaignOutcome, MeasurementMode, Mission};
 
 const SEED: u64 = 700;
 
@@ -61,16 +61,17 @@ fn run_at(
     threads: usize,
     config: &ThreatModel1Config,
     rec: Option<&Arc<Recorder>>,
-) -> (ThreatModel1Outcome, f64) {
+) -> (CampaignOutcome, f64) {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
         .expect("thread pool");
     let start = Instant::now();
     let outcome = pool.install(|| {
-        let mut provider = Provider::new(ProviderConfig::aws_f1_like(1, SEED));
-        provider.set_recorder(rec.map(Arc::clone));
-        threat_model1::run_traced(&mut provider, config, rec.map(Arc::as_ref))
+        let provider = Provider::new(ProviderConfig::aws_f1_like(1, SEED));
+        let mission = Mission::ThreatModel1(config.clone());
+        Campaign::new_observed(provider, mission, CampaignConfig::default(), rec.cloned())
+            .and_then(|mut campaign| campaign.run())
             .expect("attack completes")
     });
     (outcome, start.elapsed().as_secs_f64())

@@ -252,7 +252,7 @@ impl ObsSink {
         })
     }
 
-    /// The shared recorder, for attaching to providers and drivers.
+    /// The shared recorder, for attaching to providers and campaigns.
     #[must_use]
     pub fn recorder(&self) -> Arc<Recorder> {
         Arc::clone(&self.recorder)

@@ -7,19 +7,13 @@
 //! logical 0 and watches 25 hours of **BTI recovery**: routes that held 1
 //! collapse quickly (fast PBTI emission), routes that held 0 stay flat.
 
-use bti_physics::{Hours, LogicLevel};
-use cloud::{Provider, TenantId};
-use obs::{CampaignEvent, EventKind, Recorder};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use bti_physics::LogicLevel;
+use cloud::Provider;
 use serde::{Deserialize, Serialize};
-use tdc::{TdcArray, TdcConfig};
 
-use crate::classify::{BitClassifier, RecoverySlopeClassifier};
-use crate::designs::{build_condition_design, build_target_design};
-use crate::experiment::oracle_deltas;
+use crate::campaign::{Campaign, CampaignConfig, Mission};
 use crate::metrics::RecoveryMetrics;
-use crate::{MeasurementMode, PentimentoError, RouteGroupSpec, RouteSeries, Skeleton};
+use crate::{MeasurementMode, PentimentoError, RouteSeries};
 
 /// Configuration of a Threat Model 2 run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -84,6 +78,7 @@ pub struct ThreatModel2Outcome {
     /// Attack quality.
     pub metrics: RecoveryMetrics,
     /// Whether the flash attack reacquired the victim's exact device.
+    /// Always `true` on an `Ok` outcome: a miss is an error.
     pub reacquired_victim_device: bool,
 }
 
@@ -100,237 +95,49 @@ pub struct ThreatModel2Outcome {
 ///    measures hourly for `attack_hours`, then classifies each bit from
 ///    its recovery slope using a threshold calibrated offline.
 ///
+/// The protocol itself is [`Campaign`]'s: this is a benign campaign (no
+/// injected faults) whose outcome is mapped onto [`ThreatModel2Outcome`].
+/// On success `provider` holds the world as the attack left it; on error
+/// it is left untouched.
+///
 /// # Errors
 ///
-/// Propagates cloud, fabric, and sensor failures;
-/// [`PentimentoError::VictimDeviceLost`] if the flash attack misses.
+/// Propagates cloud, fabric, and sensor failures. When the flash attack
+/// misses, the error says how:
+///
+/// * no board is rentable once the victim leaves (a quarantined fleet
+///   withholds the returned board): [`PentimentoError::RetriesExhausted`]
+///   for operation `"rent"`, after the default [`RetryPolicy`] budget;
+/// * every attempt rents some other board:
+///   [`PentimentoError::VictimDeviceLost`].
+///
+/// [`RetryPolicy`]: crate::campaign::RetryPolicy
 pub fn run(
     provider: &mut Provider,
     config: &ThreatModel2Config,
 ) -> Result<ThreatModel2Outcome, PentimentoError> {
-    run_traced(provider, config, None)
-}
-
-/// [`run`], with optional structured telemetry.
-///
-/// When `recorder` is `Some`, the driver emits phase-transition events
-/// (`tm2:victim`, `tm2:attack`, per-measurement `measure`, `tm2:classify`)
-/// and routes the batched sensor calls through the observed [`TdcArray`]
-/// variants. Events are emitted only from this serial driver, so the trace
-/// is deterministic and the measurements are bit-identical to an untraced
-/// [`run`].
-///
-/// # Errors
-///
-/// Propagates cloud, fabric, and sensor failures, exactly as [`run`].
-pub fn run_traced(
-    provider: &mut Provider,
-    config: &ThreatModel2Config,
-    recorder: Option<&Recorder>,
-) -> Result<ThreatModel2Outcome, PentimentoError> {
-    if let Some(r) = recorder {
-        r.event(
-            CampaignEvent::new(EventKind::PhaseTransition, provider.now().value())
-                .detail("tm2:victim"),
-        );
-    }
-    // Master seed of the per-(route, phase) derived RNG streams; the
-    // victim's secret is drawn serially from a generator seeded with it.
-    // `Mission::seed` in the campaign runner mirrors this derivation.
-    let master_seed = config.seed ^ 0x0DD_B175;
-    let mut rng = StdRng::seed_from_u64(master_seed);
-
-    let specs: Vec<RouteGroupSpec> = config
-        .route_lengths_ps
-        .iter()
-        .map(|&target_ps| RouteGroupSpec {
-            target_ps,
-            count: config.routes_per_length,
-        })
-        .collect();
-
-    // --- Victim epoch. -------------------------------------------------
-    let victim = TenantId::new("victim");
-    let victim_session = provider.rent(victim)?;
-    let victim_device = victim_session.device_id();
-    let skeleton = Skeleton::place(provider.device(&victim_session)?, &specs)?;
-    let truth: Vec<LogicLevel> = (0..skeleton.len())
-        .map(|_| LogicLevel::from_bool(rng.gen()))
-        .collect();
-    provider.load_design(&victim_session, build_target_design(&skeleton, &truth))?;
-
-    // The attacker squats on every other device while the victim works.
-    let attacker = TenantId::new("attacker");
-    let squatted = provider.rent_all(attacker.clone()).unwrap_or_default();
-
-    provider.advance_time(Hours::new(config.victim_hours as f64));
-
-    // Optional victim-side mitigation: hold the instance and toggle the
-    // sensitive routes before giving the board back.
-    if config.victim_hold_and_recover_hours > 0 {
-        provider.unload(&victim_session)?;
-        let mut scrubber = fpga_fabric::Design::new("victim-scrubber");
-        scrubber.set_power_watts(crate::designs::CONDITION_WATTS);
-        for (i, entry) in skeleton.entries().iter().enumerate() {
-            scrubber.add_net(
-                format!("toggle[{i}]"),
-                fpga_fabric::NetActivity::Duty(bti_physics::DutyCycle::BALANCED),
-                Some(entry.route.clone()),
-            );
-        }
-        provider.load_design(&victim_session, scrubber)?;
-        provider.advance_time(Hours::new(config.victim_hold_and_recover_hours as f64));
-    }
-
-    provider.unload(&victim_session)?;
-    provider.release(victim_session)?; // scrub happens here
-
-    // --- Attacker epoch. -------------------------------------------------
-    // Flash attack: the only rentable device is the victim's.
-    if let Some(r) = recorder {
-        r.event(
-            CampaignEvent::new(EventKind::PhaseTransition, provider.now().value())
-                .detail("tm2:attack"),
-        );
-    }
-    let session = provider.rent(attacker)?;
-    let reacquired = session.device_id() == victim_device;
-    if !reacquired {
-        // Release everything and admit defeat.
-        provider.release(session)?;
-        for s in squatted {
-            provider.release(s)?;
-        }
-        return Err(PentimentoError::VictimDeviceLost);
-    }
-    for s in squatted {
-        provider.release(s)?;
-    }
-
-    // Attacker sensors: θ_init comes from offline calibration on a sibling
-    // board; `measure_with_retune` handles per-die deviation. Calibration
-    // against the device here never observes pre-victim state (the victim
-    // is already gone — there is nothing else to observe).
-    let mut sensors = TdcArray::place(provider.device(&session)?, Vec::new(), TdcConfig::cloud())?;
-    if config.mode == MeasurementMode::Tdc {
-        let device = provider.device(&session)?;
-        sensors = TdcArray::place(
-            device,
-            skeleton.entries().iter().map(|e| e.route.clone()),
-            TdcConfig::cloud(),
-        )?;
-        sensors.calibrate_all_streamed_observed(device, master_seed, recorder)?;
-    }
-
-    let mut hours_log = Vec::new();
-    let mut readings: Vec<Vec<f64>> = vec![Vec::new(); skeleton.len()];
-    // One measurement phase: every route read in parallel from its own
-    // derived RNG stream, so readings are bit-identical at every thread
-    // count.
-    let record = |hour: f64,
-                  provider: &Provider,
-                  readings: &mut Vec<Vec<f64>>,
-                  hours_log: &mut Vec<f64>|
-     -> Result<(), PentimentoError> {
-        let device = provider.device(&session)?;
-        let phase = hours_log.len() as u64;
-        hours_log.push(hour);
-        if let Some(r) = recorder {
-            r.event(
-                CampaignEvent::new(EventKind::PhaseTransition, hour)
-                    .value(phase as f64)
-                    .detail("measure"),
-            );
-            r.incr("tm2.measurement_phases", 1);
-        }
-        let measured = match config.mode {
-            MeasurementMode::Oracle => oracle_deltas(device, &skeleton),
-            MeasurementMode::Tdc => sensors.measure_deltas_streamed_observed(
-                device,
-                config.measurement_repeats.max(1),
-                master_seed,
-                phase,
-                recorder,
-            )?,
-        };
-        for (per_route, value) in readings.iter_mut().zip(measured) {
-            per_route.push(value);
-        }
-        Ok(())
-    };
-
-    // Measurement/Condition loop over the recovery window.
-    let epoch = provider.now().value();
-    record(0.0, provider, &mut readings, &mut hours_log)?;
-    provider.load_design(
-        &session,
-        build_condition_design(&skeleton, config.condition_level),
+    let mut campaign = Campaign::new(
+        provider.clone(),
+        Mission::ThreatModel2(config.clone()),
+        CampaignConfig::default(),
     )?;
-    // Hourly on purpose: measurements land every hour and provider
-    // faults fire on hour boundaries (the campaign identity tests pin
-    // this schedule). The per-hour cost is one cached 1 h phase kernel
-    // shared across all wires, not a per-wire `exp` table.
-    for _ in 0..config.attack_hours {
-        provider.advance_time(Hours::new(1.0));
-        let hour = provider.now().value() - epoch;
-        record(hour, provider, &mut readings, &mut hours_log)?;
-    }
-    provider.unload(&session)?;
-    provider.release(session)?;
-    if let Some(r) = recorder {
-        r.event(
-            CampaignEvent::new(EventKind::PhaseTransition, provider.now().value())
-                .detail("tm2:classify"),
-        );
-    }
-
-    let series: Vec<RouteSeries> = skeleton
-        .entries()
-        .iter()
-        .enumerate()
-        .map(|(i, entry)| {
-            RouteSeries::from_raw(
-                i,
-                entry.target_ps,
-                truth[i],
-                hours_log.clone(),
-                readings[i].clone(),
-            )
-        })
-        .collect();
-
-    // Classifier threshold calibrated from the attacker's own reference
-    // model of the device class (no victim data involved).
-    let reference_device = provider.device_by_id(victim_device)?;
-    let burn_temp = reference_device
-        .thermal()
-        .die_temperature(crate::designs::ARITHMETIC_HEAVY_WATTS);
-    let attack_temp = reference_device
-        .thermal()
-        .die_temperature(crate::designs::CONDITION_WATTS);
-    let classifier = RecoverySlopeClassifier::calibrated(
-        reference_device.bti_model(),
-        config.victim_hours as f64,
-        config.attack_hours as f64,
-        burn_temp,
-        attack_temp,
-        reference_device.wear_factor(),
-    );
-    let recovered = classifier.classify_all(&series);
-    let metrics = RecoveryMetrics::score(&series, &recovered);
+    let outcome = campaign.run()?;
+    *provider = campaign.into_provider();
     Ok(ThreatModel2Outcome {
-        series,
-        recovered,
-        truth,
-        metrics,
-        reacquired_victim_device: reacquired,
+        series: outcome.series,
+        recovered: outcome.recovered,
+        truth: outcome.truth,
+        metrics: outcome.metrics,
+        reacquired_victim_device: true,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloud::ProviderConfig;
+    use crate::RetryPolicy;
+    use bti_physics::Hours;
+    use cloud::{CloudError, ProviderConfig};
 
     fn quick_config() -> ThreatModel2Config {
         ThreatModel2Config {
@@ -410,6 +217,35 @@ mod tests {
             slope_gap(&mitigated),
             slope_gap(&vulnerable)
         );
+    }
+
+    /// A quarantine withholds the victim's returned board, so the flash
+    /// attack finds nothing to rent: the retry budget runs dry on
+    /// `CapacityExhausted`, and the caller's provider is left untouched.
+    #[test]
+    fn quarantine_makes_the_flash_attack_miss_with_a_typed_error() {
+        let fleet = ProviderConfig::aws_f1_like(2, 9).with_quarantine(Hours::new(48.0));
+        let mut provider = Provider::new(fleet);
+        let err = run(&mut provider, &quick_config()).unwrap_err();
+        match err {
+            PentimentoError::RetriesExhausted {
+                operation,
+                attempts,
+                ref last,
+            } => {
+                assert_eq!(operation, "rent");
+                assert_eq!(attempts, RetryPolicy::default().max_attempts);
+                assert!(
+                    matches!(
+                        **last,
+                        PentimentoError::Cloud(CloudError::CapacityExhausted)
+                    ),
+                    "{last}"
+                );
+            }
+            other => panic!("expected RetriesExhausted, got {other}"),
+        }
+        assert_eq!(provider.now().value(), 0.0);
     }
 
     #[test]

@@ -38,6 +38,16 @@ echo "== fig2_inverter + lut_comparison (single-resource aging shape checks) =="
 cargo run --release -q -p bench --bin fig2_inverter
 cargo run --release -q -p bench --bin lut_comparison
 
+echo "== fig7 + fig8 + repeatability (threat-model entry points, byte identity) =="
+# These bins reach the attack protocol only through threat_model1::run /
+# threat_model2::run, so their checked-in CSVs pin those entry points
+# end to end: any bit they move must fail here.
+cargo run --release -q -p bench --bin fig7
+cargo run --release -q -p bench --bin fig8
+cargo run --release -q -p bench --bin repeatability
+git diff --exit-code -- results/fig7.csv results/fig8.csv results/repeatability.csv \
+    || { echo "FAIL: fig7/fig8/repeatability CSVs differ from the checked-in copies"; exit 1; }
+
 echo "== attack_accuracy trace smoke (observability artifacts + overhead) =="
 # The traced smoke run must produce a parseable JSONL trace and metrics
 # JSON, leave the CSV artifact byte-identical to the untraced run, and

@@ -123,20 +123,32 @@ fn recorder_attachment_never_changes_campaign_results() {
 #[test]
 fn sensor_batch_spans_and_read_counters_accumulate() {
     let recorder = Arc::new(Recorder::new());
-    hostile_observed_campaign(Some(Arc::clone(&recorder)))
+    let outcome = hostile_observed_campaign(Some(Arc::clone(&recorder)))
         .run()
         .expect("completes");
     let counters = recorder.counters();
-    // Every measurement phase batches one calibrated read per route; the
-    // exact totals are covered by the tdc unit tests — here we only pin
-    // that the campaign threads the recorder all the way down.
-    assert!(
-        recorder.counter("campaign.measurement_phases") > 0,
-        "counters: {counters:?}"
-    );
+    let phases = recorder.counter("campaign.measurement_phases");
+    assert!(phases > 0, "counters: {counters:?}");
     assert!(
         recorder.counter("cache.misses") > 0,
         "counters: {counters:?}"
+    );
+    // One calibration fan-out, and one measurement fan-out per phase,
+    // each timed as a batch span.
+    assert_eq!(recorder.counter("span.tdc.calibrate_batch.started"), 1);
+    assert_eq!(recorder.counter("span.tdc.measure_batch.started"), phases);
+    assert!(recorder
+        .histogram("span_seconds.tdc.measure_batch")
+        .is_some());
+    // Every repeat of every route-point costs at least one read, and at
+    // most one usable read plus its retries.
+    let reads = recorder.counter("tdc.sensor_reads");
+    let repeats = phases * 4 * 2; // 4 routes, 2 repeats per point
+    let retries = u64::from(outcome.stats.measurement_retries);
+    assert!(reads > 0, "counters: {counters:?}");
+    assert!(
+        (repeats..=repeats + retries).contains(&reads),
+        "{reads} reads for {repeats} repeats and {retries} retries"
     );
     // Span RAII totality: everything started also finished.
     let started: u64 = counters

@@ -7,7 +7,7 @@
 //!    (preemptions, spurious scrubs, rent failures, device swaps; no
 //!    thermal transients) plus a sufficient retry budget yields exactly
 //!    the classified bits — and the byte-identical series — of the
-//!    fault-free plain driver with the same seed. Repairs cost the
+//!    fault-free `threat_model{1,2}::run` with the same seed. Repairs cost the
 //!    attacker wall-clock only, never simulated conditioning time.
 //! 2. **Resumability** — checkpointing a campaign at an arbitrary hour
 //!    and resuming the snapshot reproduces the uninterrupted run
