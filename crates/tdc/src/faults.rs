@@ -157,6 +157,61 @@ impl SensorFaultPlan {
     }
 }
 
+#[cfg(test)]
+impl SensorFaultPlan {
+    /// The word-at-a-time corruption of one `Vec<bool>` sample, kept as
+    /// the oracle the packed path is compared against.
+    pub(crate) fn corrupt_bools(
+        &self,
+        theta_ps: f64,
+        kind: TransitionKind,
+        sample: usize,
+        bits: &[bool],
+    ) -> Vec<bool> {
+        if self.is_benign() {
+            return bits.to_vec();
+        }
+        let theta_bits = theta_ps.to_bits();
+        let kind_tag = match kind {
+            TransitionKind::Rising => 0x5249_5345,
+            TransitionKind::Falling => 0x4641_4C4C,
+        };
+        let sample_key = theta_bits ^ kind_tag ^ (sample as u64).rotate_left(23);
+        if self.dropout_rate > 0.0
+            && uniform_hash(self.seed ^ 0x44524F50, sample_key) < self.dropout_rate
+        {
+            let idle = matches!(kind, TransitionKind::Falling);
+            return vec![idle; bits.len()];
+        }
+        let burst = self.metastability_burst_rate > 0.0
+            && uniform_hash(self.seed ^ 0x4255_5253, theta_bits ^ kind_tag)
+                < self.metastability_burst_rate;
+        let front = match kind {
+            TransitionKind::Rising => bits.iter().filter(|&&b| b).count(),
+            TransitionKind::Falling => bits.iter().filter(|&&b| !b).count(),
+        };
+        bits.iter()
+            .enumerate()
+            .map(|(j, &b)| {
+                if self.stuck_element_rate > 0.0 {
+                    let roll = uniform_hash(self.seed ^ 0x5354_5543, j as u64);
+                    if roll < self.stuck_element_rate {
+                        return roll < self.stuck_element_rate / 2.0;
+                    }
+                }
+                if burst
+                    && self.burst_half_width > 0
+                    && j.abs_diff(front) <= self.burst_half_width
+                    && uniform_hash(self.seed ^ 0x4D45_5441, sample_key ^ (j as u64) << 17) < 0.5
+                {
+                    return !b;
+                }
+                b
+            })
+            .collect()
+    }
+}
+
 /// SplitMix64-style hash of `(seed, key)` mapped to `[0, 1)`.
 fn uniform_hash(seed: u64, key: u64) -> f64 {
     let mut z = seed
@@ -171,6 +226,9 @@ fn uniform_hash(seed: u64, key: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn front_word(kind: TransitionKind, len: usize, front: usize) -> CaptureWord {
         let bits = (0..len)
@@ -261,5 +319,71 @@ mod tests {
             .filter(|w| !w.is_saturated())
             .count();
         assert!(clean >= 4, "{clean}/8 usable");
+    }
+
+    /// `len`-element words whose fronts land anywhere in the chain, with
+    /// metastable bubbles scattered around them.
+    fn random_bools(rng: &mut StdRng, kind: TransitionKind, len: usize) -> Vec<bool> {
+        let front = rng.gen_range(0..=len);
+        (0..len)
+            .map(|i| {
+                let passed = if i.abs_diff(front) <= 2 {
+                    rng.gen_bool(0.5)
+                } else {
+                    i < front
+                };
+                match kind {
+                    TransitionKind::Rising => passed,
+                    TransitionKind::Falling => !passed,
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `corrupt_trace` under a noisy plan equals the `Vec<bool>`
+        /// reference word for word, on chains on both sides of the
+        /// 64-bit boundary and bursts wide enough to span words.
+        #[test]
+        fn corruption_matches_bool_reference(
+            len in 1usize..=130,
+            samples in 1usize..=20,
+            intensity in prop_oneof![Just(1.0), 0.0f64..1.0],
+            burst_half_width in prop_oneof![Just(4), 0usize..80],
+            theta_ps in 0.0f64..20_000.0,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut plan = SensorFaultPlan::noisy(seed, intensity);
+            plan.burst_half_width = burst_half_width;
+            let bools = |kind, rng: &mut StdRng| -> Vec<Vec<bool>> {
+                (0..samples).map(|_| random_bools(rng, kind, len)).collect()
+            };
+            let rising = bools(TransitionKind::Rising, &mut rng);
+            let falling = bools(TransitionKind::Falling, &mut rng);
+            let words = |kind, raw: &[Vec<bool>]| -> Vec<CaptureWord> {
+                raw.iter().map(|b| CaptureWord::new(kind, b.clone())).collect()
+            };
+            let trace = Trace::new(
+                theta_ps,
+                words(TransitionKind::Rising, &rising),
+                words(TransitionKind::Falling, &falling),
+            );
+            let corrupted = plan.corrupt_trace(trace);
+            let polarities = [
+                (TransitionKind::Rising, &rising),
+                (TransitionKind::Falling, &falling),
+            ];
+            for (kind, raw) in polarities {
+                let got = corrupted.words(kind);
+                prop_assert_eq!(got.len(), raw.len());
+                for (i, (word, bits)) in got.iter().zip(raw).enumerate() {
+                    let want = plan.corrupt_bools(theta_ps, kind, i, bits);
+                    prop_assert_eq!(word.bits(), &want[..], "{:?} sample {}", kind, i);
+                }
+            }
+        }
     }
 }

@@ -402,6 +402,36 @@ mod tests {
         CaptureWord::new(kind, bits)
     }
 
+    /// The trace capture before packing, word for word: every sample a
+    /// fresh `Vec<bool>` from the element scan, corrupted by the
+    /// `Vec<bool>` fault reference. Returns the quantized θ and the raw
+    /// rising and falling words.
+    fn capture_trace_reference<R: Rng + ?Sized>(
+        sensor: &TdcSensor,
+        delay: RouteDelay,
+        theta_ps: f64,
+        rng: &mut R,
+    ) -> (f64, [Vec<Vec<bool>>; 2]) {
+        let theta_ps = sensor.clock.quantize(theta_ps);
+        let words = TransitionKind::ALL.map(|kind| {
+            let route_delay = delay.for_transition(kind);
+            (0..sensor.config.samples_per_trace)
+                .map(|i| {
+                    let word = capture_scan(sensor, route_delay, theta_ps, kind, rng);
+                    sensor.faults.corrupt_bools(theta_ps, kind, i, word.bits())
+                })
+                .collect::<Vec<_>>()
+        });
+        (theta_ps, words)
+    }
+
+    /// Hamming distance counted one `bool` at a time.
+    fn bool_distance(kind: TransitionKind, bits: &[bool]) -> usize {
+        bits.iter()
+            .filter(|&&b| b == matches!(kind, TransitionKind::Rising))
+            .count()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -460,6 +490,102 @@ mod tests {
                 prop_assert_eq!(&fast, &scan);
                 prop_assert_eq!(fast_rng.state(), scan_rng.state());
             }
+        }
+
+        /// A whole captured trace — both polarities, every sample, after
+        /// fault corruption — equals the `Vec<bool>` reference bit for
+        /// bit, and leaves the RNG in the same state. Chains run on both
+        /// sides of the 64-bit word boundary. Every word's distance and
+        /// the trace's summaries match a `bool`-at-a-time count.
+        #[test]
+        fn packed_trace_matches_bool_reference(
+            window_ps in prop_oneof![Just(0.0), Just(1.5), Just(10.0)],
+            chain_length in 1usize..=130,
+            samples_per_trace in 1usize..=20,
+            front_frac in 0.0f64..1.0,
+            jitter_sigma_ps in 0.0f64..8.0,
+            fault_intensity in prop_oneof![Just(None), (0.0f64..0.6).prop_map(Some)],
+            seed in 0u64..1_000_000,
+        ) {
+            let device = FpgaDevice::zcu102_new(seed % 7);
+            let route = device
+                .route_with_target_delay(&RouteRequest::new(TileCoord::new(4, 4), 1_000.0))
+                .unwrap();
+            let config = TdcConfig {
+                chain_length,
+                samples_per_trace,
+                jitter_sigma_ps,
+                metastable_window_ps: window_ps,
+                ..TdcConfig::lab()
+            };
+            let mut sensor = TdcSensor::place(&device, route, config).unwrap();
+            if let Some(intensity) = fault_intensity {
+                sensor.set_fault_plan(SensorFaultPlan::noisy(seed, intensity));
+            }
+            let delay = device.route_delay(sensor.route());
+            let total = sensor.chain().total_delay_ps();
+            let theta = delay.rise_ps + front_frac * (total + 40.0) - 20.0;
+            let mut fast_rng = StdRng::seed_from_u64(seed);
+            let mut ref_rng = fast_rng.clone();
+            let fast = sensor.capture_trace_at(delay, theta, &mut fast_rng);
+            let (ref_theta, [rising, falling]) =
+                capture_trace_reference(&sensor, delay, theta, &mut ref_rng);
+            prop_assert_eq!(fast_rng.state(), ref_rng.state());
+            prop_assert_eq!(fast.theta_ps().to_bits(), ref_theta.to_bits());
+            let as_words = |kind, raw: &[Vec<bool>]| -> Vec<CaptureWord> {
+                raw.iter().map(|b| CaptureWord::new(kind, b.clone())).collect()
+            };
+            prop_assert_eq!(
+                &fast,
+                &Trace::new(
+                    ref_theta,
+                    as_words(TransitionKind::Rising, &rising),
+                    as_words(TransitionKind::Falling, &falling),
+                )
+            );
+            let polarities = [
+                (TransitionKind::Rising, &rising),
+                (TransitionKind::Falling, &falling),
+            ];
+            for (kind, raw) in polarities {
+                let words = fast.words(kind);
+                prop_assert_eq!(words.len(), raw.len());
+                let mut distances = Vec::new();
+                for (word, bits) in words.iter().zip(raw) {
+                    prop_assert_eq!(word.bits(), &bits[..]);
+                    let d = bool_distance(kind, bits);
+                    prop_assert_eq!(word.propagation_distance(), d);
+                    prop_assert_eq!(word.is_saturated(), d == 0 || d == chain_length);
+                    distances.push(d);
+                }
+                let mean = distances.iter().map(|&d| d as f64).sum::<f64>() / raw.len() as f64;
+                prop_assert_eq!(fast.mean_distance(kind).to_bits(), mean.to_bits());
+                let valid: Vec<usize> = distances
+                    .iter()
+                    .copied()
+                    .filter(|&d| d != 0 && d != chain_length)
+                    .collect();
+                let quorum = (!valid.is_empty()).then(|| {
+                    (
+                        valid.iter().sum::<usize>() as f64 / valid.len() as f64,
+                        valid.len() as f64 / raw.len() as f64,
+                    )
+                });
+                prop_assert_eq!(fast.quorum_distance(kind), quorum);
+            }
+            let majority_saturated = |raw: &[Vec<bool>], kind| {
+                let saturated = raw
+                    .iter()
+                    .map(|b| bool_distance(kind, b))
+                    .filter(|&d| d == 0 || d == chain_length)
+                    .count();
+                saturated * 2 > raw.len()
+            };
+            prop_assert_eq!(
+                fast.is_saturated(),
+                majority_saturated(&rising, TransitionKind::Rising)
+                    || majority_saturated(&falling, TransitionKind::Falling)
+            );
         }
     }
 
