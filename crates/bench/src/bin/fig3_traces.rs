@@ -30,7 +30,7 @@ fn main() {
             let d = word.propagation_distance();
             println!(
                 "{kind:>7} transition {i}: {}  -> Hamming distance {d}",
-                word_to_string(word.bits())
+                word_to_string(&word.bits())
             );
             distances.push((kind, d));
         }

@@ -1238,7 +1238,8 @@ impl Campaign {
     /// route order, so stats accumulate and the first fatal error on the
     /// lowest-indexed route wins deterministically. The fan-out is timed
     /// as one `tdc.measure_batch` span, and the merge counts every sensor
-    /// read (usable repeats plus retried ones) into `tdc.sensor_reads`.
+    /// read (usable repeats plus retried ones) into `tdc.sensor_reads` and
+    /// its capture samples into `tdc.samples`.
     fn record(&mut self, hour: f64) -> Result<(), PentimentoError> {
         let session = self.current_session()?;
         let phase = self.run.hours_log.len() as u64;
@@ -1283,9 +1284,13 @@ impl Campaign {
                     .collect();
                 drop(span);
                 let mut sensor_reads = 0;
+                let mut samples = 0;
                 for (i, point) in points.into_iter().enumerate() {
                     let point = point?;
-                    sensor_reads += point.got as u64 + u64::from(point.retries);
+                    let reads = point.got as u64 + u64::from(point.retries);
+                    let per_read = self.run.sensors[i].config().samples_per_measurement();
+                    sensor_reads += reads;
+                    samples += reads * per_read as u64;
                     self.stats.measurement_retries += point.retries;
                     self.stats.backoff_seconds += point.backoff_s;
                     if point.got == 0 {
@@ -1334,6 +1339,7 @@ impl Campaign {
                 }
                 if let Some(r) = self.obs() {
                     r.incr("tdc.sensor_reads", sensor_reads);
+                    r.incr("tdc.samples", samples);
                 }
             }
         }

@@ -114,12 +114,16 @@ impl TdcArray {
     ///
     /// # Errors
     ///
-    /// Returns [`TdcError::InvalidConfig`] when the count mismatches.
+    /// Returns [`TdcError::InvalidConfig`] when the count mismatches or a
+    /// value is not finite; no sensor is changed then.
     pub fn set_theta_inits(&mut self, thetas: &[f64]) -> Result<(), TdcError> {
         if thetas.len() != self.sensors.len() {
             return Err(TdcError::InvalidConfig(
                 "theta_init count must match sensor count",
             ));
+        }
+        if !thetas.iter().all(|t| t.is_finite()) {
+            return Err(TdcError::InvalidConfig("theta_init must be finite"));
         }
         for (sensor, &theta) in self.sensors.iter_mut().zip(thetas) {
             sensor.set_theta_init_ps(theta);
@@ -152,7 +156,8 @@ impl TdcArray {
 
     /// [`TdcArray::measure_deltas_streamed`] with an optional telemetry
     /// recorder: the batch is timed as one `tdc.measure_batch` span, and a
-    /// successful batch grows the batch/read counters by its totals. Only
+    /// successful batch grows the batch, read and `tdc.samples` counters
+    /// by its totals. Only
     /// aggregate counters are recorded (never per-worker events), so an
     /// attached recorder cannot leak thread interleavings into a trace.
     ///
@@ -189,8 +194,14 @@ impl TdcArray {
             })
             .collect();
         if let (Some(r), Ok(_)) = (recorder, &result) {
+            let samples: usize = self
+                .sensors
+                .iter()
+                .map(|s| s.config().samples_per_measurement() * repeats)
+                .sum();
             r.incr("tdc.batched_reads", 1);
             r.incr("tdc.sensor_reads", (self.sensors.len() * repeats) as u64);
+            r.incr("tdc.samples", samples as u64);
         }
         result
     }
@@ -249,7 +260,12 @@ mod tests {
             array.measure_deltas_streamed_observed(&device, 3, 80, 0, Some(&recorder)),
             Err(TdcError::NotCalibrated)
         );
-        for counter in ["tdc.calibrations", "tdc.batched_reads", "tdc.sensor_reads"] {
+        for counter in [
+            "tdc.calibrations",
+            "tdc.batched_reads",
+            "tdc.sensor_reads",
+            "tdc.samples",
+        ] {
             assert_eq!(recorder.counter(counter), 0, "{counter}");
         }
     }
@@ -293,6 +309,15 @@ mod tests {
             TdcArray::place(&victim, routes(&victim, 3), TdcConfig::lab()).expect("places");
         array.set_theta_inits(&thetas).expect("counts match");
         assert!(array.set_theta_inits(&thetas[..2]).is_err());
+        // A non-finite θ_init is refused whole, before any sensor adopts it.
+        let before = array.clone();
+        for bad in [f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                array.set_theta_inits(&[thetas[0], thetas[1], bad]),
+                Err(TdcError::InvalidConfig("theta_init must be finite"))
+            );
+            assert_eq!(array, before);
+        }
         // Readings may need retuning on a different die, but the bank must
         // at least be measurable without a fresh calibration.
         assert!(array.measure_deltas_streamed(&victim, 1, 84, 0).is_ok());
@@ -379,6 +404,11 @@ mod tests {
         assert_eq!(recorder.counter("tdc.calibrations"), 3);
         assert_eq!(recorder.counter("tdc.batched_reads"), 1);
         assert_eq!(recorder.counter("tdc.sensor_reads"), 6);
+        // Every read is one measurement of the cloud profile's samples.
+        assert_eq!(
+            recorder.counter("tdc.samples"),
+            6 * TdcConfig::cloud().samples_per_measurement() as u64
+        );
         assert_eq!(recorder.counter("span.tdc.measure_batch.finished"), 1);
         assert!(
             recorder.trace_jsonl().is_empty(),

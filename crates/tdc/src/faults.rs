@@ -16,7 +16,8 @@
 use fpga_fabric::TransitionKind;
 use serde::{Deserialize, Serialize};
 
-use crate::{CaptureWord, Trace};
+use crate::capture::{flip_bit, hamming_distance, set_bits, stride};
+use crate::Trace;
 
 /// A seeded, deterministic description of how corrupted captures are.
 ///
@@ -81,79 +82,78 @@ impl SensorFaultPlan {
             && self.metastability_burst_rate <= 0.0
     }
 
-    /// Applies this plan's corruption to a freshly captured trace.
+    /// Applies this plan's corruption to a freshly captured trace, in
+    /// place on its packed samples.
     ///
     /// Pure in `(plan, trace contents)`: the same trace corrupts the same
     /// way every time.
     #[must_use]
-    pub fn corrupt_trace(&self, trace: Trace) -> Trace {
+    pub fn corrupt_trace(&self, mut trace: Trace) -> Trace {
         if self.is_benign() {
             return trace;
         }
         let theta_bits = trace.theta_ps().to_bits();
-        let corrupt = |kind: TransitionKind, words: &[CaptureWord]| -> Vec<CaptureWord> {
-            words
-                .iter()
-                .enumerate()
-                .map(|(i, w)| self.corrupt_word(theta_bits, kind, i, w))
-                .collect()
-        };
-        let rising = corrupt(TransitionKind::Rising, trace.words(TransitionKind::Rising));
-        let falling = corrupt(
-            TransitionKind::Falling,
-            trace.words(TransitionKind::Falling),
-        );
-        Trace::new(trace.theta_ps(), rising, falling)
-    }
-
-    fn corrupt_word(
-        &self,
-        theta_bits: u64,
-        kind: TransitionKind,
-        sample: usize,
-        word: &CaptureWord,
-    ) -> CaptureWord {
-        let kind_tag = match kind {
-            TransitionKind::Rising => 0x5249_5345,
-            TransitionKind::Falling => 0x4641_4C4C,
-        };
-        let sample_key = theta_bits ^ kind_tag ^ (sample as u64).rotate_left(23);
-        // Dropout: the word is lost and reads as "edge never arrived" —
-        // all bits at their pre-transition value, a zero-distance word.
-        if self.dropout_rate > 0.0
-            && uniform_hash(self.seed ^ 0x44524F50, sample_key) < self.dropout_rate
-        {
-            let idle = matches!(kind, TransitionKind::Falling);
-            return CaptureWord::new(kind, vec![idle; word.len()]);
-        }
-        let burst = self.metastability_burst_rate > 0.0
-            && uniform_hash(self.seed ^ 0x4255_5253, theta_bits ^ kind_tag)
-                < self.metastability_burst_rate;
-        let front = word.propagation_distance();
-        let bits: Vec<bool> = word
-            .bits()
-            .iter()
-            .enumerate()
-            .map(|(j, &b)| {
-                // Stuck capture registers are a property of the element,
-                // not the sample: decided from (seed, element) alone.
-                if self.stuck_element_rate > 0.0 {
-                    let roll = uniform_hash(self.seed ^ 0x5354_5543, j as u64);
-                    if roll < self.stuck_element_rate {
-                        return roll < self.stuck_element_rate / 2.0;
+        let len = trace.chain_length();
+        let stride = stride(len);
+        // Stuck capture registers are a property of the element, not the
+        // sample: decided from (seed, element) alone, once per trace, into
+        // a mask of stuck elements and the value each is stuck at.
+        let mut stuck = vec![0; stride];
+        let mut stuck_high = vec![0; stride];
+        if self.stuck_element_rate > 0.0 {
+            for j in 0..len {
+                let roll = uniform_hash(self.seed ^ 0x5354_5543, j as u64);
+                if roll < self.stuck_element_rate {
+                    flip_bit(&mut stuck, j);
+                    if roll < self.stuck_element_rate / 2.0 {
+                        flip_bit(&mut stuck_high, j);
                     }
                 }
-                if burst
-                    && self.burst_half_width > 0
-                    && j.abs_diff(front) <= self.burst_half_width
-                    && uniform_hash(self.seed ^ 0x4D45_5441, sample_key ^ (j as u64) << 17) < 0.5
+            }
+        }
+        for kind in TransitionKind::ALL {
+            let kind_tag = match kind {
+                TransitionKind::Rising => 0x5249_5345,
+                TransitionKind::Falling => 0x4641_4C4C,
+            };
+            let burst = self.metastability_burst_rate > 0.0
+                && self.burst_half_width > 0
+                && uniform_hash(self.seed ^ 0x4255_5253, theta_bits ^ kind_tag)
+                    < self.metastability_burst_rate;
+            for (sample, word) in trace.packed_mut(kind).chunks_exact_mut(stride).enumerate() {
+                let sample_key = theta_bits ^ kind_tag ^ (sample as u64).rotate_left(23);
+                // Dropout: the word is lost and reads as "edge never
+                // arrived" — all bits at their pre-transition value, a
+                // zero-distance word.
+                if self.dropout_rate > 0.0
+                    && uniform_hash(self.seed ^ 0x44524F50, sample_key) < self.dropout_rate
                 {
-                    return !b;
+                    word.fill(0);
+                    if kind == TransitionKind::Falling {
+                        set_bits(word, 0..len);
+                    }
+                    continue;
                 }
-                b
-            })
-            .collect();
-        CaptureWord::new(kind, bits)
+                // The front is read before any bit moves, and each flip
+                // depends only on its own bit, so no copy is needed.
+                if burst {
+                    let front = hamming_distance(kind, word, len);
+                    let hw = self.burst_half_width;
+                    let near = front.saturating_sub(hw)
+                        ..front.saturating_add(hw).saturating_add(1).min(len);
+                    for j in near {
+                        let key = sample_key ^ (j as u64) << 17;
+                        if uniform_hash(self.seed ^ 0x4D45_5441, key) < 0.5 {
+                            flip_bit(word, j);
+                        }
+                    }
+                }
+                for ((w, &s), &h) in word.iter_mut().zip(&stuck).zip(&stuck_high) {
+                    *w = (*w & !s) | h;
+                }
+            }
+        }
+        trace
     }
 }
 
@@ -226,6 +226,7 @@ fn uniform_hash(seed: u64, key: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CaptureWord;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -3,22 +3,63 @@
 use fpga_fabric::{TransitionKind, CARRY_ELEMENT_PS};
 use serde::{Deserialize, Serialize};
 
+use crate::capture::{self, hamming_distance, stride};
 use crate::{CaptureWord, TdcError};
 
 /// One trace: a short burst of samples of both polarities at a single θ.
+///
+/// Each polarity's samples are packed into one `Vec<u64>`,
+/// [`stride`] words per sample (see [`crate::capture`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
     theta_ps: f64,
-    rising: Vec<CaptureWord>,
-    falling: Vec<CaptureWord>,
+    chain_length: usize,
+    rising: Vec<u64>,
+    falling: Vec<u64>,
 }
 
 impl Trace {
-    /// Builds a trace from captured words.
+    /// Builds a trace from captured words, packing them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a word's polarity is not the one it is filed under, or
+    /// if the words differ in length.
     #[must_use]
     pub fn new(theta_ps: f64, rising: Vec<CaptureWord>, falling: Vec<CaptureWord>) -> Self {
+        let chain_length = rising
+            .iter()
+            .chain(&falling)
+            .next()
+            .map_or(0, CaptureWord::len);
+        let pack = |kind, words: Vec<CaptureWord>| -> Vec<u64> {
+            let mut packed = Vec::with_capacity(words.len() * stride(chain_length));
+            for w in &words {
+                assert_eq!(w.kind(), kind, "a {kind} trace holds {kind} words");
+                assert_eq!(w.len(), chain_length, "a trace's words share one length");
+                packed.extend_from_slice(w.packed());
+            }
+            packed
+        };
+        Self::from_packed(
+            theta_ps,
+            chain_length,
+            pack(TransitionKind::Rising, rising),
+            pack(TransitionKind::Falling, falling),
+        )
+    }
+
+    /// Wraps samples already packed, [`stride`]`(chain_length)` words
+    /// each.
+    pub(crate) fn from_packed(
+        theta_ps: f64,
+        chain_length: usize,
+        rising: Vec<u64>,
+        falling: Vec<u64>,
+    ) -> Self {
         Self {
             theta_ps,
+            chain_length,
             rising,
             falling,
         }
@@ -30,28 +71,52 @@ impl Trace {
         self.theta_ps
     }
 
-    /// The captured words of one polarity.
-    #[must_use]
-    pub fn words(&self, kind: TransitionKind) -> &[CaptureWord] {
+    /// Length of the carry chain each sample captured.
+    pub(crate) fn chain_length(&self) -> usize {
+        self.chain_length
+    }
+
+    /// One polarity's packed samples, for in-place corruption.
+    pub(crate) fn packed_mut(&mut self, kind: TransitionKind) -> &mut [u64] {
         match kind {
+            TransitionKind::Rising => &mut self.rising,
+            TransitionKind::Falling => &mut self.falling,
+        }
+    }
+
+    fn samples(&self, kind: TransitionKind) -> std::slice::ChunksExact<'_, u64> {
+        let packed = match kind {
             TransitionKind::Rising => &self.rising,
             TransitionKind::Falling => &self.falling,
-        }
+        };
+        packed.chunks_exact(stride(self.chain_length))
+    }
+
+    /// Each sample's propagation distance, in capture order.
+    fn distances(&self, kind: TransitionKind) -> impl Iterator<Item = usize> + '_ {
+        self.samples(kind)
+            .map(move |w| hamming_distance(kind, w, self.chain_length))
+    }
+
+    /// The captured words of one polarity, unpacked.
+    #[must_use]
+    pub fn words(&self, kind: TransitionKind) -> Vec<CaptureWord> {
+        self.samples(kind)
+            .map(|w| CaptureWord::from_packed(kind, self.chain_length, w.to_vec()))
+            .collect()
     }
 
     /// Mean propagation distance (in carry bits) of one polarity across
     /// the trace's samples.
     #[must_use]
     pub fn mean_distance(&self, kind: TransitionKind) -> f64 {
-        let words = self.words(kind);
-        if words.is_empty() {
+        let n = self.samples(kind).len();
+        if n == 0 {
             return 0.0;
         }
-        words
-            .iter()
-            .map(|w| w.propagation_distance() as f64)
-            .sum::<f64>()
-            / words.len() as f64
+        // Distances are small integers, so an integer total converts to
+        // the same f64 as summing the distances as floats.
+        self.distances(kind).sum::<usize>() as f64 / n as f64
     }
 
     /// Whether either polarity saturated in a majority of samples —
@@ -59,9 +124,11 @@ impl Trace {
     #[must_use]
     pub fn is_saturated(&self) -> bool {
         TransitionKind::ALL.into_iter().any(|kind| {
-            let words = self.words(kind);
-            let saturated = words.iter().filter(|w| w.is_saturated()).count();
-            saturated * 2 > words.len()
+            let saturated = self
+                .distances(kind)
+                .filter(|&d| capture::is_saturated(d, self.chain_length))
+                .count();
+            saturated * 2 > self.samples(kind).len()
         })
     }
 
@@ -74,20 +141,15 @@ impl Trace {
     /// rather than silently reading a distance of zero.
     #[must_use]
     pub fn quorum_distance(&self, kind: TransitionKind) -> Option<(f64, f64)> {
-        let words = self.words(kind);
-        // Distances are small integers, so an integer total converts to
-        // the same f64 as summing the distances as floats.
-        let (valid, total) = words
-            .iter()
-            .filter(|w| !w.is_saturated())
-            .fold((0usize, 0usize), |(n, total), w| {
-                (n + 1, total + w.propagation_distance())
-            });
+        let (valid, total) = self
+            .distances(kind)
+            .filter(|&d| !capture::is_saturated(d, self.chain_length))
+            .fold((0usize, 0usize), |(n, total), d| (n + 1, total + d));
         if valid == 0 {
             return None;
         }
         let mean = total as f64 / valid as f64;
-        Some((mean, valid as f64 / words.len().max(1) as f64))
+        Some((mean, valid as f64 / self.samples(kind).len().max(1) as f64))
     }
 
     /// The fraction of this trace's samples (worst polarity) that carried

@@ -1,9 +1,12 @@
 //! The sensor proper: placement, calibration, and measurement.
 
-use fpga_fabric::{CarryChain, FpgaDevice, Route, RouteDelay, TileCoord, TransitionKind};
+use fpga_fabric::{
+    CarryChain, FpgaDevice, Route, RouteDelay, TileCoord, TransitionKind, CARRY_ELEMENT_PS,
+};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::capture::{flip_bit, set_bits, stride};
 use crate::util::gaussian;
 use crate::{
     CaptureWord, ClockGenerator, Measurement, SensorFaultPlan, TdcConfig, TdcError, Trace,
@@ -107,7 +110,8 @@ impl TdcSensor {
     /// board of the same type, which is how the Threat Model 2 attacker
     /// starts without ever measuring the victim device pre-burn
     /// (Experiment 3: "θ_init is consistent across all FPGAs of the same
-    /// type").
+    /// type"). A non-finite θ is stored as given; measuring with it then
+    /// returns [`TdcError::InvalidConfig`].
     pub fn set_theta_init_ps(&mut self, theta_ps: f64) {
         self.theta_init_ps = Some(theta_ps);
     }
@@ -117,6 +121,12 @@ impl TdcSensor {
     ///
     /// Walks the whole route on every call; the trace and measurement
     /// paths walk it once and reuse the delay for every sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `theta_ps` is NaN and the metastable window is non-zero:
+    /// every element then lands in the metastable band with an undefined
+    /// resolution probability.
     #[must_use]
     pub fn capture_sample<R: Rng + ?Sized>(
         &self,
@@ -130,14 +140,6 @@ impl TdcSensor {
     }
 
     /// One sample against a route delay already read off the device.
-    ///
-    /// The capture margin `front_time − passed_at(i)` never increases
-    /// along the chain (its cumulative delays strictly increase), so the
-    /// elements the edge settled past form a prefix and the ones it
-    /// settled short of form a suffix. Two binary searches find them;
-    /// only the metastable elements in between are scored, in index
-    /// order, so the word and the RNG draws match an element-by-element
-    /// scan exactly.
     fn capture_at<R: Rng + ?Sized>(
         &self,
         route_delay_ps: f64,
@@ -145,25 +147,65 @@ impl TdcSensor {
         kind: TransitionKind,
         rng: &mut R,
     ) -> CaptureWord {
+        let len = self.chain.len();
+        let mut word = vec![0; stride(len)];
+        self.capture_into(route_delay_ps, theta_ps, kind, rng, &mut word);
+        CaptureWord::from_packed(kind, len, word)
+    }
+
+    /// Writes one packed sample into `word`, one [`stride`] of words.
+    ///
+    /// The capture margin `front_time − passed_at(i)` never increases
+    /// along the chain (its cumulative delays strictly increase), so the
+    /// elements the edge settled past form a prefix and the ones it
+    /// settled short of form a suffix. The prefix end is found by a walk
+    /// from the nominal front `front_time / CARRY_ELEMENT_PS`: up while
+    /// the settled predicate holds, then down while it fails at the
+    /// element before, which by monotonicity stops at the same boundary a
+    /// bisection finds. The metastable elements after it are scored in
+    /// index order until the first one the edge settled short of, so the
+    /// word and the RNG draws match an element-by-element scan exactly.
+    /// Settled runs are written as word masks; only metastable bits are
+    /// set one at a time.
+    fn capture_into<R: Rng + ?Sized>(
+        &self,
+        route_delay_ps: f64,
+        theta_ps: f64,
+        kind: TransitionKind,
+        rng: &mut R,
+        word: &mut [u64],
+    ) {
         let jitter = gaussian(rng) * self.config.jitter_sigma_ps;
         // Time the edge has had inside the chain when the capture fires.
         let front_time = theta_ps + jitter - route_delay_ps;
         let w = self.config.metastable_window_ps;
         // Element `i` is passed once the edge clears its output.
         let passed_at = &self.chain.cumulative_ps()[1..];
-        let settled = passed_at.partition_point(|&p| front_time - p > w / 2.0);
-        // The scan's own `< −w/2` test negated, so that even a NaN margin
-        // lands in the metastable band exactly as it did there.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        let reached = passed_at.partition_point(|&p| !(front_time - p < -w / 2.0));
-        let polarity = |transition_passed: bool| match kind {
-            TransitionKind::Rising => transition_passed,
-            TransitionKind::Falling => !transition_passed,
-        };
-        let mut bits = Vec::with_capacity(passed_at.len());
-        bits.resize(settled, polarity(true));
-        for &p in &passed_at[settled..reached] {
+        let len = passed_at.len();
+        let settles = |p: f64| front_time - p > w / 2.0;
+        // A NaN or negative hint casts to 0 and an overlong one clamps;
+        // a NaN front then settles nothing.
+        let mut settled = ((front_time / CARRY_ELEMENT_PS) as usize).min(len);
+        while settled < len && settles(passed_at[settled]) {
+            settled += 1;
+        }
+        while settled > 0 && !settles(passed_at[settled - 1]) {
+            settled -= 1;
+        }
+        // A bit is set where the edge passed (rising) or did not (falling).
+        let set_if_passed = matches!(kind, TransitionKind::Rising);
+        word.fill(0);
+        if set_if_passed {
+            set_bits(word, 0..settled);
+        }
+        let mut reached = settled;
+        for &p in &passed_at[settled..] {
             let margin = front_time - p;
+            // The scan's own `< −w/2` test, so that even a NaN margin
+            // lands in the metastable band exactly as it did there.
+            if margin < -w / 2.0 {
+                break;
+            }
             let transition_passed = if w > 0.0 {
                 // Metastable: resolves with probability linear in the
                 // capture margin.
@@ -171,14 +213,22 @@ impl TdcSensor {
             } else {
                 margin >= 0.0
             };
-            bits.push(polarity(transition_passed));
+            if transition_passed == set_if_passed {
+                flip_bit(word, reached);
+            }
+            reached += 1;
         }
-        bits.resize(passed_at.len(), polarity(false));
-        CaptureWord::new(kind, bits)
+        if !set_if_passed {
+            set_bits(word, reached..len);
+        }
     }
 
     /// Captures one trace (both polarities, `samples_per_trace` each) at a
     /// fixed θ, walking the route once for the whole trace.
+    ///
+    /// # Panics
+    ///
+    /// As [`capture_sample`](Self::capture_sample), for a NaN `theta_ps`.
     #[must_use]
     pub fn capture_trace<R: Rng + ?Sized>(
         &self,
@@ -189,7 +239,9 @@ impl TdcSensor {
         self.capture_trace_at(device.route_delay(&self.route), theta_ps, rng)
     }
 
-    /// One trace against a route delay already read off the device.
+    /// One trace against a route delay already read off the device: each
+    /// polarity's samples land in one packed buffer, so capture allocates
+    /// twice per trace, never per sample.
     fn capture_trace_at<R: Rng + ?Sized>(
         &self,
         delay: RouteDelay,
@@ -198,16 +250,30 @@ impl TdcSensor {
     ) -> Trace {
         // The clock generator can only realize phases on its grid.
         let theta_ps = self.clock.quantize(theta_ps);
+        let len = self.chain.len();
+        let stride = stride(len);
         let sample = |kind, rng: &mut R| {
             let route_delay = delay.for_transition(kind);
-            (0..self.config.samples_per_trace)
-                .map(|_| self.capture_at(route_delay, theta_ps, kind, rng))
-                .collect::<Vec<_>>()
+            let mut packed = vec![0; self.config.samples_per_trace * stride];
+            for word in packed.chunks_exact_mut(stride) {
+                self.capture_into(route_delay, theta_ps, kind, rng, word);
+            }
+            packed
         };
         let rising = sample(TransitionKind::Rising, rng);
         let falling = sample(TransitionKind::Falling, rng);
         self.faults
-            .corrupt_trace(Trace::new(theta_ps, rising, falling))
+            .corrupt_trace(Trace::from_packed(theta_ps, len, rising, falling))
+    }
+
+    /// The stored θ_init, checked usable: a non-finite one would put every
+    /// element in the metastable band and panic inside the capture.
+    fn usable_theta_init(&self) -> Result<f64, TdcError> {
+        let theta_init = self.theta_init_ps.ok_or(TdcError::NotCalibrated)?;
+        if !theta_init.is_finite() {
+            return Err(TdcError::InvalidConfig("theta_init must be finite"));
+        }
+        Ok(theta_init)
     }
 
     /// The traces of one measurement: θ steps down from θ_init, and the
@@ -218,7 +284,7 @@ impl TdcSensor {
         device: &FpgaDevice,
         rng: &mut R,
     ) -> Result<Vec<Trace>, TdcError> {
-        let theta_init = self.theta_init_ps.ok_or(TdcError::NotCalibrated)?;
+        let theta_init = self.usable_theta_init()?;
         let delay = device.route_delay(&self.route);
         Ok((0..self.config.traces_per_measurement)
             .map(|i| {
@@ -296,7 +362,8 @@ impl TdcSensor {
     ///
     /// Returns [`TdcError::NotCalibrated`] if neither
     /// [`calibrate`](Self::calibrate) nor
-    /// [`set_theta_init_ps`](Self::set_theta_init_ps) has run.
+    /// [`set_theta_init_ps`](Self::set_theta_init_ps) has run, or
+    /// [`TdcError::InvalidConfig`] if the stored θ_init is not finite.
     pub fn measure<R: Rng + ?Sized>(
         &self,
         device: &FpgaDevice,
@@ -317,7 +384,8 @@ impl TdcSensor {
     ///
     /// # Errors
     ///
-    /// Returns [`TdcError::NotCalibrated`] without a θ_init, or
+    /// Returns [`TdcError::NotCalibrated`] without a θ_init,
+    /// [`TdcError::InvalidConfig`] with a non-finite one, or
     /// [`TdcError::Dropout`] when too few traces survive filtering.
     pub fn measure_robust<R: Rng + ?Sized>(
         &self,
@@ -335,13 +403,14 @@ impl TdcSensor {
     ///
     /// # Errors
     ///
-    /// Propagates [`TdcError::NotCalibrated`] / calibration failure.
+    /// Propagates [`TdcError::NotCalibrated`], [`TdcError::InvalidConfig`]
+    /// for a non-finite θ_init, or calibration failure.
     pub fn measure_with_retune<R: Rng + ?Sized>(
         &mut self,
         device: &FpgaDevice,
         rng: &mut R,
     ) -> Result<Measurement, TdcError> {
-        let theta_init = self.theta_init_ps.ok_or(TdcError::NotCalibrated)?;
+        let theta_init = self.usable_theta_init()?;
         let probe = self.capture_trace(device, theta_init, rng);
         if probe.is_saturated() {
             self.calibrate(device, rng)?;
@@ -418,7 +487,7 @@ mod tests {
             (0..sensor.config.samples_per_trace)
                 .map(|i| {
                     let word = capture_scan(sensor, route_delay, theta_ps, kind, rng);
-                    sensor.faults.corrupt_bools(theta_ps, kind, i, word.bits())
+                    sensor.faults.corrupt_bools(theta_ps, kind, i, &word.bits())
                 })
                 .collect::<Vec<_>>()
         });
@@ -615,6 +684,23 @@ mod tests {
             sensor.measure(&device, &mut rng).unwrap_err(),
             TdcError::NotCalibrated
         );
+    }
+
+    #[test]
+    fn non_finite_theta_init_is_a_typed_error_not_a_panic() {
+        let (device, mut sensor, mut rng) = setup(1_000.0, 3);
+        for theta in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            sensor.set_theta_init_ps(theta);
+            let errors = [
+                sensor.measure(&device, &mut rng).unwrap_err(),
+                sensor.measure_robust(&device, 0.5, &mut rng).unwrap_err(),
+                sensor.measure_with_retune(&device, &mut rng).unwrap_err(),
+            ];
+            for err in errors {
+                assert_eq!(err, TdcError::InvalidConfig("theta_init must be finite"));
+                assert!(!err.is_transient());
+            }
+        }
     }
 
     #[test]

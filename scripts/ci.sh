@@ -38,6 +38,15 @@ echo "== fig2_inverter + lut_comparison (single-resource aging shape checks) =="
 cargo run --release -q -p bench --bin fig2_inverter
 cargo run --release -q -p bench --bin lut_comparison
 
+echo "== fig3_traces (raw capture words, byte identity) =="
+# The one bin that prints raw capture words (through
+# TdcSensor::capture_sample): it exits non-zero when a shape check fails,
+# and its stdout must match the checked-in copy, so a capture change that
+# moves a single bit of a word fails here.
+cargo run --release -q -p bench --bin fig3_traces > /tmp/ci_fig3_traces.txt
+cmp results/fig3_traces.txt /tmp/ci_fig3_traces.txt \
+    || { echo "FAIL: fig3_traces stdout differs from results/fig3_traces.txt"; exit 1; }
+
 echo "== fig7 + fig8 + repeatability (threat-model entry points, byte identity) =="
 # These bins reach the attack protocol only through threat_model1::run /
 # threat_model2::run, so their checked-in CSVs pin those entry points

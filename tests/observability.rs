@@ -9,7 +9,7 @@ use cloud::{FaultKind, FaultPlan, Provider, ProviderConfig};
 use obs::{EventKind, Recorder};
 use pentimento::threat_model1::ThreatModel1Config;
 use pentimento::{Campaign, CampaignConfig, MeasurementMode, Mission};
-use tdc::SensorFaultPlan;
+use tdc::{SensorFaultPlan, TdcConfig};
 
 /// The PR 1 hostile fault plan plus two scheduled faults: a preemption
 /// that revokes the lease mid-campaign, and a rent failure armed for the
@@ -150,6 +150,9 @@ fn sensor_batch_spans_and_read_counters_accumulate() {
         (repeats..=repeats + retries).contains(&reads),
         "{reads} reads for {repeats} repeats and {retries} retries"
     );
+    // Every read captures one measurement's worth of samples.
+    let per_read = TdcConfig::cloud().samples_per_measurement() as u64;
+    assert_eq!(recorder.counter("tdc.samples"), reads * per_read);
     // Span RAII totality: everything started also finished.
     let started: u64 = counters
         .iter()
