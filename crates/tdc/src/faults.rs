@@ -168,9 +168,6 @@ impl SensorFaultPlan {
         sample: usize,
         bits: &[bool],
     ) -> Vec<bool> {
-        if self.is_benign() {
-            return bits.to_vec();
-        }
         let theta_bits = theta_ps.to_bits();
         let kind_tag = match kind {
             TransitionKind::Rising => 0x5249_5345,

@@ -32,9 +32,9 @@ impl Trace {
             .chain(&falling)
             .next()
             .map_or(0, CaptureWord::len);
-        let pack = |kind, words: Vec<CaptureWord>| -> Vec<u64> {
+        let pack = |kind, words: &[CaptureWord]| -> Vec<u64> {
             let mut packed = Vec::with_capacity(words.len() * stride(chain_length));
-            for w in &words {
+            for w in words {
                 assert_eq!(w.kind(), kind, "a {kind} trace holds {kind} words");
                 assert_eq!(w.len(), chain_length, "a trace's words share one length");
                 packed.extend_from_slice(w.packed());
@@ -44,8 +44,8 @@ impl Trace {
         Self::from_packed(
             theta_ps,
             chain_length,
-            pack(TransitionKind::Rising, rising),
-            pack(TransitionKind::Falling, falling),
+            pack(TransitionKind::Rising, &rising),
+            pack(TransitionKind::Falling, &falling),
         )
     }
 
