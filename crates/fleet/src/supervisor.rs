@@ -3,8 +3,8 @@
 //! A [`Supervisor`] drives N concurrent [`Campaign`]s to completion
 //! under injected process-level chaos, deterministically. Since PR 7 the
 //! scheduler is a **lane/barrier design**: each tick, every unresolved
-//! slot is advanced by a worker lane (the vendored rayon fan-out shards
-//! the slot vector into contiguous chunks), and the lanes' effects are
+//! slot is advanced by a worker lane (the vendored rayon fan-out hands
+//! slots to the lanes one at a time), and the lanes' effects are
 //! merged at a serial barrier in slot-index order. Determinism survives
 //! the parallelism because every source of scheduling state is
 //! per-slot:

@@ -1394,14 +1394,17 @@ fn measure_route(
         quorum_failures: 0,
         backoff_s: 0.0,
     };
+    // Repeats and retries read the same device state: walk the route once
+    // for all of them.
+    let delay = device.route_delay(sensor.route());
     let mut acc = 0.0;
     for _ in 0..repeats {
         let mut sample = None;
         for attempt in 1..=retry.max_attempts {
             let result = if robust {
-                sensor.measure_robust(device, quorum, &mut rng)
+                sensor.measure_robust_at(delay, quorum, &mut rng)
             } else {
-                sensor.measure(device, &mut rng)
+                sensor.measure_at(delay, &mut rng)
             };
             match result {
                 Ok(measurement) => {

@@ -186,9 +186,12 @@ impl TdcArray {
                     i as u64,
                     STREAM_MEASURE + phase,
                 ));
+                // The route's delay cannot move between repeats: walk it
+                // once for all of them.
+                let delay = device.route_delay(sensor.route());
                 let mut acc = 0.0;
                 for _ in 0..repeats {
-                    acc += sensor.measure(device, &mut rng)?.delta_ps;
+                    acc += sensor.measure_at(delay, &mut rng)?.delta_ps;
                 }
                 Ok(acc / repeats as f64)
             })

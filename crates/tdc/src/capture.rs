@@ -13,6 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// Words one packed capture of `len` elements occupies (one for an empty
 /// chain, so samples stay countable).
+#[inline]
 pub(crate) fn stride(len: usize) -> usize {
     len.div_ceil(64).max(1)
 }
@@ -35,6 +36,7 @@ pub(crate) fn is_saturated(distance: usize, len: usize) -> bool {
 }
 
 /// Sets bits `range` of a packed capture, a word at a time.
+#[inline]
 pub(crate) fn set_bits(words: &mut [u64], range: Range<usize>) {
     let mut lo = range.start;
     while lo < range.end {
@@ -46,6 +48,7 @@ pub(crate) fn set_bits(words: &mut [u64], range: Range<usize>) {
 }
 
 /// Flips bit `j` of a packed capture.
+#[inline]
 pub(crate) fn flip_bit(words: &mut [u64], j: usize) {
     words[j / 64] ^= 1 << (j % 64);
 }

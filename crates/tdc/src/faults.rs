@@ -88,29 +88,43 @@ impl SensorFaultPlan {
     /// Pure in `(plan, trace contents)`: the same trace corrupts the same
     /// way every time.
     #[must_use]
-    pub fn corrupt_trace(&self, mut trace: Trace) -> Trace {
+    pub fn corrupt_trace(&self, trace: Trace) -> Trace {
+        let stuck = self.stuck_masks(trace.chain_length());
+        self.corrupt_trace_with(trace, &stuck)
+    }
+
+    /// The stuck capture registers of a `len`-element chain. They are a
+    /// property of the element, not the sample: decided from `(seed,
+    /// element)` alone.
+    pub(crate) fn stuck_masks(&self, len: usize) -> StuckMasks {
+        if self.stuck_element_rate <= 0.0 {
+            return StuckMasks::default();
+        }
+        let mut masks = StuckMasks {
+            stuck: vec![0; stride(len)],
+            high: vec![0; stride(len)],
+        };
+        for j in 0..len {
+            let roll = uniform_hash(self.seed ^ 0x5354_5543, j as u64);
+            if roll < self.stuck_element_rate {
+                flip_bit(&mut masks.stuck, j);
+                if roll < self.stuck_element_rate / 2.0 {
+                    flip_bit(&mut masks.high, j);
+                }
+            }
+        }
+        masks
+    }
+
+    /// [`corrupt_trace`](Self::corrupt_trace) with the stuck masks
+    /// already derived for the trace's chain length.
+    pub(crate) fn corrupt_trace_with(&self, mut trace: Trace, stuck: &StuckMasks) -> Trace {
         if self.is_benign() {
             return trace;
         }
         let theta_bits = trace.theta_ps().to_bits();
         let len = trace.chain_length();
         let stride = stride(len);
-        // Stuck capture registers are a property of the element, not the
-        // sample: decided from (seed, element) alone, once per trace, into
-        // a mask of stuck elements and the value each is stuck at.
-        let mut stuck = vec![0; stride];
-        let mut stuck_high = vec![0; stride];
-        if self.stuck_element_rate > 0.0 {
-            for j in 0..len {
-                let roll = uniform_hash(self.seed ^ 0x5354_5543, j as u64);
-                if roll < self.stuck_element_rate {
-                    flip_bit(&mut stuck, j);
-                    if roll < self.stuck_element_rate / 2.0 {
-                        flip_bit(&mut stuck_high, j);
-                    }
-                }
-            }
-        }
         for kind in TransitionKind::ALL {
             let kind_tag = match kind {
                 TransitionKind::Rising => 0x5249_5345,
@@ -148,13 +162,22 @@ impl SensorFaultPlan {
                         }
                     }
                 }
-                for ((w, &s), &h) in word.iter_mut().zip(&stuck).zip(&stuck_high) {
+                for ((w, &s), &h) in word.iter_mut().zip(&stuck.stuck).zip(&stuck.high) {
                     *w = (*w & !s) | h;
                 }
             }
         }
         trace
     }
+}
+
+/// Which elements of a chain a plan sticks (`stuck`), and which of those
+/// read high (`high`), as packed masks one [`stride`] long; both are
+/// empty when the plan sticks nothing.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub(crate) struct StuckMasks {
+    stuck: Vec<u64>,
+    high: Vec<u64>,
 }
 
 #[cfg(test)]

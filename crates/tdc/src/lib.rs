@@ -57,6 +57,7 @@ mod faults;
 mod measurement;
 mod sensor;
 mod stream;
+mod util;
 
 pub use array::TdcArray;
 pub use capture::CaptureWord;
@@ -67,36 +68,3 @@ pub use faults::SensorFaultPlan;
 pub use measurement::{Measurement, Trace};
 pub use sensor::TdcSensor;
 pub use stream::{stream_seed, STREAM_CALIBRATE, STREAM_MEASURE};
-
-pub(crate) mod util {
-    use rand::Rng;
-
-    /// Standard-normal sample via Box–Muller.
-    pub fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-        loop {
-            let u1: f64 = rng.gen();
-            if u1 <= f64::MIN_POSITIVE {
-                continue;
-            }
-            let u2: f64 = rng.gen();
-            return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use rand::SeedableRng;
-
-        #[test]
-        fn gaussian_has_unit_moments() {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-            let n = 20_000;
-            let samples: Vec<f64> = (0..n).map(|_| gaussian(&mut rng)).collect();
-            let mean = samples.iter().sum::<f64>() / n as f64;
-            let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-            assert!(mean.abs() < 0.03, "mean = {mean}");
-            assert!((var - 1.0).abs() < 0.05, "var = {var}");
-        }
-    }
-}

@@ -6,8 +6,9 @@ use fpga_fabric::{
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::capture::{flip_bit, set_bits, stride};
-use crate::util::gaussian;
+use crate::capture::{set_bits, stride};
+use crate::faults::StuckMasks;
+use crate::util::{box_muller, box_muller_bracket, gaussian_uniforms};
 use crate::{
     CaptureWord, ClockGenerator, Measurement, SensorFaultPlan, TdcConfig, TdcError, Trace,
 };
@@ -29,6 +30,10 @@ pub struct TdcSensor {
     theta_init_ps: Option<f64>,
     #[serde(default)]
     faults: SensorFaultPlan,
+    /// `faults`' stuck elements on this chain, derived when the plan is
+    /// installed rather than on every trace.
+    #[serde(default)]
+    stuck: StuckMasks,
 }
 
 impl TdcSensor {
@@ -60,6 +65,7 @@ impl TdcSensor {
             clock,
             theta_init_ps: None,
             faults: SensorFaultPlan::none(),
+            stuck: StuckMasks::default(),
         })
     }
 
@@ -67,6 +73,7 @@ impl TdcSensor {
     /// default plan corrupts nothing; a benign plan leaves every capture
     /// byte-identical to a sensor with no plan at all.
     pub fn set_fault_plan(&mut self, plan: SensorFaultPlan) {
+        self.stuck = plan.stuck_masks(self.chain.len());
         self.faults = plan;
     }
 
@@ -167,6 +174,10 @@ impl TdcSensor {
     /// word and the RNG draws match an element-by-element scan exactly.
     /// Settled runs are written as word masks; only metastable bits are
     /// set one at a time.
+    ///
+    /// Every decision is monotone in the front, so each is made on a
+    /// [`Front`] bracket and takes the exact jitter only where the
+    /// bracket's two ends disagree.
     fn capture_into<R: Rng + ?Sized>(
         &self,
         route_delay_ps: f64,
@@ -175,21 +186,19 @@ impl TdcSensor {
         rng: &mut R,
         word: &mut [u64],
     ) {
-        let jitter = gaussian(rng) * self.config.jitter_sigma_ps;
-        // Time the edge has had inside the chain when the capture fires.
-        let front_time = theta_ps + jitter - route_delay_ps;
+        let mut front = Front::draw(rng, theta_ps, self.config.jitter_sigma_ps, route_delay_ps);
         let w = self.config.metastable_window_ps;
         // Element `i` is passed once the edge clears its output.
         let passed_at = &self.chain.cumulative_ps()[1..];
         let len = passed_at.len();
-        let settles = |p: f64| front_time - p > w / 2.0;
+        let settles = |p: f64| move |front_time: f64| front_time - p > w / 2.0;
         // A NaN or negative hint casts to 0 and an overlong one clamps;
         // a NaN front then settles nothing.
-        let mut settled = ((front_time / CARRY_ELEMENT_PS) as usize).min(len);
-        while settled < len && settles(passed_at[settled]) {
+        let mut settled = ((front.lo / CARRY_ELEMENT_PS) as usize).min(len);
+        while settled < len && front.decide(settles(passed_at[settled])) {
             settled += 1;
         }
-        while settled > 0 && !settles(passed_at[settled - 1]) {
+        while settled > 0 && !front.decide(settles(passed_at[settled - 1])) {
             settled -= 1;
         }
         // A bit is set where the edge passed (rising) or did not (falling).
@@ -200,22 +209,27 @@ impl TdcSensor {
         }
         let mut reached = settled;
         for &p in &passed_at[settled..] {
-            let margin = front_time - p;
             // The scan's own `< −w/2` test, so that even a NaN margin
             // lands in the metastable band exactly as it did there.
-            if margin < -w / 2.0 {
+            if front.decide(|front_time| front_time - p < -w / 2.0) {
                 break;
             }
             let transition_passed = if w > 0.0 {
                 // Metastable: resolves with probability linear in the
                 // capture margin.
-                rng.gen_bool((0.5 + margin / w).clamp(0.0, 1.0))
+                let prob = |front_time: f64| (0.5 + (front_time - p) / w).clamp(0.0, 1.0);
+                if front.exact {
+                    rng.gen_bool(prob(front.lo))
+                } else {
+                    // `gen_bool(p)` is `gen() < p`: the same one draw.
+                    let u: f64 = rng.gen();
+                    front.decide(|front_time| u < prob(front_time))
+                }
             } else {
-                margin >= 0.0
+                front.decide(|front_time| front_time - p >= 0.0)
             };
-            if transition_passed == set_if_passed {
-                flip_bit(word, reached);
-            }
+            // Branch-free: the outcome is a coin flip no predictor learns.
+            word[reached / 64] ^= u64::from(transition_passed == set_if_passed) << (reached % 64);
             reached += 1;
         }
         if !set_if_passed {
@@ -262,8 +276,10 @@ impl TdcSensor {
         };
         let rising = sample(TransitionKind::Rising, rng);
         let falling = sample(TransitionKind::Falling, rng);
-        self.faults
-            .corrupt_trace(Trace::from_packed(theta_ps, len, rising, falling))
+        self.faults.corrupt_trace_with(
+            Trace::from_packed(theta_ps, len, rising, falling),
+            &self.stuck,
+        )
     }
 
     /// The stored θ_init, checked usable: a non-finite one would put every
@@ -276,16 +292,14 @@ impl TdcSensor {
         Ok(theta_init)
     }
 
-    /// The traces of one measurement: θ steps down from θ_init, and the
-    /// route is walked once for all of them — BTI moves its delay over
-    /// hours, not within a measurement.
+    /// The traces of one measurement against a route delay already read
+    /// off the device: θ steps down from θ_init.
     fn capture_measurement<R: Rng + ?Sized>(
         &self,
-        device: &FpgaDevice,
+        delay: RouteDelay,
         rng: &mut R,
     ) -> Result<Vec<Trace>, TdcError> {
         let theta_init = self.usable_theta_init()?;
-        let delay = device.route_delay(&self.route);
         Ok((0..self.config.traces_per_measurement)
             .map(|i| {
                 let theta = theta_init - i as f64 * self.config.theta_step_ps;
@@ -369,7 +383,23 @@ impl TdcSensor {
         device: &FpgaDevice,
         rng: &mut R,
     ) -> Result<Measurement, TdcError> {
-        let traces = self.capture_measurement(device, rng)?;
+        self.measure_at(device.route_delay(&self.route), rng)
+    }
+
+    /// [`measure`](Self::measure) against `delay`, this sensor's route
+    /// delay already read off the device. BTI moves a route's delay over
+    /// hours, not within a measurement, so a caller that reads one route
+    /// many times in a row can walk it once for all of them.
+    ///
+    /// # Errors
+    ///
+    /// As [`measure`](Self::measure).
+    pub fn measure_at<R: Rng + ?Sized>(
+        &self,
+        delay: RouteDelay,
+        rng: &mut R,
+    ) -> Result<Measurement, TdcError> {
+        let traces = self.capture_measurement(delay, rng)?;
         Ok(Measurement::from_traces(&traces))
     }
 
@@ -393,7 +423,22 @@ impl TdcSensor {
         min_quorum: f64,
         rng: &mut R,
     ) -> Result<Measurement, TdcError> {
-        let traces = self.capture_measurement(device, rng)?;
+        self.measure_robust_at(device.route_delay(&self.route), min_quorum, rng)
+    }
+
+    /// [`measure_robust`](Self::measure_robust) against a route delay
+    /// already read off the device, as [`measure_at`](Self::measure_at).
+    ///
+    /// # Errors
+    ///
+    /// As [`measure_robust`](Self::measure_robust).
+    pub fn measure_robust_at<R: Rng + ?Sized>(
+        &self,
+        delay: RouteDelay,
+        min_quorum: f64,
+        rng: &mut R,
+    ) -> Result<Measurement, TdcError> {
+        let traces = self.capture_measurement(delay, rng)?;
         Measurement::try_from_traces(&traces, min_quorum)
     }
 
@@ -419,14 +464,115 @@ impl TdcSensor {
     }
 }
 
+/// The capture front `θ + jitter − route delay` of one sample, held as a
+/// certified bracket `lo ≤ front ≤ hi` from
+/// [`box_muller_bracket`](crate::util::box_muller_bracket) until a
+/// decision needs the exact value.
+///
+/// Adding a constant and scaling by `jitter_sigma_ps ≥ 0` are monotone
+/// under rounding, so the bracket on the Gaussian carries over to the
+/// front, and a predicate monotone in the front that agrees at `lo` and
+/// `hi` agrees at the exact front. The uniforms are kept, so the exact
+/// front is computed from the same draws: no RNG rewind, and the draw
+/// count is unchanged.
+struct Front {
+    lo: f64,
+    hi: f64,
+    /// `lo == hi ==` the exact front: every decision is taken on it.
+    exact: bool,
+    u1: f64,
+    u2: f64,
+    theta_ps: f64,
+    sigma_ps: f64,
+    route_delay_ps: f64,
+}
+
+impl Front {
+    fn draw<R: Rng + ?Sized>(
+        rng: &mut R,
+        theta_ps: f64,
+        sigma_ps: f64,
+        route_delay_ps: f64,
+    ) -> Self {
+        let (u1, u2) = gaussian_uniforms(rng);
+        let mut front = Self {
+            lo: f64::NAN,
+            hi: f64::NAN,
+            exact: false,
+            u1,
+            u2,
+            theta_ps,
+            sigma_ps,
+            route_delay_ps,
+        };
+        let at = |g: f64| theta_ps + g * sigma_ps - route_delay_ps;
+        match box_muller_bracket(u1, u2).map(|(lo, hi)| (at(lo), at(hi))) {
+            Some((lo, hi)) if lo.is_finite() && hi.is_finite() => {
+                front.lo = lo;
+                front.hi = hi;
+            }
+            // A non-finite front (a NaN θ, say) is decided exactly, so a
+            // metastable element reaches `gen_bool` and panics as it
+            // always has.
+            _ => front.resolve(),
+        }
+        front
+    }
+
+    /// Replaces the bracket by the exact front.
+    fn resolve(&mut self) {
+        let front_time = exact_front(
+            self.u1,
+            self.u2,
+            self.theta_ps,
+            self.sigma_ps,
+            self.route_delay_ps,
+        );
+        self.lo = front_time;
+        self.hi = front_time;
+        self.exact = true;
+    }
+
+    /// `decision(front)` for a `decision` monotone in the front.
+    fn decide(&mut self, decision: impl Fn(f64) -> bool) -> bool {
+        let at_lo = decision(self.lo);
+        if at_lo == decision(self.hi) {
+            return at_lo;
+        }
+        self.resolve();
+        decision(self.lo)
+    }
+}
+
+/// The exact front, `θ + box_muller(u1, u2)·σ − delay`. Out of line and
+/// cold, so the capture loop carries none of `ln` and `cos`: forced
+/// inline, it slowed the bracketed capture by 10–20 %. It takes and
+/// returns plain values so that [`Front`] never has its address taken and
+/// stays in registers.
+#[cold]
+#[inline(never)]
+fn exact_front(u1: f64, u2: f64, theta_ps: f64, sigma_ps: f64, route_delay_ps: f64) -> f64 {
+    #[cfg(test)]
+    tests::EXACT_FRONTS.with(|n| n.set(n.get() + 1));
+    let jitter = box_muller(u1, u2) * sigma_ps;
+    theta_ps + jitter - route_delay_ps
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::gaussian;
     use bti_physics::{DutyCycle, Hours};
     use fpga_fabric::RouteRequest;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::cell::Cell;
+
+    std::thread_local! {
+        /// Samples on this thread whose front was computed exactly.
+        pub(super) static EXACT_FRONTS: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn setup(target: f64, seed: u64) -> (FpgaDevice, TdcSensor, StdRng) {
         let device = FpgaDevice::zcu102_new(seed);
@@ -656,6 +802,36 @@ mod tests {
                     || majority_saturated(&falling, TransitionKind::Falling)
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "probability out of range")]
+    fn capture_sample_panics_on_nan_theta() {
+        let (device, sensor, mut rng) = setup(1_000.0, 3);
+        let _ = sensor.capture_sample(&device, f64::NAN, TransitionKind::Rising, &mut rng);
+    }
+
+    /// The jitter bracket decides most cloud samples alone: the exact
+    /// Box–Muller draw runs for fewer than 15 % of them.
+    #[test]
+    fn cloud_capture_rarely_needs_the_exact_jitter() {
+        let device = FpgaDevice::zcu102_new(11);
+        let route = device
+            .route_with_target_delay(&RouteRequest::new(TileCoord::new(4, 4), 5_000.0))
+            .unwrap();
+        let mut sensor = TdcSensor::place(&device, route, TdcConfig::cloud()).unwrap();
+        let mut rng = StdRng::seed_from_u64(11);
+        sensor.calibrate(&device, &mut rng).unwrap();
+        let before = EXACT_FRONTS.with(Cell::get);
+        let reads = 50;
+        for _ in 0..reads {
+            sensor.measure(&device, &mut rng).unwrap();
+        }
+        let exact = EXACT_FRONTS.with(Cell::get) - before;
+        // Each read captures its samples once per polarity.
+        let samples = reads * 2 * sensor.config().samples_per_measurement();
+        let share = exact as f64 / samples as f64;
+        assert!(share > 0.0 && share < 0.15, "{exact} of {samples} exact");
     }
 
     #[test]

@@ -47,6 +47,22 @@ cargo run --release -q -p bench --bin fig3_traces > /tmp/ci_fig3_traces.txt
 cmp results/fig3_traces.txt /tmp/ci_fig3_traces.txt \
     || { echo "FAIL: fig3_traces stdout differs from results/fig3_traces.txt"; exit 1; }
 
+echo "== perfbench self-test + pinned passes (benchmark workloads, bit identity) =="
+# perfbench is a workspace of its own. The self-test checks that the
+# outcome digest and every work counter repeat at pool widths 2, 2 and 1;
+# one traced pass per workload must reproduce its pinned seed-1 digest,
+# so a capture change that moves a bit on the benchmark's own workloads
+# fails here.
+cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- --self-test
+for workload in attack_tdc campaign_hostile; do
+    line=$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 0 --trace 1 | tail -n 1)
+    case "$line" in
+        *'"correct":true'*) ;;
+        *) echo "FAIL: perfbench $workload seed 1: $line"; exit 1 ;;
+    esac
+done
+
 echo "== fig7 + fig8 + repeatability (threat-model entry points, byte identity) =="
 # These bins reach the attack protocol only through threat_model1::run /
 # threat_model2::run, so their checked-in CSVs pin those entry points
