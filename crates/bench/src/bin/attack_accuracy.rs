@@ -4,11 +4,10 @@
 
 use bench::{
     exit_by, run_with_thread_arg, save_artifact, smoke_from_args, tm1_end_to_end_config, ObsSink,
-    ShapeReport, SweepCache,
+    ShapeReport,
 };
 use bti_physics::LogicLevel;
 use cloud::{Provider, ProviderConfig};
-use obs::json_f64;
 use pentimento::threat_model1::ThreatModel1Config;
 use pentimento::threat_model2::ThreatModel2Config;
 use pentimento::{Campaign, CampaignConfig, MeasurementMode, Mission, RouteSeries};
@@ -33,8 +32,7 @@ fn per_length_accuracy(
 }
 
 /// Everything one TM1 sweep point contributes downstream (table row, CSV
-/// rows, the 200 h claim) — the unit the result cache stores, so a hit
-/// skips the whole simulated burn.
+/// rows, the 200 h claim).
 struct Tm1Cell {
     burn_hours: usize,
     per_len: Vec<(f64, usize, usize)>,
@@ -51,89 +49,6 @@ struct Tm2Cell {
     long_total: usize,
 }
 
-// Cell artifacts are deterministic k=v lines; floats go through
-// `json_f64` (shortest roundtrip), so encode∘decode is the identity and
-// a verified hit is byte-identical by construction.
-
-fn encode_tm1(cell: &Tm1Cell) -> String {
-    let mut out = format!("burn_hours={}\n", cell.burn_hours);
-    for (target, c, t) in &cell.per_len {
-        out.push_str(&format!("len={} c={c} t={t}\n", json_f64(*target)));
-    }
-    out.push_str(&format!("accuracy={}\n", json_f64(cell.accuracy)));
-    out
-}
-
-fn decode_tm1(s: &str) -> Option<Tm1Cell> {
-    let mut burn_hours = None;
-    let mut per_len = Vec::new();
-    let mut accuracy = None;
-    for line in s.lines() {
-        let (name, value) = line.split_once('=')?;
-        match name {
-            "burn_hours" => burn_hours = Some(value.parse().ok()?),
-            "len" => {
-                let mut f = value.split(' ');
-                let target: f64 = f.next()?.parse().ok()?;
-                let c: usize = f.next()?.strip_prefix("c=")?.parse().ok()?;
-                let t: usize = f.next()?.strip_prefix("t=")?.parse().ok()?;
-                per_len.push((target, c, t));
-            }
-            "accuracy" => accuracy = Some(value.parse().ok()?),
-            _ => return None,
-        }
-    }
-    Some(Tm1Cell {
-        burn_hours: burn_hours?,
-        per_len,
-        accuracy: accuracy?,
-    })
-}
-
-fn encode_tm2(cell: &Tm2Cell) -> String {
-    let mut out = format!("victim_hours={}\n", cell.victim_hours);
-    for (target, c, t) in &cell.per_len {
-        out.push_str(&format!("len={} c={c} t={t}\n", json_f64(*target)));
-    }
-    out.push_str(&format!("accuracy={}\n", json_f64(cell.accuracy)));
-    out.push_str(&format!("long={} {}\n", cell.long_correct, cell.long_total));
-    out
-}
-
-fn decode_tm2(s: &str) -> Option<Tm2Cell> {
-    let mut victim_hours = None;
-    let mut per_len = Vec::new();
-    let mut accuracy = None;
-    let mut long = None;
-    for line in s.lines() {
-        let (name, value) = line.split_once('=')?;
-        match name {
-            "victim_hours" => victim_hours = Some(value.parse().ok()?),
-            "len" => {
-                let mut f = value.split(' ');
-                let target: f64 = f.next()?.parse().ok()?;
-                let c: usize = f.next()?.strip_prefix("c=")?.parse().ok()?;
-                let t: usize = f.next()?.strip_prefix("t=")?.parse().ok()?;
-                per_len.push((target, c, t));
-            }
-            "accuracy" => accuracy = Some(value.parse().ok()?),
-            "long" => {
-                let (c, t) = value.split_once(' ')?;
-                long = Some((c.parse().ok()?, t.parse().ok()?));
-            }
-            _ => return None,
-        }
-    }
-    let (long_correct, long_total) = long?;
-    Some(Tm2Cell {
-        victim_hours: victim_hours?,
-        per_len,
-        accuracy: accuracy?,
-        long_correct,
-        long_total,
-    })
-}
-
 fn main() {
     run_with_thread_arg(run);
 }
@@ -148,16 +63,6 @@ fn run() {
     // though the sweep fans out.
     let sink = ObsSink::from_args();
     let rec = sink.as_ref().map(ObsSink::recorder);
-    // `--cache DIR` keys each sweep point by its full config + seed and
-    // replays the stored cell artifact on a hit (`--threads` is not part
-    // of the key: cells are width-invariant).
-    let cache = match SweepCache::from_args(rec.clone()) {
-        Ok(cache) => cache,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
     let lengths = [1_000.0, 2_000.0, 5_000.0, 10_000.0];
     let mut csv = String::from("model,burn_hours,target_ps,correct,total,accuracy\n");
     let mut report = ShapeReport::new();
@@ -187,49 +92,23 @@ fn run() {
                     measurement_repeats: 4,
                 }
             };
-            let compute = || {
-                let provider = Provider::new(ProviderConfig::aws_f1_like(1, seed));
-                let mission = Mission::ThreatModel1(config.clone());
-                let outcome = Campaign::new_observed(
-                    provider,
-                    mission,
-                    CampaignConfig::default(),
-                    rec.clone(),
-                )
-                .and_then(|mut campaign| campaign.run())
-                .expect("attack completes");
-                let per_len = lengths
-                    .iter()
-                    .map(|&target| {
-                        let (c, t) =
-                            per_length_accuracy(&outcome.series, &outcome.recovered, target);
-                        (target, c, t)
-                    })
-                    .collect();
-                Tm1Cell {
-                    burn_hours,
-                    per_len,
-                    accuracy: outcome.metrics.accuracy,
-                }
-            };
-            match cache.as_ref() {
-                Some(cache) => {
-                    let config_dbg = format!("{config:?}");
-                    let seed_s = seed.to_string();
-                    cache.cell(
-                        &format!("attack_tm1_burn{burn_hours}"),
-                        &[
-                            ("bin", "attack_accuracy"),
-                            ("model", "tm1"),
-                            ("config", &config_dbg),
-                            ("seed", &seed_s),
-                        ],
-                        compute,
-                        encode_tm1,
-                        decode_tm1,
-                    )
-                }
-                None => compute(),
+            let provider = Provider::new(ProviderConfig::aws_f1_like(1, seed));
+            let mission = Mission::ThreatModel1(config);
+            let outcome =
+                Campaign::new_observed(provider, mission, CampaignConfig::default(), rec.clone())
+                    .and_then(|mut campaign| campaign.run())
+                    .expect("attack completes");
+            let per_len = lengths
+                .iter()
+                .map(|&target| {
+                    let (c, t) = per_length_accuracy(&outcome.series, &outcome.recovered, target);
+                    (target, c, t)
+                })
+                .collect();
+            Tm1Cell {
+                burn_hours,
+                per_len,
+                accuracy: outcome.metrics.accuracy,
             }
         })
         .collect();
@@ -272,57 +151,31 @@ fn run() {
                 measurement_repeats: if smoke { 4 } else { 8 },
                 victim_hold_and_recover_hours: 0,
             };
-            let compute = || {
-                let provider = Provider::new(ProviderConfig::aws_f1_like(2, seed));
-                let mission = Mission::ThreatModel2(config.clone());
-                let outcome = Campaign::new_observed(
-                    provider,
-                    mission,
-                    CampaignConfig::default(),
-                    rec.clone(),
-                )
-                .and_then(|mut campaign| campaign.run())
-                .expect("attack completes");
-                let mut long_correct = 0;
-                let mut long_total = 0;
-                let per_len = lengths
-                    .iter()
-                    .map(|&target| {
-                        let (c, t) =
-                            per_length_accuracy(&outcome.series, &outcome.recovered, target);
-                        if target >= 5_000.0 {
-                            long_correct += c;
-                            long_total += t;
-                        }
-                        (target, c, t)
-                    })
-                    .collect();
-                Tm2Cell {
-                    victim_hours,
-                    per_len,
-                    accuracy: outcome.metrics.accuracy,
-                    long_correct,
-                    long_total,
-                }
-            };
-            match cache.as_ref() {
-                Some(cache) => {
-                    let config_dbg = format!("{config:?}");
-                    let seed_s = seed.to_string();
-                    cache.cell(
-                        &format!("attack_tm2_victim{victim_hours}"),
-                        &[
-                            ("bin", "attack_accuracy"),
-                            ("model", "tm2"),
-                            ("config", &config_dbg),
-                            ("seed", &seed_s),
-                        ],
-                        compute,
-                        encode_tm2,
-                        decode_tm2,
-                    )
-                }
-                None => compute(),
+            let provider = Provider::new(ProviderConfig::aws_f1_like(2, seed));
+            let mission = Mission::ThreatModel2(config);
+            let outcome =
+                Campaign::new_observed(provider, mission, CampaignConfig::default(), rec.clone())
+                    .and_then(|mut campaign| campaign.run())
+                    .expect("attack completes");
+            let mut long_correct = 0;
+            let mut long_total = 0;
+            let per_len = lengths
+                .iter()
+                .map(|&target| {
+                    let (c, t) = per_length_accuracy(&outcome.series, &outcome.recovered, target);
+                    if target >= 5_000.0 {
+                        long_correct += c;
+                        long_total += t;
+                    }
+                    (target, c, t)
+                })
+                .collect();
+            Tm2Cell {
+                victim_hours,
+                per_len,
+                accuracy: outcome.metrics.accuracy,
+                long_correct,
+                long_total,
             }
         })
         .collect();
@@ -366,9 +219,6 @@ fn run() {
     }
     if let Ok(path) = save_artifact("attack_accuracy.csv", &csv) {
         println!("\nwrote {}", path.display());
-    }
-    if let Some(cache) = &cache {
-        cache.finish(&mut report);
     }
     if let Some(sink) = &sink {
         report.check(

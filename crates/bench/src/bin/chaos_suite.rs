@@ -36,8 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bench::{
-    cache_bench_row, exit_by, path_from_args, save_artifact, threads_from_args, ObsSink,
-    ShapeReport, SweepCache,
+    exit_by, fnv1a, path_from_args, save_artifact, threads_from_args, ObsSink, ShapeReport,
 };
 use cloud::{Provider, ProviderConfig};
 use fleet::{CampaignSpec, ChaosPlan, FleetConfig, FleetReport, Supervisor};
@@ -301,7 +300,7 @@ fn run_once(cell: &Cell, burn_hours: usize, recorder: Option<&Arc<Recorder>>) ->
     let flights = supervisor
         .flight_dumps()
         .iter()
-        .map(|(id, body)| (id.clone(), obs_analyze::fnv1a(body.as_bytes())))
+        .map(|(id, body)| (id.clone(), fnv1a(body.as_bytes())))
         .collect();
     CellRun {
         report,
@@ -332,53 +331,6 @@ struct CellRow {
     quarantined: usize,
 }
 
-// A chaos cell's cached artifact is the row plus the claim's observed
-// string: deterministic k=v lines, so a verified hit is byte-identical
-// and a replayed cell reproduces the exact same shape check.
-
-fn encode_cell(value: &(CellRow, String)) -> String {
-    let (r, observed) = value;
-    format!(
-        "bit_identical={}\ngate_passed={}\ncompleted={}\nfailed={}\nkills={}\nrestarts={}\n\
-         rollbacks={}\ncorruptions={}\ntruncations={}\nquarantined={}\nobserved={}\n",
-        r.bit_identical,
-        r.gate_passed,
-        r.completed,
-        r.failed,
-        r.kills,
-        r.restarts,
-        r.rollbacks,
-        r.corruptions,
-        r.truncations,
-        r.quarantined,
-        observed.replace('\n', " "),
-    )
-}
-
-fn decode_cell(name: &'static str, s: &str) -> Option<(CellRow, String)> {
-    let mut fields = std::collections::BTreeMap::new();
-    for line in s.lines() {
-        let (k, v) = line.split_once('=')?;
-        fields.insert(k, v);
-    }
-    Some((
-        CellRow {
-            name,
-            bit_identical: fields.get("bit_identical")?.parse().ok()?,
-            gate_passed: fields.get("gate_passed")?.parse().ok()?,
-            completed: fields.get("completed")?.parse().ok()?,
-            failed: fields.get("failed")?.parse().ok()?,
-            kills: fields.get("kills")?.parse().ok()?,
-            restarts: fields.get("restarts")?.parse().ok()?,
-            rollbacks: fields.get("rollbacks")?.parse().ok()?,
-            corruptions: fields.get("corruptions")?.parse().ok()?,
-            truncations: fields.get("truncations")?.parse().ok()?,
-            quarantined: fields.get("quarantined")?.parse().ok()?,
-        },
-        (*fields.get("observed")?).to_owned(),
-    ))
-}
-
 fn claim_for(name: &str) -> &str {
     match name {
         "benign" => "benign fleet completes bit-identically at every width",
@@ -397,8 +349,7 @@ fn claim_for(name: &str) -> &str {
 
 /// Computes one matrix cell end to end — references, width sweep,
 /// determinism replay, invariant evaluation — and returns the row plus
-/// the shape check's observed string. Pure with respect to the cell's
-/// inputs, which is what makes it cacheable.
+/// the shape check's observed string.
 fn compute_cell(cell: &Cell, burn_hours: usize, widths: &[usize]) -> (CellRow, String) {
     let refs = references(cell, burn_hours);
 
@@ -483,43 +434,16 @@ fn compute_cell(cell: &Cell, burn_hours: usize, widths: &[usize]) -> (CellRow, S
     )
 }
 
-/// Runs one matrix cell, through the result cache when one is active.
-/// The shape check and the sink-feeding run happen out here: a cached
-/// cell replays the same check verdict, and the obs trace artifact is
-/// regenerated live whenever `--trace`/`--metrics` asks for it.
+/// Runs one matrix cell, records its shape check, and, when
+/// `--trace`/`--metrics` asks for it, feeds one more run into the sink.
 fn run_cell(
     cell: &Cell,
     burn_hours: usize,
     widths: &[usize],
     report: &mut ShapeReport,
     sink_recorder: Option<&Arc<Recorder>>,
-    cache: Option<&SweepCache>,
 ) -> CellRow {
-    let (row, observed) = match cache {
-        Some(cache) => {
-            let plan_dbg = format!("{:?}", cell.plan);
-            let config_dbg = format!("{:?}", cell.config);
-            let fleet_size = cell.fleet_size.to_string();
-            let burn = burn_hours.to_string();
-            let widths_s = format!("{widths:?}");
-            cache.cell(
-                &format!("chaos_{}", cell.name),
-                &[
-                    ("bin", "chaos_suite"),
-                    ("cell", cell.name),
-                    ("plan", &plan_dbg),
-                    ("fleet_config", &config_dbg),
-                    ("fleet_size", &fleet_size),
-                    ("burn_hours", &burn),
-                    ("widths", &widths_s),
-                ],
-                || compute_cell(cell, burn_hours, widths),
-                encode_cell,
-                |s| decode_cell(cell.name, s),
-            )
-        }
-        None => compute_cell(cell, burn_hours, widths),
-    };
+    let (row, observed) = compute_cell(cell, burn_hours, widths);
     report.check(claim_for(cell.name), row.gate_passed, observed);
 
     // One more run feeding the shared obs sink, so the emitted trace
@@ -612,32 +536,6 @@ fn compute_torn_store_kill9(burn_hours: usize) -> (CellRow, String) {
     )
 }
 
-fn run_torn_store_kill9(
-    burn_hours: usize,
-    report: &mut ShapeReport,
-    cache: Option<&SweepCache>,
-) -> CellRow {
-    let (row, observed) = match cache {
-        Some(cache) => {
-            let burn = burn_hours.to_string();
-            cache.cell(
-                "chaos_torn_store_kill9",
-                &[
-                    ("bin", "chaos_suite"),
-                    ("cell", "torn_store_kill9"),
-                    ("burn_hours", &burn),
-                ],
-                || compute_torn_store_kill9(burn_hours),
-                encode_cell,
-                |s| decode_cell("torn_store_kill9", s),
-            )
-        }
-        None => compute_torn_store_kill9(burn_hours),
-    };
-    report.check(claim_for("torn_store_kill9"), row.gate_passed, observed);
-    row
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let max_threads = threads_from_args().unwrap_or(4).max(1);
@@ -652,13 +550,6 @@ fn main() {
 
     let sink = ObsSink::from_args();
     let sink_recorder = sink.as_ref().map(ObsSink::recorder);
-    let cache = match SweepCache::from_args(sink_recorder.clone()) {
-        Ok(cache) => cache,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
     let flight_dir = path_from_args("flight-dir");
     let cells = matrix(smoke, flight_dir.as_ref());
     println!(
@@ -676,7 +567,6 @@ fn main() {
             &widths,
             &mut report,
             sink_recorder.as_ref(),
-            cache.as_ref(),
         );
         println!(
             "  {:<16} completed {} / failed {}, kills {}, restarts {}, rollbacks {}, \
@@ -693,7 +583,8 @@ fn main() {
         );
         rows.push(row);
     }
-    let row = run_torn_store_kill9(burn_hours, &mut report, cache.as_ref());
+    let (row, observed) = compute_torn_store_kill9(burn_hours);
+    report.check(claim_for(row.name), row.gate_passed, observed);
     println!(
         "  {:<16} completed {} / failed {}, rollbacks {}, bit_identical {}, gate {}",
         row.name, row.completed, row.failed, row.rollbacks, row.bit_identical, row.gate_passed
@@ -723,25 +614,18 @@ fn main() {
             )
         })
         .collect();
-    // The result_cache row carries only identity facts (cell count,
-    // byte-identity verdict), never hit counts — so the cold and warm
-    // BENCH files compare byte-identical in the CI cache smoke.
     let json = format!(
         concat!(
             "{{\"workload\":\"fleet_chaos_matrix\",\"smoke\":{},",
-            "\"burn_hours\":{},\"hardware_threads\":{},\"rows\":[{},{}]}}"
+            "\"burn_hours\":{},\"hardware_threads\":{},\"rows\":[{}]}}"
         ),
         smoke,
         burn_hours,
         hardware_threads,
-        json_rows.join(","),
-        cache_bench_row(cache.as_ref())
+        json_rows.join(",")
     );
     if let Ok(path) = save_artifact("BENCH_chaos.json", &json) {
         println!("wrote {}", path.display());
-    }
-    if let Some(cache) = &cache {
-        cache.finish(&mut report);
     }
     if let Some(sink) = &sink {
         report.check(

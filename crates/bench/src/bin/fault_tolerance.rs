@@ -21,11 +21,9 @@
 //!
 //! Artifacts: `fault_tolerance.csv` and `fault_tolerance.json`.
 
-use bench::{exit_by, run_with_thread_arg, save_artifact, ObsSink, ShapeReport, SweepCache};
+use bench::{exit_by, fnv1a, run_with_thread_arg, save_artifact, ObsSink, ShapeReport};
 use bti_physics::{Hours, LogicLevel};
 use cloud::{FaultKind, FaultPlan, Provider, ProviderConfig};
-use obs::json_f64;
-use obs_analyze::fnv1a;
 use pentimento::threat_model1::{self, ThreatModel1Config};
 use pentimento::threat_model2::{self, ThreatModel2Config};
 use pentimento::{Campaign, CampaignConfig, CampaignOutcome, MeasurementMode, Mission};
@@ -77,16 +75,15 @@ fn campaign_config(rate: f64) -> CampaignConfig {
 /// Exact content digest of a campaign's behavioural outcome: FNV-1a
 /// over the `Debug` rendering of (series, recovered, truth). `Debug`
 /// prints floats shortest-roundtrip, so equal digests mean bit-equal
-/// outcomes — cross-cell identity claims (benign equivalence) survive
-/// caching without storing the full series.
+/// outcomes, so the benign-equivalence claim compares two digests
+/// instead of two full series.
 fn outcome_digest(series: &[pentimento::RouteSeries], recovered: &[LogicLevel]) -> u64 {
     fnv1a(format!("{:?}", (series, recovered)).as_bytes())
 }
 
 /// Everything one sweep cell contributes downstream (table line, CSV and
-/// JSON rows, the three claims) — the unit the result cache stores. A
-/// campaign failure is carried in `error` so a cached cell replays the
-/// same attributed check failure a live run would produce.
+/// JSON rows, the three claims). A campaign failure is carried in
+/// `error` and becomes an attributed check failure.
 struct CellOut {
     tm: String,
     rate: f64,
@@ -151,64 +148,6 @@ impl CellOut {
         }
     }
 
-    fn encode(&self) -> String {
-        let mut out = format!("tm={}\nrate={}\n", self.tm, json_f64(self.rate));
-        if let Some(error) = &self.error {
-            out.push_str(&format!("error={error}\n"));
-            return out;
-        }
-        out.push_str(&format!(
-            "bits={}\ndprime={}\naccuracy={}\nmean_confidence={}\nabstained={}\n\
-             reacquisitions={}\nrent_retries={}\nscrub_reloads={}\ndropped_points={}\n\
-             degraded_points={}\nfaults_injected={}\ntruth_bits={}\ndigest={:016x}\n",
-            self.bits,
-            json_f64(self.dprime),
-            json_f64(self.accuracy),
-            json_f64(self.mean_confidence),
-            self.abstained,
-            self.reacquisitions,
-            self.rent_retries,
-            self.scrub_reloads,
-            self.dropped_points,
-            self.degraded_points,
-            self.faults_injected,
-            self.truth_bits,
-            self.digest,
-        ));
-        out
-    }
-
-    fn decode(s: &str) -> Option<Self> {
-        let mut fields = std::collections::BTreeMap::new();
-        for line in s.lines() {
-            let (name, value) = line.split_once('=')?;
-            fields.insert(name, value);
-        }
-        let tm = (*fields.get("tm")?).to_owned();
-        let rate: f64 = fields.get("rate")?.parse().ok()?;
-        if let Some(error) = fields.get("error") {
-            return Some(Self::failed(&tm, rate, (*error).to_owned()));
-        }
-        Some(Self {
-            tm,
-            rate,
-            error: None,
-            bits: fields.get("bits")?.parse().ok()?,
-            dprime: fields.get("dprime")?.parse().ok()?,
-            accuracy: fields.get("accuracy")?.parse().ok()?,
-            mean_confidence: fields.get("mean_confidence")?.parse().ok()?,
-            abstained: fields.get("abstained")?.parse().ok()?,
-            reacquisitions: fields.get("reacquisitions")?.parse().ok()?,
-            rent_retries: fields.get("rent_retries")?.parse().ok()?,
-            scrub_reloads: fields.get("scrub_reloads")?.parse().ok()?,
-            dropped_points: fields.get("dropped_points")?.parse().ok()?,
-            degraded_points: fields.get("degraded_points")?.parse().ok()?,
-            faults_injected: fields.get("faults_injected")?.parse().ok()?,
-            truth_bits: fields.get("truth_bits")?.parse().ok()?,
-            digest: u64::from_str_radix(fields.get("digest")?, 16).ok()?,
-        })
-    }
-
     fn csv(&self) -> String {
         format!(
             "{},{},{},{:.3},{:.4},{:.4},{},{},{},{},{},{},{}",
@@ -253,40 +192,15 @@ impl CellOut {
     }
 }
 
-/// Cached form of the `threat_model{1,2}::run` reference runs claim 1
+/// Outcome of a `threat_model{1,2}::run` reference run, which claim 1
 /// compares against.
 struct DriverOut {
     accuracy: f64,
     digest: u64,
 }
 
-fn encode_driver(d: &DriverOut) -> String {
-    format!(
-        "accuracy={}\ndigest={:016x}\n",
-        json_f64(d.accuracy),
-        d.digest
-    )
-}
-
-fn decode_driver(s: &str) -> Option<DriverOut> {
-    let mut accuracy = None;
-    let mut digest = None;
-    for line in s.lines() {
-        let (name, value) = line.split_once('=')?;
-        match name {
-            "accuracy" => accuracy = Some(value.parse().ok()?),
-            "digest" => digest = Some(u64::from_str_radix(value, 16).ok()?),
-            _ => return None,
-        }
-    }
-    Some(DriverOut {
-        accuracy: accuracy?,
-        digest: digest?,
-    })
-}
-
-/// Cached form of the checkpoint/resume scenario (claim 3): the
-/// identity verdict plus the numbers the check's observed string prints.
+/// Outcome of the checkpoint/resume scenario (claim 3): the identity
+/// verdict plus the numbers the check's observed string prints.
 struct ResumeOut {
     completed: bool,
     identical: bool,
@@ -294,35 +208,6 @@ struct ResumeOut {
     reference_accuracy: f64,
     reacquisitions: u64,
     note: String,
-}
-
-fn encode_resume(r: &ResumeOut) -> String {
-    format!(
-        "completed={}\nidentical={}\nresumed_accuracy={}\nreference_accuracy={}\n\
-         reacquisitions={}\nnote={}\n",
-        r.completed,
-        r.identical,
-        json_f64(r.resumed_accuracy),
-        json_f64(r.reference_accuracy),
-        r.reacquisitions,
-        r.note.replace('\n', " "),
-    )
-}
-
-fn decode_resume(s: &str) -> Option<ResumeOut> {
-    let mut fields = std::collections::BTreeMap::new();
-    for line in s.lines() {
-        let (name, value) = line.split_once('=')?;
-        fields.insert(name, value);
-    }
-    Some(ResumeOut {
-        completed: fields.get("completed")?.parse().ok()?,
-        identical: fields.get("identical")?.parse().ok()?,
-        resumed_accuracy: fields.get("resumed_accuracy")?.parse().ok()?,
-        reference_accuracy: fields.get("reference_accuracy")?.parse().ok()?,
-        reacquisitions: fields.get("reacquisitions")?.parse().ok()?,
-        note: (*fields.get("note")?).to_owned(),
-    })
 }
 
 fn run_campaign(
@@ -341,19 +226,10 @@ fn run() {
     let mut report = ShapeReport::new();
     let sink = ObsSink::from_args();
     let rec = sink.as_ref().map(ObsSink::recorder);
-    let cache = match SweepCache::from_args(rec.clone()) {
-        Ok(cache) => cache,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
 
     // ----- Sweep both threat models over the fault-rate grid. -----------
     // The six (rate, model) campaigns are independent simulations; fan
-    // them out and merge the results back in grid order. With `--cache`,
-    // each cell is keyed by its full mission + campaign config and a hit
-    // replays the stored cell instead of simulating.
+    // them out and merge the results back in grid order.
     println!("Fault-tolerance sweep: rates {RATES:?}, TM1 and TM2, TDC sensing");
     let grid: Vec<(f64, &'static str, Mission)> = RATES
         .iter()
@@ -366,35 +242,12 @@ fn run() {
         .collect();
     let cells: Vec<CellOut> = grid
         .into_par_iter()
-        .map(|(rate, tm, mission)| {
-            let compute = || match run_campaign(mission.clone(), rate, rec.clone()) {
+        .map(
+            |(rate, tm, mission)| match run_campaign(mission, rate, rec.clone()) {
                 Ok(outcome) => CellOut::from_outcome(tm, rate, &outcome),
                 Err(e) => CellOut::failed(tm, rate, e.to_string()),
-            };
-            match cache.as_ref() {
-                Some(cache) => {
-                    let mission_dbg = format!("{mission:?}");
-                    let campaign_dbg = format!("{:?}", campaign_config(rate));
-                    let rate_s = json_f64(rate);
-                    let seed_s = SWEEP_SEED.to_string();
-                    cache.cell(
-                        &format!("fault_{tm}_rate{rate_s}"),
-                        &[
-                            ("bin", "fault_tolerance"),
-                            ("tm", tm),
-                            ("rate", &rate_s),
-                            ("mission", &mission_dbg),
-                            ("campaign_config", &campaign_dbg),
-                            ("seed", &seed_s),
-                        ],
-                        compute,
-                        CellOut::encode,
-                        CellOut::decode,
-                    )
-                }
-                None => compute(),
-            }
-        })
+            },
+        )
         .collect();
     let mut rows: Vec<&CellOut> = Vec::new();
     for cell in &cells {
@@ -432,38 +285,23 @@ fn run() {
     // Both entry points are campaigns with no fault plan, so the rate-0
     // rows share their protocol by construction and only the zero-rate
     // plans differ; the check is kept so the CSV and JSON artifacts keep
-    // their bytes. The reference runs are cells too; their outcome
-    // digests stand in for the full series/recovered comparison (equal
-    // digest ⇔ bit-equal Debug rendering ⇔ bit-equal outcome).
-    let driver_cell =
-        |name: &str, config_dbg: String, run: &dyn Fn() -> DriverOut| match cache.as_ref() {
-            Some(cache) => cache.cell(
-                name,
-                &[
-                    ("bin", "fault_tolerance"),
-                    ("driver", name),
-                    ("config", &config_dbg),
-                ],
-                run,
-                encode_driver,
-                decode_driver,
-            ),
-            None => run(),
-        };
-    let tm1_driver = driver_cell("fault_driver_tm1", format!("{:?}", tm1_config()), &|| {
+    // their bytes. The reference runs' outcome digests stand in for the
+    // full series/recovered comparison (equal digest ⇔ bit-equal Debug
+    // rendering ⇔ bit-equal outcome).
+    let tm1_driver = {
         let outcome = threat_model1::run(&mut provider(), &tm1_config()).expect("tm1 driver");
         DriverOut {
             accuracy: outcome.metrics.accuracy,
             digest: outcome_digest(&outcome.series, &outcome.recovered),
         }
-    });
-    let tm2_driver = driver_cell("fault_driver_tm2", format!("{:?}", tm2_config()), &|| {
+    };
+    let tm2_driver = {
         let outcome = threat_model2::run(&mut provider(), &tm2_config()).expect("tm2 driver");
         DriverOut {
             accuracy: outcome.metrics.accuracy,
             digest: outcome_digest(&outcome.series, &outcome.recovered),
         }
-    });
+    };
 
     let find = |tm: &str, rate: f64| rows.iter().find(|r| r.tm == tm && r.rate == rate);
     if let Some(row) = find("tm1", 0.0) {
@@ -515,9 +353,7 @@ fn run() {
 
     // ----- Claim 3: checkpoint/resume is bit-identical. -----------------
     // A preemption is scheduled after the checkpoint hour, so the resumed
-    // campaign must also replay the fault and its recovery. The whole
-    // scenario (reference + interrupt + resume + identity verdict) is one
-    // cache cell.
+    // campaign must also replay the fault and its recovery.
     let interrupted_config = || {
         let mut config = campaign_config(0.02);
         config.fault_plan = config
@@ -526,7 +362,7 @@ fn run() {
             .with_scheduled(Hours::new(30.0), FaultKind::Preemption);
         config
     };
-    let run_resume_scenario = || {
+    let resume = {
         let reference = Campaign::new(
             provider(),
             Mission::ThreatModel1(tm1_config()),
@@ -571,23 +407,6 @@ fn run() {
             },
         }
     };
-    let resume = match cache.as_ref() {
-        Some(cache) => {
-            let config_dbg = format!("{:?}", interrupted_config());
-            cache.cell(
-                "fault_resume",
-                &[
-                    ("bin", "fault_tolerance"),
-                    ("scenario", "checkpoint_resume"),
-                    ("config", &config_dbg),
-                ],
-                run_resume_scenario,
-                encode_resume,
-                decode_resume,
-            )
-        }
-        None => run_resume_scenario(),
-    };
     if resume.completed {
         report.check(
             "mid-campaign checkpoint + resume reproduces the uninterrupted bits",
@@ -620,9 +439,6 @@ fn run() {
     }
     if let Ok(path) = save_artifact("fault_tolerance.json", &json) {
         println!("wrote {}", path.display());
-    }
-    if let Some(cache) = &cache {
-        cache.finish(&mut report);
     }
     if let Some(sink) = &sink {
         report.check(

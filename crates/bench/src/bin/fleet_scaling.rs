@@ -32,10 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use bench::{
-    cache_bench_row, exit_by, path_from_args, save_artifact, threads_from_args, ObsSink,
-    ShapeReport, SweepCache,
-};
+use bench::{exit_by, path_from_args, save_artifact, threads_from_args, ObsSink, ShapeReport};
 use cloud::{
     Assignment, DevicePool, Provider, ProviderConfig, RentRequest, SessionBroker, TenantId,
 };
@@ -274,56 +271,9 @@ struct Row {
     arena_bytes_per_device: usize,
 }
 
-// The whole width sweep is ONE cache cell: the cross-width identity
-// claims compare runs against each other, so replaying a subset would
-// be meaningless. Timing fields on a hit are the cold run's (recorded)
-// values — the identity verdicts are what the claims gate on.
-
-fn encode_rows(rows: &Vec<Row>) -> String {
-    let mut out = String::new();
-    for r in rows {
-        out.push_str(&format!(
-            "row={} {} {} {} {} {} {} {} {}\n",
-            r.threads,
-            r.identical,
-            r.contention_identical,
-            r.completed,
-            r.failed,
-            r.kills,
-            obs::json_f64(r.campaigns_per_sec),
-            obs::json_f64(r.p99_tick_ms),
-            r.arena_bytes_per_device,
-        ));
-    }
-    out
-}
-
-fn decode_rows(s: &str) -> Option<Vec<Row>> {
-    let mut rows = Vec::new();
-    for line in s.lines() {
-        let value = line.strip_prefix("row=")?;
-        let mut f = value.split(' ');
-        rows.push(Row {
-            threads: f.next()?.parse().ok()?,
-            identical: f.next()?.parse().ok()?,
-            contention_identical: f.next()?.parse().ok()?,
-            completed: f.next()?.parse().ok()?,
-            failed: f.next()?.parse().ok()?,
-            kills: f.next()?.parse().ok()?,
-            campaigns_per_sec: f.next()?.parse().ok()?,
-            p99_tick_ms: f.next()?.parse().ok()?,
-            arena_bytes_per_device: f.next()?.parse().ok()?,
-        });
-        if f.next().is_some() {
-            return None;
-        }
-    }
-    Some(rows)
-}
-
 /// Runs the full width sweep (contention race + sharded fleet at each
-/// width) and folds each width into a [`Row`]. Pure in the sweep's
-/// inputs apart from the two wall-clock timing fields.
+/// width) and folds each width into a [`Row`]. Deterministic apart from
+/// the two wall-clock timing fields.
 fn compute_sweep(
     widths: &[usize],
     plan: &ChaosPlan,
@@ -382,13 +332,6 @@ fn main() {
 
     let sink = ObsSink::from_args();
     let sink_recorder = sink.as_ref().map(ObsSink::recorder);
-    let cache = match SweepCache::from_args(sink_recorder.clone()) {
-        Ok(cache) => cache,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
     println!(
         "Fleet scaling: {FLEET_SIZE} campaigns over a sharded device pool, widths {widths:?}, \
          {hardware_threads} hardware thread(s)"
@@ -405,28 +348,7 @@ fn main() {
     assert_eq!(winners.len(), FLEET_SIZE, "pool grants exactly one fleet");
 
     let mut report = ShapeReport::new();
-    let rows: Vec<Row> = match cache.as_ref() {
-        Some(cache) => {
-            let plan_dbg = format!("{plan:?}");
-            let widths_s = format!("{widths:?}");
-            let fleet_size = FLEET_SIZE.to_string();
-            let smoke_s = smoke.to_string();
-            cache.cell(
-                "fleet_sweep",
-                &[
-                    ("bin", "fleet_scaling"),
-                    ("plan", &plan_dbg),
-                    ("widths", &widths_s),
-                    ("fleet_size", &fleet_size),
-                    ("smoke", &smoke_s),
-                ],
-                || compute_sweep(&widths, &plan, &winners, &reference_assignments),
-                encode_rows,
-                decode_rows,
-            )
-        }
-        None => compute_sweep(&widths, &plan, &winners, &reference_assignments),
-    };
+    let rows = compute_sweep(&widths, &plan, &winners, &reference_assignments);
 
     let mut all_identical = true;
     let mut all_contention_identical = true;
@@ -542,19 +464,15 @@ fn main() {
     let json = format!(
         concat!(
             "{{\"workload\":\"fleet_scaling\",\"smoke\":{},\"fleet_size\":{},",
-            "\"hardware_threads\":{},\"rows\":[{},{}]}}"
+            "\"hardware_threads\":{},\"rows\":[{}]}}"
         ),
         smoke,
         FLEET_SIZE,
         hardware_threads,
-        json_rows.join(","),
-        cache_bench_row(cache.as_ref())
+        json_rows.join(",")
     );
     if let Ok(path) = save_artifact("BENCH_fleet.json", &json) {
         println!("wrote {}", path.display());
-    }
-    if let Some(cache) = &cache {
-        cache.finish(&mut report);
     }
     if let Some(sink) = &sink {
         report.check(

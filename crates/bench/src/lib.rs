@@ -9,12 +9,10 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bti_physics::LogicLevel;
-use obs::{CampaignEvent, EventKind, Recorder};
-use obs_analyze::{CacheKey, Lookup, ResultCache};
+use obs::Recorder;
 use pentimento::analysis::mean;
 use pentimento::threat_model1::ThreatModel1Config;
 use pentimento::{MeasurementMode, RouteSeries};
@@ -326,217 +324,19 @@ impl ObsSink {
     }
 }
 
-/// The code-fingerprint part every sweep-bin cache key includes. Bump
-/// the epoch whenever a cell's semantics change (simulation behaviour,
-/// artifact encoding, claim derivation): every existing entry then
-/// misses and the sweep recomputes cleanly. The crate version rides
-/// along so release bumps also invalidate.
-pub const CACHE_CODE_FINGERPRINT: &str = concat!("bench-", env!("CARGO_PKG_VERSION"), "-epoch2");
-
-/// Opt-in content-addressed result cache for a sweep bin's cells.
-///
-/// Built from the command line (`--cache DIR` enables it; absent means
-/// every call to [`SweepCache::cell`] just computes). Each cell keys its
-/// encoded artifact by [`CacheKey::from_parts`] over the caller's parts
-/// plus [`CACHE_CODE_FINGERPRINT`]; `--threads` is deliberately never a
-/// part — cells are width-invariant by the determinism contract, so a
-/// cache written at one width serves all of them.
-///
-/// * `--cache-verify` — recompute on every hit and compare the encoded
-///   bytes against the stored artifact; any mismatch is counted and
-///   fails the bin's shape checks (the CI byte-identity assertion).
-/// * `--cache-expect-hits` — assert the run was all-hits (the CI warm
-///   smoke); any miss fails the shape checks.
-///
-/// Hits and misses are reported through the sink's `cache_hit` /
-/// `cache_miss` obs events with detail `result_cache:<cell>`, so traces
-/// and indicators account for replayed cells.
-#[derive(Debug)]
-pub struct SweepCache {
-    cache: ResultCache,
-    verify: bool,
-    expect_hits: bool,
-    recorder: Option<Arc<Recorder>>,
-    cells: AtomicU64,
-    hits: AtomicU64,
-    mismatches: AtomicU64,
-    corrupt: AtomicU64,
-    store_failures: AtomicU64,
-}
-
-impl SweepCache {
-    /// Builds the cache from the process command line: `Some` when
-    /// `--cache DIR` (or `--cache=DIR`) was passed, `None` otherwise.
-    /// Obs events for hits/misses go through `recorder` when given.
-    ///
-    /// # Errors
-    ///
-    /// Returns the cache-directory creation failure as a message
-    /// suitable for a nonzero-exit abort (a requested cache that cannot
-    /// exist should be loud, not silently absent).
-    pub fn from_args(recorder: Option<Arc<Recorder>>) -> Result<Option<Self>, String> {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let Some(root) = path_value_from(args.iter().cloned(), "cache") else {
-            return Ok(None);
-        };
-        let cache = ResultCache::open(&root)
-            .map_err(|e| format!("cannot open cache {}: {e}", root.display()))?;
-        Ok(Some(Self {
-            cache,
-            verify: args.iter().any(|a| a == "--cache-verify"),
-            expect_hits: args.iter().any(|a| a == "--cache-expect-hits"),
-            recorder,
-            cells: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            mismatches: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-            store_failures: AtomicU64::new(0),
-        }))
-    }
-
-    fn record(&self, kind: EventKind, cell: &str) {
-        if let Some(recorder) = &self.recorder {
-            recorder.event(
-                CampaignEvent::new(kind, 0.0)
-                    .value(1.0)
-                    .detail(format!("result_cache:{cell}")),
-            );
-        }
-    }
-
-    /// Runs one cell through the cache: on a valid hit, `decode` the
-    /// stored artifact and skip `compute`; on a miss (or a corrupt /
-    /// undecodable entry — never trusted), `compute`, `encode`, and
-    /// store. With `--cache-verify`, hits recompute anyway and the
-    /// encoded bytes are compared for identity; the freshly computed
-    /// value is returned so a lying cache cannot contaminate results.
-    pub fn cell<T>(
-        &self,
-        name: &str,
-        parts: &[(&str, &str)],
-        compute: impl FnOnce() -> T,
-        encode: impl Fn(&T) -> String,
-        decode: impl Fn(&str) -> Option<T>,
-    ) -> T {
-        self.cells.fetch_add(1, Ordering::Relaxed);
-        let mut keyed: Vec<(&str, &str)> = parts.to_vec();
-        keyed.push(("code_fingerprint", CACHE_CODE_FINGERPRINT));
-        let key = CacheKey::from_parts(&keyed);
-        match self.cache.lookup(name, key) {
-            Lookup::Hit(artifact) => {
-                if self.verify {
-                    let value = compute();
-                    let fresh = encode(&value);
-                    if fresh == artifact {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        self.record(EventKind::CacheHit, name);
-                        println!("cache: hit {name} (verified byte-identical)");
-                    } else {
-                        self.mismatches.fetch_add(1, Ordering::Relaxed);
-                        self.record(EventKind::CacheMiss, name);
-                        println!("cache: MISMATCH {name} — stored artifact differs from recompute");
-                        if self.cache.store(name, key, &fresh).is_err() {
-                            self.store_failures.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    return value;
-                }
-                if let Some(value) = decode(&artifact) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    self.record(EventKind::CacheHit, name);
-                    println!("cache: hit {name}");
-                    return value;
-                }
-                // Sealed but undecodable — same policy as Corrupt.
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.miss_and_store(name, key, compute, encode)
-            }
-            Lookup::Corrupt => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                println!("cache: corrupt entry for {name}; recomputing (never trusted)");
-                self.miss_and_store(name, key, compute, encode)
-            }
-            Lookup::Miss => self.miss_and_store(name, key, compute, encode),
-        }
-    }
-
-    fn miss_and_store<T>(
-        &self,
-        name: &str,
-        key: CacheKey,
-        compute: impl FnOnce() -> T,
-        encode: impl Fn(&T) -> String,
-    ) -> T {
-        self.record(EventKind::CacheMiss, name);
-        println!("cache: miss {name}");
-        let value = compute();
-        if self.cache.store(name, key, &encode(&value)).is_err() {
-            self.store_failures.fetch_add(1, Ordering::Relaxed);
-        }
-        value
-    }
-
-    /// `(cells, hits, identical)` for BENCH rows: `identical` is true
-    /// when no `--cache-verify` comparison diverged.
-    #[must_use]
-    pub fn identity(&self) -> (u64, u64, bool) {
-        (
-            self.cells.load(Ordering::Relaxed),
-            self.hits.load(Ordering::Relaxed),
-            self.mismatches.load(Ordering::Relaxed) == 0,
-        )
-    }
-
-    /// Folds the run's cache discipline into the bin's shape checks:
-    /// verify-mode byte-identity, the `--cache-expect-hits` all-hits
-    /// assertion, and store durability.
-    pub fn finish(&self, report: &mut ShapeReport) {
-        let (cells, hits, identical) = self.identity();
-        let corrupt = self.corrupt.load(Ordering::Relaxed);
-        let store_failures = self.store_failures.load(Ordering::Relaxed);
-        println!(
-            "cache: {cells} cell(s), {hits} hit(s), {corrupt} corrupt, \
-             {store_failures} store failure(s)"
-        );
-        if self.verify {
-            report.check(
-                "cached cells are byte-identical to recomputation",
-                identical,
-                format!("{hits}/{cells} hits verified"),
-            );
-        }
-        if self.expect_hits {
-            report.check(
-                "warm cache run is all-hits",
-                hits == cells && corrupt == 0,
-                format!("{hits}/{cells} hits, {corrupt} corrupt"),
-            );
-        }
-        report.check(
-            "cache stores committed durably",
-            store_failures == 0,
-            format!("{store_failures} failure(s)"),
-        );
-    }
-}
-
-/// One `{"kernel":"result_cache",...}` BENCH row describing the run's
-/// cache identity. Hit counts are deliberately omitted: they differ
-/// between cold and warm runs, and the CI smoke compares the two BENCH
-/// files byte-for-byte.
+/// FNV-1a-64 over `bytes`: the cheap content digest behind the
+/// `fault_tolerance` outcome digests and the `chaos_suite` flight-dump
+/// digests.
 #[must_use]
-pub fn cache_bench_row(cache: Option<&SweepCache>) -> String {
-    match cache {
-        Some(cache) => {
-            let (cells, _, identical) = cache.identity();
-            format!(
-                "{{\"kernel\":\"result_cache\",\"cache_cells\":{cells},\"cache_identical\":{identical}}}"
-            )
-        }
-        None => {
-            "{\"kernel\":\"result_cache\",\"cache_cells\":0,\"cache_identical\":true}".to_owned()
-        }
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut hash = FNV_OFFSET;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
+    hash
 }
 
 /// Runs `f` inside a worker pool sized by the command line's `--threads`
@@ -639,6 +439,13 @@ mod tests {
         assert_eq!(path_value_from(args(&["--trace"]), "trace"), None);
         assert_eq!(path_value_from(args(&["--metrics", "m"]), "trace"), None);
         assert_eq!(path_value_from(args(&[]), "trace"), None);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_standard_64_bit_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

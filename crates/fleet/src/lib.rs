@@ -9,12 +9,12 @@
 //! deterministically:
 //!
 //! * [`store`] — a durable checkpoint store: CRC-sealed generation
-//!   files committed write-temp → fsync → rename, torn-write detection,
-//!   rollback to the newest generation that validates, and the
-//!   in-memory [`store::SnapshotVault`] holding the actual snapshots
-//!   (the vendored serde is a no-op stub, so envelopes carry integrity
-//!   seals while snapshots stay in memory — the two-tier design
-//!   DESIGN.md §12 documents).
+//!   files committed write-temp → fsync → rename → directory fsync,
+//!   torn-write detection, rollback to the newest generation that
+//!   validates, and the in-memory [`store::SnapshotVault`] holding the
+//!   actual snapshots (the vendored serde is a no-op stub, so envelopes
+//!   carry integrity seals while snapshots stay in memory — the
+//!   two-tier design DESIGN.md §12 documents).
 //! * [`chaos`] — a deterministic chaos schedule over counter-based RNG
 //!   streams: process kills, envelope corruption and truncation, and
 //!   per-campaign session weather, all replayable draw-for-draw.

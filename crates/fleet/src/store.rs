@@ -19,9 +19,10 @@
 //!
 //! Commits are crash-safe by construction: the envelope is written to a
 //! `.tmp` sibling, flushed with `fsync`, and atomically renamed into
-//! place. A crash at any instant leaves either the old generation set or
-//! the old set plus one fully-sealed new file; the scan ignores `.tmp`
-//! leftovers entirely.
+//! place, and the campaign directory is then `fsync`ed so the rename
+//! itself is durable. A crash at any instant leaves either the old
+//! generation set or the old set plus one fully-sealed new file; the
+//! scan ignores `.tmp` leftovers entirely.
 
 use std::collections::HashMap;
 use std::fs;
@@ -238,7 +239,8 @@ impl CheckpointStore {
     }
 
     /// Durably commits a checkpoint as `generation`: write-temp →
-    /// `fsync` → atomic rename. Returns the committed path.
+    /// `fsync` → atomic rename → `fsync` of the campaign directory.
+    /// Returns the committed path.
     ///
     /// # Errors
     ///
@@ -264,6 +266,7 @@ impl CheckpointStore {
                 .map_err(|e| StoreError::io("fsync", &tmp, &e))?;
         }
         fs::rename(&tmp, &path).map_err(|e| StoreError::io("rename", &path, &e))?;
+        sync_dir(&dir).map_err(|e| StoreError::io("fsync", &dir, &e))?;
         Ok(path)
     }
 
@@ -271,12 +274,14 @@ impl CheckpointStore {
     /// the sharded scheduler's once-per-tick commit point, replacing N
     /// interleaved per-campaign `commit` calls.
     ///
-    /// The batch runs in two phases over all items: first every envelope
-    /// is written and `fsync`ed to its `.tmp` sibling, then every `.tmp`
-    /// is renamed into place. Failures are attributed per item (input
-    /// order), and an item that failed its write phase is never renamed;
-    /// items are independent, so one campaign's failure cannot disturb
-    /// another's commit or any previously committed generation.
+    /// The batch runs in three phases over all items: first every
+    /// envelope is written and `fsync`ed to its `.tmp` sibling, then every
+    /// `.tmp` is renamed into place, then each distinct campaign directory
+    /// is `fsync`ed once. Failures are attributed per item (input order; a
+    /// directory `fsync` failure goes to every item renamed into that
+    /// directory), and an item that failed its write phase is never
+    /// renamed; items are independent, so one campaign's failure cannot
+    /// disturb another's commit or any previously committed generation.
     pub fn commit_batch(
         &self,
         items: &[(&str, u64, &CampaignCheckpoint)],
@@ -304,14 +309,35 @@ impl CheckpointStore {
             })
             .collect();
         // Phase 2: rename the survivors into place.
-        staged
+        let mut results: Vec<Result<PathBuf, StoreError>> = staged
             .into_iter()
             .map(|staged| {
                 let (tmp, path) = staged?;
                 fs::rename(&tmp, &path).map_err(|e| StoreError::io("rename", &path, &e))?;
                 Ok(path)
             })
-            .collect()
+            .collect();
+        // Phase 3: make the renames durable, one directory fsync each.
+        let mut dirs: Vec<PathBuf> = results
+            .iter()
+            .flatten()
+            .filter_map(|path| path.parent().map(Path::to_path_buf))
+            .collect();
+        dirs.sort();
+        dirs.dedup();
+        for dir in dirs {
+            if let Err(e) = sync_dir(&dir) {
+                for result in &mut results {
+                    if result
+                        .as_ref()
+                        .is_ok_and(|path| path.parent() == Some(&dir))
+                    {
+                        *result = Err(StoreError::io("fsync", &dir, &e));
+                    }
+                }
+            }
+        }
+        results
     }
 
     /// Reads and fully validates one generation's envelope.
@@ -489,6 +515,11 @@ impl CheckpointStore {
             .map_err(|e| StoreError::io("write", &tmp, &e))?;
         Ok(tmp)
     }
+}
+
+/// `fsync`s a directory, persisting the entries renamed into it.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    fs::File::open(dir)?.sync_all()
 }
 
 #[cfg(test)]

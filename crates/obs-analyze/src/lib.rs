@@ -4,7 +4,7 @@
 //! JSONL event trace and a metrics snapshot — but until now nothing in
 //! the workspace could read them back: CI validated traces with an
 //! ad-hoc `python3` fallback and nobody compared two runs except by
-//! `diff(1)` on bytes. This crate closes the loop with four pillars:
+//! `diff(1)` on bytes. This crate closes the loop with six pillars:
 //!
 //! 1. [`json`] / [`parse`] — a strict, position-reporting JSON layer and
 //!    typed decoders. A parsed trace line is an [`obs::CampaignEvent`]
@@ -27,10 +27,7 @@
 //!    trace line by line (arbitrary chunk boundaries) and produces the
 //!    byte-identical [`Indicators`] value, so fleet-scale traces never
 //!    have to fit in memory.
-//! 6. [`cache`] — a content-addressed result cache for sweep-bin cells:
-//!    FNV-1a keys over canonicalized inputs, self-sealing entries
-//!    committed tmp→fsync→rename, corruption degraded to a miss.
-//! 7. [`alerts`] — rule-based online anomaly detection driven off the
+//! 6. [`alerts`] — rule-based online anomaly detection driven off the
 //!    streaming engine: retry storms, abstain/quorum-rate spikes,
 //!    cache collapse, and breaker flapping, each threshold crossing
 //!    logged as a deterministic firing/clearing [`alerts::AlertEdge`]
@@ -48,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod alerts;
-pub mod cache;
 pub mod diff;
 pub mod indicators;
 pub mod json;
@@ -57,7 +53,6 @@ pub mod sentinel;
 pub mod stream;
 
 pub use alerts::{compute_alerts, AlertConfig, AlertEdge, AlertEngine, AlertKind, AlertLog};
-pub use cache::{fnv1a, CacheKey, Lookup, ResultCache};
 pub use diff::{diff, TraceDiff};
 pub use indicators::{compute as compute_indicators, IndicatorConfig, Indicators};
 pub use json::{JsonError, Value};

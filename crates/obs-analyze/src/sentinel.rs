@@ -229,9 +229,7 @@ enum FieldClass {
 
 fn classify(field: &str) -> FieldClass {
     match field {
-        "identical" | "bit_identical" | "gate_passed" | "equivalent" | "cache_identical" => {
-            FieldClass::Identity
-        }
+        "identical" | "bit_identical" | "gate_passed" | "equivalent" => FieldClass::Identity,
         "speedup" | "routes_per_sec" | "campaigns_per_sec" => FieldClass::Timing,
         "max_rel_error" => FieldClass::ErrorBand,
         _ => FieldClass::Info,

@@ -115,10 +115,13 @@ echo "== streaming indicators parity (--stream == batch at widths 1/2/4) =="
 # The streaming engine must derive byte-identical reports from real
 # smoke traces at every pool width, in both renderings — and since the
 # indicator report is a pure function of the (width-invariant) trace,
-# every width's report must equal width 1's.
+# every width's report must equal width 1's. Each width's fresh CSV must
+# also equal the checked-in one: sweep cells are width-invariant.
 for t in 1 2 4; do
     cargo run --release -q -p bench --bin attack_accuracy -- --smoke \
         --threads "$t" --trace "/tmp/ci_stream_$t.jsonl"
+    git diff --exit-code -- results/attack_accuracy.csv \
+        || { echo "FAIL: attack_accuracy.csv changed at $t threads"; exit 1; }
     for fmt in json md; do
         cargo run --release -q -p bench --bin obs_report -- \
             indicators "/tmp/ci_stream_$t.jsonl" "--$fmt" \
@@ -133,20 +136,6 @@ for t in 1 2 4; do
     done
 done
 
-echo "== result cache smoke (cold -> warm: all hits, byte-identical) =="
-# Cold run populates the content-addressed cache; the warm rerun (at a
-# different pool width — cache keys exclude --threads) must be all
-# hits, recompute-verified byte-identical, and leave the CSV artifact
-# byte-equal to the cold run's.
-rm -rf /tmp/ci_result_cache
-cargo run --release -q -p bench --bin attack_accuracy -- --smoke \
-    --cache /tmp/ci_result_cache
-cp results/attack_accuracy.csv /tmp/ci_cold_attack_accuracy.csv
-cargo run --release -q -p bench --bin attack_accuracy -- --smoke --threads 2 \
-    --cache /tmp/ci_result_cache --cache-expect-hits --cache-verify
-cmp results/attack_accuracy.csv /tmp/ci_cold_attack_accuracy.csv \
-    || { echo "FAIL: warm cache run changed attack_accuracy.csv"; exit 1; }
-
 echo "== chaos_suite smoke (crash-safe fleet supervision) =="
 # Sweeps the smoke chaos matrix — scheduled kills, torn envelopes, the
 # kill-9 torn-store cell, a doomed campaign — asserting every supervised
@@ -154,13 +143,11 @@ echo "== chaos_suite smoke (crash-safe fleet supervision) =="
 # fails typed + quarantined, deterministically across pool widths. The
 # combined supervisor + campaign trace must validate through the strict
 # obs-analyze parser (fleet events ride the tick axis, content-sorted).
-# The cold run populates a result cache; the warm rerun must be all
-# hits and reproduce BENCH_chaos.json byte-identically. Both runs pass
-# the same --flight-dir: the flight destination is part of FleetConfig,
-# hence part of the cache key.
-rm -rf /tmp/ci_chaos_cache /tmp/ci_chaos_flight
+# A second fresh run at --threads 1 must reproduce BENCH_chaos.json
+# byte-identically.
+rm -rf /tmp/ci_chaos_flight
 cargo run --release -q -p bench --bin chaos_suite -- --smoke \
-    --cache /tmp/ci_chaos_cache --flight-dir /tmp/ci_chaos_flight \
+    --flight-dir /tmp/ci_chaos_flight \
     --trace /tmp/ci_chaos_trace.jsonl --metrics /tmp/ci_chaos_metrics.json
 cargo run --release -q -p bench --bin obs_report -- \
     validate /tmp/ci_chaos_trace.jsonl /tmp/ci_chaos_metrics.json
@@ -176,12 +163,10 @@ for dump in $flight_dumps; do
     cargo run --release -q -p bench --bin obs_report -- validate "$dump" \
         || { echo "FAIL: flight dump $dump does not validate"; exit 1; }
 done
-cp results/BENCH_chaos.json /tmp/ci_cold_BENCH_chaos.json
-cargo run --release -q -p bench --bin chaos_suite -- --smoke \
-    --cache /tmp/ci_chaos_cache --flight-dir /tmp/ci_chaos_flight \
-    --cache-expect-hits
-cmp results/BENCH_chaos.json /tmp/ci_cold_BENCH_chaos.json \
-    || { echo "FAIL: warm cache run changed BENCH_chaos.json"; exit 1; }
+cp results/BENCH_chaos.json /tmp/ci_first_BENCH_chaos.json
+cargo run --release -q -p bench --bin chaos_suite -- --smoke --threads 1
+cmp results/BENCH_chaos.json /tmp/ci_first_BENCH_chaos.json \
+    || { echo "FAIL: --threads 1 rerun changed BENCH_chaos.json"; exit 1; }
 
 echo "== alert engine smoke (batch == --stream on the chaos trace) =="
 # The online anomaly rules replay the real chaos telemetry; the

@@ -390,9 +390,9 @@ fn sharded_fleet_with_broker_contention_is_identical_at_every_pool_width() {
     }
 
     // Scheduling phase: the contention winners seed a 4-campaign sharded
-    // fleet. Kills land on campaigns 1 and 2 — opposite sides of the
-    // width-2 chunk boundary (lanes get contiguous chunks [0,1] / [2,3]),
-    // so a mid-tick kill and its later resume each cross a shard edge.
+    // fleet. Kills land on campaigns 1 and 2, two different slots: lanes
+    // claim slots one at a time, so at width 2 the killed campaigns and
+    // their later resumes can run on either side of a lane hand-off.
     let mut plan = ChaosPlan::none();
     plan.seed = 83;
     plan.scheduled_kills = vec![(1, 5), (2, 9), (1, 13)];

@@ -1,5 +1,5 @@
-//! Streaming/batch twin parity and result-cache durability
-//! (DESIGN.md §15).
+//! Streaming/batch twin parity for the trace indicators and the alert
+//! engine (DESIGN.md §15, §16).
 //!
 //! Batch `compute` folds a stable-sorted copy of the trace through the
 //! streaming engine's accumulator, so the two derivations agree by
@@ -12,11 +12,7 @@
 //! attached `with_alerts` log replayed at arbitrary `push_chunk`
 //! strides must equal the batch `compute_alerts` twin byte-for-byte,
 //! and the synthetic `alert_storm.jsonl` fixture proves every
-//! `AlertKind` can actually fire. The
-//! content-addressed result cache is exercised through its public
-//! surface: miss → store → hit round-trips byte-identically, and any
-//! damaged entry is classified `Corrupt` and treated as a miss, never
-//! trusted.
+//! `AlertKind` can actually fire.
 
 use std::fs;
 use std::path::PathBuf;
@@ -24,9 +20,7 @@ use std::path::PathBuf;
 use obs::{CampaignEvent, EventKind, Recorder};
 use obs_analyze::indicators::{compute, IndicatorConfig};
 use obs_analyze::parse::{parse_metrics, parse_trace};
-use obs_analyze::{
-    compute_alerts, AlertConfig, AlertKind, CacheKey, Lookup, ResultCache, StreamingIndicators,
-};
+use obs_analyze::{compute_alerts, AlertConfig, AlertKind, StreamingIndicators};
 use proptest::prelude::*;
 
 fn fixture(name: &str) -> String {
@@ -164,32 +158,6 @@ proptest! {
         let err = engine.finish(None).expect_err("truncation must fail loudly");
         prop_assert_eq!(err.line, truncated.lines().count());
     }
-
-    /// The cache key is order-invariant in its parts and the sealed
-    /// payload round-trips byte-identically for arbitrary content.
-    #[test]
-    fn cache_round_trip_is_byte_identical(
-        payload in "[ -~é😀\n]{0,200}",
-        seed in 0u64..1_000,
-    ) {
-        let root = scratch_dir("proptest_roundtrip");
-        let cache = ResultCache::open(&root).expect("cache opens");
-        let seed_s = seed.to_string();
-        let parts: [(&str, &str); 2] = [("seed", &seed_s), ("payload_class", "arb")];
-        let mut reversed = parts;
-        reversed.reverse();
-        prop_assert_eq!(
-            CacheKey::from_parts(&parts).digest(),
-            CacheKey::from_parts(&reversed).digest()
-        );
-        let key = CacheKey::from_parts(&parts);
-        cache.store("cell", key, &payload).expect("store succeeds");
-        match cache.lookup("cell", key) {
-            Lookup::Hit(bytes) => prop_assert_eq!(bytes, payload),
-            other => prop_assert!(false, "expected a hit, got {:?}", other),
-        }
-        fs::remove_dir_all(&root).ok();
-    }
 }
 
 /// Golden parity: on the checked-in fixture (trace + metrics snapshot),
@@ -289,49 +257,4 @@ fn blank_and_out_of_order_lines_carry_line_numbers() {
         out_of_order.message.contains("canonical event order"),
         "{out_of_order}"
     );
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "pentimento_streaming_cache_{tag}_{}",
-        std::process::id()
-    ))
-}
-
-/// Corruption in any byte of a sealed entry — payload bit-rot,
-/// truncation, or a rewritten header — demotes the entry to `Corrupt`;
-/// a fresh `store` over the damaged file heals it.
-#[test]
-fn damaged_cache_entries_are_never_trusted() {
-    let root = scratch_dir("damage");
-    fs::remove_dir_all(&root).ok();
-    let cache = ResultCache::open(&root).expect("cache opens");
-    let key = CacheKey::from_parts(&[("bin", "attack_accuracy"), ("seed", "42")]);
-    assert!(matches!(cache.lookup("cell", key), Lookup::Miss));
-    cache
-        .store("cell", key, "accuracy=0.9875\nlen=2000 c=31 t=32\n")
-        .expect("store succeeds");
-    let path = cache.entry_path("cell", key);
-    let sealed = fs::read(&path).expect("entry exists");
-
-    // Flip one payload byte.
-    let mut bent = sealed.clone();
-    let last = bent.len() - 2;
-    bent[last] ^= 0x01;
-    fs::write(&path, &bent).expect("rewrites");
-    assert!(matches!(cache.lookup("cell", key), Lookup::Corrupt));
-
-    // Truncate mid-payload.
-    fs::write(&path, &sealed[..sealed.len() / 2]).expect("rewrites");
-    assert!(matches!(cache.lookup("cell", key), Lookup::Corrupt));
-
-    // Heal by re-storing; the hit is byte-identical again.
-    cache
-        .store("cell", key, "accuracy=0.9875\nlen=2000 c=31 t=32\n")
-        .expect("store succeeds");
-    match cache.lookup("cell", key) {
-        Lookup::Hit(bytes) => assert_eq!(bytes, "accuracy=0.9875\nlen=2000 c=31 t=32\n"),
-        other => panic!("expected healed hit, got {other:?}"),
-    }
-    fs::remove_dir_all(&root).ok();
 }
