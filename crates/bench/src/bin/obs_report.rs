@@ -43,12 +43,7 @@ use obs_analyze::sentinel::{
 use obs_analyze::stream::StreamingIndicators;
 
 /// BENCH artifacts the sentinel tracks when no `--current` is given.
-const DEFAULT_BENCH_SOURCES: [&str; 4] = [
-    "results/BENCH_parallel.json",
-    "results/BENCH_kernels.json",
-    "results/BENCH_chaos.json",
-    "results/BENCH_fleet.json",
-];
+const DEFAULT_BENCH_SOURCES: [&str; 2] = ["results/BENCH_chaos.json", "results/BENCH_fleet.json"];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

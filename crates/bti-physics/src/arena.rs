@@ -252,8 +252,7 @@ impl AgingArena {
     /// Conditions one wire for `dt` at `duty`: derives this wire's bin
     /// kernels from scratch (one `exp` per bin, no cache) and applies
     /// them — bit-identical to stepping each bin once through
-    /// [`TrapBin::advance`]. The path of single resources, and of devices
-    /// pinned to the reference kernels.
+    /// [`TrapBin::advance`]. The path of single resources.
     pub fn advance_slot(
         &mut self,
         slot: usize,
@@ -397,12 +396,12 @@ impl AgingArena {
         self.advance_phase_planned(model, cache, dt, temperature, &plan);
     }
 
-    /// The reference-path twin of
+    /// The per-wire oracle for
     /// [`advance_phase_all`](AgingArena::advance_phase_all): every wire
     /// derives its bin kernels from scratch, one `exp` per bin per wire.
-    /// Bit-identical results; only the wall-clock differs — this is the
-    /// per-wire loop the batched sweep is benchmarked against.
-    pub fn advance_phase_all_reference(
+    /// The batched sweep must match it bit for bit.
+    #[cfg(test)]
+    fn advance_phase_all_reference(
         &mut self,
         model: &BtiModel,
         dt: Hours,

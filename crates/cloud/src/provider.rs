@@ -692,17 +692,6 @@ impl Provider {
             .ok_or(CloudError::UnknownDevice(id))
     }
 
-    /// Pins every device in the fleet to the reference (`true`) or
-    /// cache-shared (`false`, the default) aging-kernel path. The two are
-    /// bit-identical; the switch exists so benches can time one against
-    /// the other on whole campaigns. See
-    /// [`FpgaDevice::set_reference_kernels`].
-    pub fn set_reference_kernels(&mut self, reference: bool) {
-        for slot in self.slots.values_mut() {
-            slot.device.set_reference_kernels(reference);
-        }
-    }
-
     fn owned_slot_mut(&mut self, session: &Session) -> Result<&mut Slot, CloudError> {
         let slot = self
             .slots

@@ -64,12 +64,10 @@ fn sentinel_accepts_checked_in_baseline_against_itself() {
     let bundle = fs::read_to_string(&bundle_path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", bundle_path.display()));
     let docs = parse_baseline(&bundle).expect("checked-in baseline parses");
-    assert!(
-        docs.contains_key("BENCH_parallel.json")
-            && docs.contains_key("BENCH_kernels.json")
-            && docs.contains_key("BENCH_chaos.json")
-            && docs.contains_key("BENCH_fleet.json"),
-        "baseline must track all four BENCH artifacts"
+    assert_eq!(
+        docs.keys().collect::<Vec<_>>(),
+        ["BENCH_chaos.json", "BENCH_fleet.json"],
+        "baseline must track exactly the chaos and fleet BENCH artifacts"
     );
     let snaps = docs
         .iter()
