@@ -477,16 +477,12 @@ fn compute_torn_store_kill9(burn_hours: usize) -> (CellRow, String) {
     // First incarnation: checkpoint at hours 0, 4, and 8, then die mid
     // commit of generation 3 — after tearing generation 2 the way a
     // power cut mid-writeback would.
-    let first = Supervisor::new(&scratch.0, fleet_config(4)).expect("store opens");
     let mut live = campaign(500, &plan, 0, burn_hours);
-    let mut vault = first.into_vault();
-    let store = fleet::CheckpointStore::open(&scratch.0).expect("store reopens");
+    let store = fleet::CheckpointStore::open(&scratch.0).expect("store opens");
     for generation in 0..3u64 {
-        let checkpoint = live.checkpoint();
         store
-            .commit("c0", generation, &checkpoint)
+            .commit("c0", generation, &live.checkpoint())
             .expect("commit succeeds");
-        vault.insert("c0", generation, checkpoint);
         for _ in 0..4 {
             live.step().expect("step succeeds");
         }
@@ -497,10 +493,10 @@ fn compute_torn_store_kill9(burn_hours: usize) -> (CellRow, String) {
     store.truncate("c0", 2, 0.5).expect("tear generation 2");
     drop(live); // kill -9
 
-    // Second incarnation: recovery scan → roll back over generation 2 →
-    // resume generation 1 (hour 4) → bit-identical completion.
-    let mut second =
-        Supervisor::with_vault(&scratch.0, fleet_config(4), vault).expect("store reopens");
+    // Second incarnation, sharing only the disk and the spec: recovery
+    // scan → roll back over generation 2 → replay the spec to generation
+    // 1 (hour 4) → bit-identical completion.
+    let mut second = Supervisor::new(&scratch.0, fleet_config(4)).expect("store reopens");
     let fleet_report = second.run(
         vec![CampaignSpec {
             id: "c0".to_owned(),

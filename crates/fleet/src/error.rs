@@ -42,17 +42,10 @@ pub enum StoreError {
         /// The campaign whose history is unrecoverable.
         campaign: String,
     },
-    /// The in-memory snapshot vault has no entry for a generation whose
-    /// on-disk envelope validated — the snapshot did not survive the
-    /// crash, so the generation is unusable.
-    SnapshotMissing {
-        /// The campaign being recovered.
-        campaign: String,
-        /// The generation whose snapshot is gone.
-        generation: u64,
-    },
-    /// A vault snapshot no longer matches the sealed envelope it was
-    /// filed under (checksum or manifest drift).
+    /// Replaying the campaign's spec to the sealed hour did not
+    /// reproduce the envelope's seals (checksum or manifest drift, or
+    /// the replay itself failed): the spec is not the recipe the
+    /// envelope was committed from.
     SnapshotMismatch {
         /// The campaign being recovered.
         campaign: String,
@@ -98,20 +91,13 @@ impl fmt::Display for StoreError {
                     "no valid checkpoint generation survives for campaign {campaign}"
                 )
             }
-            Self::SnapshotMissing {
-                campaign,
-                generation,
-            } => write!(
-                f,
-                "snapshot vault holds no generation {generation} for campaign {campaign}"
-            ),
             Self::SnapshotMismatch {
                 campaign,
                 generation,
                 reason,
             } => write!(
                 f,
-                "snapshot for campaign {campaign} generation {generation} \
+                "replay of campaign {campaign} to generation {generation} \
                  disagrees with its sealed envelope: {reason}"
             ),
             Self::InvalidRetention { retain } => write!(

@@ -10,11 +10,11 @@
 //!
 //! * [`store`] — a durable checkpoint store: CRC-sealed generation
 //!   files committed write-temp → fsync → rename → directory fsync,
-//!   torn-write detection, rollback to the newest generation that
-//!   validates, and the in-memory [`store::SnapshotVault`] holding the
-//!   actual snapshots (the vendored serde is a no-op stub, so envelopes
-//!   carry integrity seals while snapshots stay in memory — the
-//!   two-tier design DESIGN.md §12 documents).
+//!   torn-write detection, and rollback to the newest generation that
+//!   validates. Envelopes carry integrity seals, not snapshots: a
+//!   campaign is a pure function of its spec, so recovery replays the
+//!   spec's campaign to the sealed hour and checks the seals
+//!   (DESIGN.md §12).
 //! * [`chaos`] — a deterministic chaos schedule over counter-based RNG
 //!   streams: process kills, envelope corruption and truncation, and
 //!   per-campaign session weather, all replayable draw-for-draw.
@@ -49,7 +49,7 @@ pub use breaker::{
 pub use chaos::{ChaosAction, ChaosCursor, ChaosPlan, ChaosState};
 pub use dashboard::render_frame;
 pub use error::{FleetError, StoreError};
-pub use store::{CheckpointStore, Envelope, SnapshotVault};
+pub use store::{CheckpointStore, Envelope};
 pub use supervisor::{
     CampaignResult, CampaignSpec, FleetConfig, FleetReport, HealthSnapshot, Supervisor,
 };
@@ -255,42 +255,66 @@ mod tests {
         assert_eq!(run(), run(), "chaos replay must be observable-identical");
     }
 
+    /// A first incarnation that steps campaign `c0` (built from `seed`)
+    /// for `hours`, commits it as generation 0 through the store, and
+    /// dies: only the disk survives.
+    fn crashed_incarnation(root: &std::path::Path, seed: u64, hours: usize) {
+        let store = CheckpointStore::open(root).unwrap();
+        let mut campaign = small_campaign(seed, &ChaosPlan::none(), 0);
+        for _ in 0..hours {
+            campaign.step().unwrap();
+        }
+        store.commit("c0", 0, &campaign.checkpoint()).unwrap();
+    }
+
     #[test]
     fn restarted_supervisor_resumes_survivors_from_the_store() {
         let scratch = Scratch::new();
         let plan = ChaosPlan::none();
         let references = reference_outcomes(1, &plan);
 
-        // First incarnation: step partway by scheduling an early kill,
-        // then abandon the fleet mid-recovery by bounding the deadline.
-        let first = Supervisor::new(
-            &scratch.0,
-            FleetConfig {
-                checkpoint_every_hours: 4,
-                ..FleetConfig::default()
-            },
-        )
-        .unwrap();
-        // Drive the campaign halfway by hand through the store: commit
-        // generations as the supervisor would, then "crash".
-        let mut campaign = small_campaign(40, &plan, 0);
-        for _ in 0..10 {
-            campaign.step().unwrap();
-        }
-        let checkpoint = campaign.checkpoint();
-        first.store().commit("c0", 0, &checkpoint).unwrap();
-        let mut vault = first.into_vault();
-        vault.insert("c0", 0, checkpoint);
-        drop(campaign); // the first process dies here
+        crashed_incarnation(&scratch.0, 40, 10);
 
-        // Second incarnation over the same root + surviving vault: the
-        // startup scan finds c0 and resumes it — the fresh spec campaign
-        // is discarded — and the outcome is still bit-identical.
-        let mut second = Supervisor::with_vault(&scratch.0, FleetConfig::default(), vault).unwrap();
+        // Second incarnation over the same root: the startup scan finds
+        // c0, replays the spec's campaign to hour 10, and the outcome is
+        // still bit-identical.
+        let mut second = Supervisor::new(&scratch.0, FleetConfig::default()).unwrap();
         let report = second.run(specs(1, &plan), plan.clone());
         assert_eq!(report.completed(), 1);
         let outcome = report.results[0].1.outcome().unwrap();
         assert_eq!(outcome.series, references[0].series);
         assert_eq!(outcome.recovered, references[0].recovered);
+    }
+
+    #[test]
+    fn restart_under_a_different_recipe_fails_typed() {
+        let scratch = Scratch::new();
+        let plan = ChaosPlan::none();
+        crashed_incarnation(&scratch.0, 40, 4);
+
+        // Same id, seed-41 spec: the replay cannot reproduce the seals.
+        let mut supervisor = Supervisor::new(&scratch.0, FleetConfig::default()).unwrap();
+        let spec = CampaignSpec {
+            id: "c0".to_owned(),
+            campaign: small_campaign(41, &plan, 0),
+        };
+        let report = supervisor.run(vec![spec], plan);
+
+        assert_eq!(report.completed(), 0);
+        let error = report.results[0].1.error().expect("typed failure");
+        assert!(
+            matches!(
+                error,
+                FleetError::Store {
+                    source: StoreError::SnapshotMismatch { .. },
+                    ..
+                }
+            ),
+            "{error}"
+        );
+        assert_eq!(
+            report.quarantine.records()[0].reason,
+            QuarantineReason::StoreUnrecoverable
+        );
     }
 }

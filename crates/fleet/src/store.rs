@@ -2,9 +2,8 @@
 //!
 //! The store persists one **envelope file per checkpoint generation**
 //! under `<root>/<campaign>/gen-NNNNNNNN.ckpt`. An envelope does not
-//! carry the campaign snapshot itself (the simulation's state lives in
-//! memory; see [`SnapshotVault`]) — it carries the *integrity seals* a
-//! recovery scan needs to decide which snapshot is trustworthy:
+//! carry the campaign snapshot itself — it carries the *integrity seals*
+//! that pin down which state a recovery must reproduce:
 //!
 //! ```text
 //! magic "PENT" | version u32 | generation u64 | payload_len u64 | payload | crc32 u32
@@ -15,7 +14,10 @@
 //! human-readable manifest. The trailing CRC-32 seals every preceding
 //! byte, so a torn write — a crash between `write` and `fsync`, a
 //! truncated rename, a flipped bit — fails validation and the scan
-//! rolls back to the newest generation that still verifies.
+//! rolls back to the newest generation that still verifies. A campaign
+//! is a pure function of its spec, so the supervisor recovers by
+//! replaying the spec's campaign to the sealed hour and checking the
+//! seals (DESIGN.md §12).
 //!
 //! Commits are crash-safe by construction: the envelope is written to a
 //! `.tmp` sibling, flushed with `fsync`, and atomically renamed into
@@ -24,7 +26,6 @@
 //! generation set or the old set plus one fully-sealed new file; the
 //! scan ignores `.tmp` leftovers entirely.
 
-use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -51,57 +52,6 @@ pub struct Envelope {
     pub hour: u64,
     /// The human-readable integrity manifest.
     pub manifest: String,
-}
-
-/// In-memory side of the two-tier checkpoint design: the actual
-/// [`CampaignCheckpoint`] snapshots, keyed by `(campaign, generation)`.
-///
-/// The vendored `serde` is a no-op stub, so snapshots cannot be
-/// serialized to disk; the vault models the durable snapshot tier while
-/// the [`CheckpointStore`] provides the *integrity* layer that decides
-/// which vault entry a recovery may trust. A snapshot is only ever
-/// restored after its dense checksum and manifest cross-validate against
-/// the CRC-sealed on-disk envelope.
-#[derive(Debug, Default)]
-pub struct SnapshotVault {
-    snapshots: HashMap<(String, u64), CampaignCheckpoint>,
-}
-
-impl SnapshotVault {
-    /// An empty vault.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Files a snapshot under `(campaign, generation)`.
-    pub fn insert(&mut self, campaign: &str, generation: u64, snapshot: CampaignCheckpoint) {
-        self.snapshots
-            .insert((campaign.to_owned(), generation), snapshot);
-    }
-
-    /// Looks up a snapshot.
-    #[must_use]
-    pub fn get(&self, campaign: &str, generation: u64) -> Option<&CampaignCheckpoint> {
-        self.snapshots.get(&(campaign.to_owned(), generation))
-    }
-
-    /// Drops a snapshot (generation pruning).
-    pub fn remove(&mut self, campaign: &str, generation: u64) {
-        self.snapshots.remove(&(campaign.to_owned(), generation));
-    }
-
-    /// Number of snapshots currently filed.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.snapshots.len()
-    }
-
-    /// Whether the vault is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.snapshots.is_empty()
-    }
 }
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the seal at the tail of
@@ -252,22 +202,11 @@ impl CheckpointStore {
         generation: u64,
         checkpoint: &CampaignCheckpoint,
     ) -> Result<PathBuf, StoreError> {
-        let dir = self.campaign_dir(campaign);
-        fs::create_dir_all(&dir).map_err(|e| StoreError::io("create", &dir, &e))?;
-        let bytes = Self::encode(generation, checkpoint);
-        let path = self.generation_path(campaign, generation);
-        let tmp = path.with_extension("ckpt.tmp");
-        {
-            let mut file =
-                fs::File::create(&tmp).map_err(|e| StoreError::io("create", &tmp, &e))?;
-            file.write_all(&bytes)
-                .map_err(|e| StoreError::io("write", &tmp, &e))?;
-            file.sync_all()
-                .map_err(|e| StoreError::io("fsync", &tmp, &e))?;
-        }
-        fs::rename(&tmp, &path).map_err(|e| StoreError::io("rename", &path, &e))?;
-        sync_dir(&dir).map_err(|e| StoreError::io("fsync", &dir, &e))?;
-        Ok(path)
+        // A one-item batch yields one result; collecting a lone path
+        // into a `PathBuf` returns that path unchanged.
+        self.commit_batch(&[(campaign, generation, checkpoint)])
+            .into_iter()
+            .collect()
     }
 
     /// Durably commits one checkpoint per campaign as a single batch —
@@ -415,8 +354,7 @@ impl CheckpointStore {
     }
 
     /// Deletes all but the newest `retain` generations (by filename),
-    /// returning the pruned generation numbers so the caller can evict
-    /// the matching vault entries.
+    /// returning the pruned generation numbers.
     ///
     /// # Errors
     ///
@@ -800,22 +738,5 @@ mod tests {
         // Recovery rolls past the doubly-damaged generation to gen 0.
         let (envelope, skipped) = store.latest_good("c0").unwrap();
         assert_eq!((envelope.generation, skipped), (0, 1));
-    }
-
-    #[test]
-    fn vault_round_trips_snapshots() {
-        let mut vault = SnapshotVault::new();
-        assert!(vault.is_empty());
-        let campaign = small_campaign(9);
-        vault.insert("c0", 0, campaign.checkpoint());
-        assert_eq!(vault.len(), 1);
-        let restored = vault.get("c0", 0).expect("filed");
-        assert_eq!(
-            restored.state_checksum(),
-            campaign.checkpoint().state_checksum()
-        );
-        assert!(vault.get("c0", 1).is_none());
-        vault.remove("c0", 0);
-        assert!(vault.is_empty());
     }
 }

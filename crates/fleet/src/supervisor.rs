@@ -17,8 +17,8 @@
 //!   content-sorted and whose counters merge as sums, so emission order
 //!   cannot leak into artifacts;
 //! * everything order-sensitive — report counter accumulation (float
-//!   summation!), quarantine-ledger appends, checkpoint commits, vault
-//!   updates — happens at the barrier, in slot-index order.
+//!   summation!), quarantine-ledger appends, checkpoint commits —
+//!   happens at the barrier, in slot-index order.
 //!
 //! Per tick and per live slot the supervisor:
 //!
@@ -34,8 +34,10 @@
 //! 4. recovers dead campaigns through a per-device [`CircuitBreaker`]
 //!    and a restart budget with deterministic exponential backoff,
 //!    resuming from the newest checkpoint generation that survives full
-//!    validation (rolling back over torn ones). Recovery reads the
-//!    store and vault only, so it is safe inside a lane.
+//!    validation (rolling back over torn ones). Recovery replays the
+//!    slot's own copy of the spec's campaign to the sealed hour and
+//!    checks the envelope's seals; it only reads the store, so it is
+//!    safe inside a lane.
 //!
 //! Every terminal failure is a typed [`FleetError`] paired with a
 //! [`QuarantineRecord`]; the chaos suite asserts there is no third
@@ -69,7 +71,7 @@ use crate::breaker::{
 };
 use crate::chaos::{ChaosAction, ChaosCursor, ChaosPlan};
 use crate::error::{FleetError, StoreError};
-use crate::store::{CheckpointStore, SnapshotVault};
+use crate::store::CheckpointStore;
 
 /// Supervisor tuning.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,9 +86,8 @@ pub struct FleetConfig {
     /// [`FleetError::DeadlineExceeded`] — the live-lock backstop.
     pub deadline_ticks: u64,
     /// Checkpoint generations retained per campaign (older ones are
-    /// pruned from store and vault alike; clamped to at least 1 — the
-    /// store itself refuses `retain = 0` with
-    /// [`StoreError::InvalidRetention`]).
+    /// pruned from the store; clamped to at least 1 — the store itself
+    /// refuses `retain = 0` with [`StoreError::InvalidRetention`]).
     pub retain_generations: usize,
     /// Per-device circuit breaker tuning.
     pub breaker: BreakerConfig,
@@ -171,6 +172,10 @@ impl HealthSnapshot {
 
 /// One campaign entry in a fleet: a stable id (the checkpoint store
 /// directory name) plus the freshly built campaign.
+///
+/// The campaign is also the recipe recovery replays: a restarted
+/// supervisor must be handed the same specs, because survivors in the
+/// store are matched to them by id.
 ///
 /// Session-weather chaos (delayed and stolen sessions) is configured at
 /// build time: construct the campaign with
@@ -275,6 +280,9 @@ impl FleetReport {
 /// share mutable state.
 struct Slot {
     id: String,
+    /// The spec's freshly built campaign, kept as the recipe a restore
+    /// replays to the sealed hour.
+    origin: Campaign,
     /// The live "process image"; `None` while dead awaiting recovery.
     campaign: Option<Campaign>,
     /// Next generation number to commit.
@@ -325,14 +333,13 @@ struct LaneEffect {
 }
 
 /// The read-only context a worker lane operates under: configuration,
-/// the store and vault (reads only — all writes happen at the barrier),
-/// and the shared recorder (thread-safe; its artifacts are
+/// the store (reads only — all writes happen at the barrier), and the
+/// shared recorder (thread-safe; its artifacts are
 /// order-insensitive by construction).
 #[derive(Clone, Copy)]
 struct LaneCtx<'a> {
     config: &'a FleetConfig,
     store: &'a CheckpointStore,
-    vault: &'a SnapshotVault,
     recorder: Option<&'a Arc<Recorder>>,
 }
 
@@ -417,42 +424,43 @@ impl LaneCtx<'_> {
     }
 
     /// Restores `slot`'s campaign from the newest checkpoint generation
-    /// that survives full validation: CRC-sealed envelope, vault
-    /// cross-check, and the checkpoint's own dual seals. Pure reads —
-    /// lane-safe.
+    /// that survives full validation: replays a clone of the slot's
+    /// origin to the envelope's hour, then requires the replayed state
+    /// to reproduce both sealed values. Pure reads — lane-safe.
     fn restore(&self, slot: &Slot) -> Result<(Campaign, u64, u64), StoreError> {
         let (envelope, skipped) = self.store.latest_good(&slot.id)?;
-        let snapshot =
-            self.vault
-                .get(&slot.id, envelope.generation)
-                .ok_or(StoreError::SnapshotMissing {
-                    campaign: slot.id.clone(),
-                    generation: envelope.generation,
-                })?;
-        if snapshot.state_checksum() != envelope.state_checksum {
-            return Err(StoreError::SnapshotMismatch {
-                campaign: slot.id.clone(),
-                generation: envelope.generation,
-                reason: format!(
-                    "vault checksum {:#018x} vs sealed {:#018x}",
-                    snapshot.state_checksum(),
-                    envelope.state_checksum
-                ),
-            });
+        let mismatch = |reason: String| StoreError::SnapshotMismatch {
+            campaign: slot.id.clone(),
+            generation: envelope.generation,
+            reason,
+        };
+        let mut campaign = slot.origin.clone();
+        // The provider advances its cache-report watermark only while a
+        // recorder is attached: replay into a throwaway one, so the
+        // next live hour reports no catch-up cache delta.
+        let recorder = campaign.recorder().cloned();
+        if recorder.is_some() {
+            campaign.set_recorder(Some(Arc::default()));
         }
-        if snapshot.manifest() != envelope.manifest {
-            return Err(StoreError::SnapshotMismatch {
-                campaign: slot.id.clone(),
-                generation: envelope.generation,
-                reason: "vault manifest disagrees with the sealed envelope".to_owned(),
-            });
+        while (campaign.hour() as u64) < envelope.hour && !campaign.is_complete() {
+            campaign
+                .step()
+                .map_err(|e| mismatch(format!("replay failed: {e}")))?;
+            self.incr("fleet.replay_hours");
         }
-        let campaign =
-            Campaign::resume(snapshot.clone()).map_err(|e| StoreError::SnapshotMismatch {
-                campaign: slot.id.clone(),
-                generation: envelope.generation,
-                reason: e.to_string(),
-            })?;
+        campaign.set_recorder(recorder);
+        if campaign.state_checksum() != envelope.state_checksum {
+            return Err(mismatch(format!(
+                "replayed checksum {:#018x} vs sealed {:#018x}",
+                campaign.state_checksum(),
+                envelope.state_checksum
+            )));
+        }
+        if campaign.manifest_json() != envelope.manifest {
+            return Err(mismatch(
+                "replayed manifest disagrees with the sealed envelope".to_owned(),
+            ));
+        }
         Ok((campaign, envelope.generation, skipped as u64))
     }
 
@@ -641,7 +649,6 @@ impl LaneCtx<'_> {
 pub struct Supervisor {
     config: FleetConfig,
     store: CheckpointStore,
-    vault: SnapshotVault,
     recorder: Option<Arc<Recorder>>,
     /// Wall-clock tick durations of the most recent [`run`](Self::run),
     /// in seconds. Diagnostics only — never part of any report or
@@ -662,7 +669,7 @@ pub struct Supervisor {
 
 impl Supervisor {
     /// Opens a supervisor over a (possibly pre-existing) checkpoint
-    /// store rooted at `store_root`, with an empty snapshot vault.
+    /// store rooted at `store_root`.
     ///
     /// # Errors
     ///
@@ -671,44 +678,12 @@ impl Supervisor {
         Ok(Self {
             config,
             store: CheckpointStore::open(store_root.as_ref().to_path_buf())?,
-            vault: SnapshotVault::new(),
             recorder: None,
             tick_latencies_s: Vec::new(),
             tick_events: Vec::new(),
             health: Vec::new(),
             flight_dumps: BTreeMap::new(),
         })
-    }
-
-    /// Like [`new`](Self::new), but seeded with a surviving snapshot
-    /// vault — the restarted-supervisor path the crash-recovery tests
-    /// drive (a real store would deserialize snapshots; the vendored
-    /// serde is a stub, so the vault models that durable tier in
-    /// memory).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] when the store root cannot be created.
-    pub fn with_vault(
-        store_root: impl AsRef<Path>,
-        config: FleetConfig,
-        vault: SnapshotVault,
-    ) -> Result<Self, StoreError> {
-        let mut supervisor = Self::new(store_root, config)?;
-        supervisor.vault = vault;
-        Ok(supervisor)
-    }
-
-    /// Surrenders the snapshot vault (to seed a successor supervisor).
-    #[must_use]
-    pub fn into_vault(self) -> SnapshotVault {
-        self.vault
-    }
-
-    /// The durable store.
-    #[must_use]
-    pub fn store(&self) -> &CheckpointStore {
-        &self.store
     }
 
     /// Attaches (or detaches) the shared telemetry recorder.
@@ -753,7 +728,6 @@ impl Supervisor {
         LaneCtx {
             config: &self.config,
             store: &self.store,
-            vault: &self.vault,
             recorder: self.recorder.as_ref(),
         }
     }
@@ -800,15 +774,14 @@ impl Supervisor {
     }
 
     /// Lands everything that follows a successful envelope commit:
-    /// vault insert, chaos sabotage against the fresh envelope, and
-    /// generation pruning. Barrier-side (store and vault writes).
+    /// chaos sabotage against the fresh envelope, and generation
+    /// pruning. Barrier-side (store writes).
     fn commit_aftermath(
         &mut self,
         id: &str,
         intent: CommitIntent,
         report: &mut FleetReport,
     ) -> Result<(), StoreError> {
-        self.vault.insert(id, intent.generation, intent.checkpoint);
         match intent.sabotage {
             Some((ChaosAction::Truncate, _)) => {
                 self.store.truncate(id, intent.generation, 0.5)?;
@@ -822,12 +795,8 @@ impl Supervisor {
             }
             Some((ChaosAction::Kill, _)) | None => {}
         }
-        for pruned in self
-            .store
-            .prune(id, self.config.retain_generations.max(1))?
-        {
-            self.vault.remove(id, pruned);
-        }
+        self.store
+            .prune(id, self.config.retain_generations.max(1))?;
         Ok(())
     }
 
@@ -1027,6 +996,7 @@ impl Supervisor {
             let device = spec.campaign.victim_device();
             let mut slot = Slot {
                 id: spec.id,
+                origin: spec.campaign,
                 campaign: None,
                 generation: 0,
                 restarts: 0,
@@ -1039,60 +1009,40 @@ impl Supervisor {
                 arena_bytes: 0,
                 flight: FlightRecorder::new(self.config.flight_recorder_capacity),
             };
-            if survivors.contains(&slot.id) {
-                // Resume the survivor from its newest good generation;
-                // the fresh spec campaign is discarded.
-                match self.lane_ctx().restore(&slot) {
-                    Ok((campaign, generation, rollbacks)) => {
+            let started = if survivors.contains(&slot.id) {
+                // Resume the survivor by replaying the spec's campaign
+                // to its newest good generation.
+                self.lane_ctx()
+                    .restore(&slot)
+                    .map(|(campaign, generation, rollbacks)| {
                         report.rollbacks += rollbacks;
                         self.emit(EventKind::RecoveryScan, 0.0, generation as f64, &slot.id);
                         self.incr("fleet.recovery_scans");
                         slot.generation = generation + 1;
                         slot.campaign = Some(campaign);
-                    }
-                    Err(source) => {
-                        let error = FleetError::Store {
-                            id: slot.id.clone(),
-                            source,
-                        };
-                        self.fail(
-                            &mut slot,
-                            error,
-                            QuarantineReason::StoreUnrecoverable,
-                            &mut report,
-                        );
-                    }
-                }
+                    })
             } else {
                 // Fresh campaign: seal generation 0 before the first
                 // tick so a kill at any hour has a recovery point. Setup
                 // is serial, so commits land immediately in spec order.
-                slot.campaign = Some(spec.campaign);
-                let intent = slot.campaign.as_ref().map(|campaign| {
-                    Self::capture_intent(campaign, slot.generation, &mut slot.chaos)
-                });
-                if let Some(intent) = intent {
-                    slot.generation += 1;
-                    let landed = self
-                        .store
-                        .commit(&slot.id, intent.generation, &intent.checkpoint)
-                        .and_then(|_| {
-                            let id = slot.id.clone();
-                            self.commit_aftermath(&id, intent, &mut report)
-                        });
-                    if let Err(source) = landed {
-                        let error = FleetError::Store {
-                            id: slot.id.clone(),
-                            source,
-                        };
-                        self.fail(
-                            &mut slot,
-                            error,
-                            QuarantineReason::StoreUnrecoverable,
-                            &mut report,
-                        );
-                    }
-                }
+                let intent = Self::capture_intent(&slot.origin, slot.generation, &mut slot.chaos);
+                slot.campaign = Some(slot.origin.clone());
+                slot.generation += 1;
+                self.store
+                    .commit(&slot.id, intent.generation, &intent.checkpoint)
+                    .and_then(|_| self.commit_aftermath(&slot.id, intent, &mut report))
+            };
+            if let Err(source) = started {
+                let error = FleetError::Store {
+                    id: slot.id.clone(),
+                    source,
+                };
+                self.fail(
+                    &mut slot,
+                    error,
+                    QuarantineReason::StoreUnrecoverable,
+                    &mut report,
+                );
             }
             slots.push(slot);
         }
@@ -1213,6 +1163,10 @@ mod tests {
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    use cloud::{Provider, ProviderConfig};
+    use pentimento::threat_model1::ThreatModel1Config;
+    use pentimento::{CampaignConfig, MeasurementMode, Mission};
+
     use super::*;
 
     struct Scratch(PathBuf);
@@ -1239,8 +1193,24 @@ mod tests {
     /// A slot whose invariants are already violated: scheduled as live
     /// but holding no campaign image.
     fn poisoned_slot(id: &str) -> Slot {
+        let tm1 = ThreatModel1Config {
+            route_lengths_ps: vec![600.0],
+            routes_per_length: 4,
+            burn_hours: 12,
+            measure_every: 4,
+            mode: MeasurementMode::Oracle,
+            seed: 1,
+            measurement_repeats: 1,
+        };
+        let origin = Campaign::new(
+            Provider::new(ProviderConfig::aws_f1_like(2, 1)),
+            Mission::ThreatModel1(tm1),
+            CampaignConfig::default(),
+        )
+        .expect("campaign builds");
         Slot {
             id: id.to_owned(),
+            origin,
             campaign: None,
             generation: 0,
             restarts: 0,
@@ -1259,12 +1229,10 @@ mod tests {
     fn step_on_a_poisoned_slot_quarantines_typed_instead_of_panicking() {
         let scratch = Scratch::new();
         let store = CheckpointStore::open(&scratch.0).unwrap();
-        let vault = SnapshotVault::new();
         let config = FleetConfig::default();
         let ctx = LaneCtx {
             config: &config,
             store: &store,
-            vault: &vault,
             recorder: None,
         };
         let mut slot = poisoned_slot("c0");
