@@ -51,7 +51,7 @@ use crate::{
 /// Dense, device-wide BTI aging storage: every bin of every aged wire in
 /// contiguous per-field arrays, plus a shared copy of the bin structure.
 ///
-/// See the [module docs](self) for the layout. Wires enter the arena on
+/// `arena.rs`'s module docs describe the layout. Wires enter the arena on
 /// first stress ([`ensure`](AgingArena::ensure)) in factory-fresh state
 /// and are never removed — exactly the lifecycle the old per-wire map
 /// had, minus the per-wire heap objects.

@@ -14,10 +14,11 @@
 //!    totals, cache hit ratio, abstain and quorum-failure rates,
 //!    per-phase event counts, span percentiles) with byte-deterministic
 //!    JSON and Markdown renderings.
-//! 3. [`diff`] — semantic trace diffs: runs compared as event multisets
-//!    under the Recorder's canonical order, so serial and parallel runs
-//!    of the same campaign diff empty and real behavioural drift shows
-//!    up as added/removed events plus counter and indicator deltas.
+//! 3. [`diff`](mod@diff) — semantic trace diffs: runs compared as event
+//!    multisets under the Recorder's canonical order, so serial and
+//!    parallel runs of the same campaign diff empty and real behavioural
+//!    drift shows up as added/removed events plus counter and indicator
+//!    deltas.
 //! 4. [`sentinel`] — a regression sentinel over the `results/BENCH_*`
 //!    lineage with tolerance-banded gates: identity claims gate
 //!    unconditionally, timing gates arm only on real parallel hardware,

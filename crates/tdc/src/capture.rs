@@ -1,10 +1,10 @@
 //! Captured carry-chain snapshots and their Hamming post-processing.
 //!
-//! Captures are stored packed: chain element `j` is bit `j % 64` of word
+//! Captures are packed: chain element `j` is bit `j % 64` of word
 //! `j / 64`, and every bit at or past the chain length is zero. A capture
-//! of `len` elements takes [`stride(len)`](stride) words, so a trace holds
-//! all of one polarity's samples in a single `Vec<u64>`, and the Hamming
-//! distance is a popcount.
+//! of `len` elements takes [`stride(len)`](stride) words, so a faulty
+//! trace holds all of one polarity's samples in a single `Vec<u64>`, and
+//! the Hamming distance is a popcount.
 
 use std::ops::Range;
 
@@ -20,7 +20,7 @@ pub(crate) fn stride(len: usize) -> usize {
 
 /// The binary Hamming distance of a packed capture from all-zeros
 /// (rising) or all-ones (falling): the one implementation, shared by
-/// [`CaptureWord`] and [`Trace`](crate::Trace).
+/// [`CaptureWord`] and the fault path of trace capture.
 pub(crate) fn hamming_distance(kind: TransitionKind, words: &[u64], len: usize) -> usize {
     let ones: usize = words.iter().map(|w| w.count_ones() as usize).sum();
     match kind {
@@ -82,11 +82,6 @@ impl CaptureWord {
     pub(crate) fn from_packed(kind: TransitionKind, len: usize, words: Vec<u64>) -> Self {
         debug_assert_eq!(words.len(), stride(len), "one stride of words");
         Self { kind, len, words }
-    }
-
-    /// The packed capture: [`stride`] words, bits past the length zero.
-    pub(crate) fn packed(&self) -> &[u64] {
-        &self.words
     }
 
     /// The transition polarity this capture observed.

@@ -91,10 +91,11 @@ impl TdcConfig {
         Ok(())
     }
 
-    /// Total samples contributing to one measurement.
+    /// Total samples contributing to one measurement: every trace's
+    /// samples of both polarities.
     #[must_use]
     pub fn samples_per_measurement(&self) -> usize {
-        self.samples_per_trace * self.traces_per_measurement
+        2 * self.samples_per_trace * self.traces_per_measurement
     }
 }
 
@@ -123,7 +124,7 @@ mod tests {
     #[test]
     fn paper_sample_budget() {
         let c = TdcConfig::lab();
-        assert_eq!(c.samples_per_measurement(), 160);
+        assert_eq!(c.samples_per_measurement(), 320);
     }
 
     #[test]

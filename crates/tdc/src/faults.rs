@@ -17,7 +17,6 @@ use fpga_fabric::TransitionKind;
 use serde::{Deserialize, Serialize};
 
 use crate::capture::{flip_bit, hamming_distance, set_bits, stride};
-use crate::Trace;
 
 /// A seeded, deterministic description of how corrupted captures are.
 ///
@@ -82,17 +81,6 @@ impl SensorFaultPlan {
             && self.metastability_burst_rate <= 0.0
     }
 
-    /// Applies this plan's corruption to a freshly captured trace, in
-    /// place on its packed samples.
-    ///
-    /// Pure in `(plan, trace contents)`: the same trace corrupts the same
-    /// way every time.
-    #[must_use]
-    pub fn corrupt_trace(&self, trace: Trace) -> Trace {
-        let stuck = self.stuck_masks(trace.chain_length());
-        self.corrupt_trace_with(trace, &stuck)
-    }
-
     /// The stuck capture registers of a `len`-element chain. They are a
     /// property of the element, not the sample: decided from `(seed,
     /// element)` alone.
@@ -116,58 +104,58 @@ impl SensorFaultPlan {
         masks
     }
 
-    /// [`corrupt_trace`](Self::corrupt_trace) with the stuck masks
-    /// already derived for the trace's chain length.
-    pub(crate) fn corrupt_trace_with(&self, mut trace: Trace, stuck: &StuckMasks) -> Trace {
-        if self.is_benign() {
-            return trace;
-        }
-        let theta_bits = trace.theta_ps().to_bits();
-        let len = trace.chain_length();
-        let stride = stride(len);
-        for kind in TransitionKind::ALL {
-            let kind_tag = match kind {
-                TransitionKind::Rising => 0x5249_5345,
-                TransitionKind::Falling => 0x4641_4C4C,
-            };
-            let burst = self.metastability_burst_rate > 0.0
-                && self.burst_half_width > 0
-                && uniform_hash(self.seed ^ 0x4255_5253, theta_bits ^ kind_tag)
-                    < self.metastability_burst_rate;
-            for (sample, word) in trace.packed_mut(kind).chunks_exact_mut(stride).enumerate() {
-                let sample_key = theta_bits ^ kind_tag ^ (sample as u64).rotate_left(23);
-                // Dropout: the word is lost and reads as "edge never
-                // arrived" — all bits at their pre-transition value, a
-                // zero-distance word.
-                if self.dropout_rate > 0.0
-                    && uniform_hash(self.seed ^ 0x44524F50, sample_key) < self.dropout_rate
-                {
-                    word.fill(0);
-                    if kind == TransitionKind::Falling {
-                        set_bits(word, 0..len);
-                    }
-                    continue;
+    /// Corrupts one polarity's samples in place, `packed` holding them in
+    /// capture order, [`stride`]`(len)` words each, and `stuck` being
+    /// [`stuck_masks`](Self::stuck_masks)`(len)`. Pure in its inputs.
+    pub(crate) fn corrupt_samples(
+        &self,
+        theta_ps: f64,
+        kind: TransitionKind,
+        len: usize,
+        stuck: &StuckMasks,
+        packed: &mut [u64],
+    ) {
+        let theta_bits = theta_ps.to_bits();
+        let kind_tag = match kind {
+            TransitionKind::Rising => 0x5249_5345,
+            TransitionKind::Falling => 0x4641_4C4C,
+        };
+        let burst = self.metastability_burst_rate > 0.0
+            && self.burst_half_width > 0
+            && uniform_hash(self.seed ^ 0x4255_5253, theta_bits ^ kind_tag)
+                < self.metastability_burst_rate;
+        for (sample, word) in packed.chunks_exact_mut(stride(len)).enumerate() {
+            let sample_key = theta_bits ^ kind_tag ^ (sample as u64).rotate_left(23);
+            // Dropout: the word is lost and reads as "edge never
+            // arrived" — all bits at their pre-transition value, a
+            // zero-distance word.
+            if self.dropout_rate > 0.0
+                && uniform_hash(self.seed ^ 0x44524F50, sample_key) < self.dropout_rate
+            {
+                word.fill(0);
+                if kind == TransitionKind::Falling {
+                    set_bits(word, 0..len);
                 }
-                // The front is read before any bit moves, and each flip
-                // depends only on its own bit, so no copy is needed.
-                if burst {
-                    let front = hamming_distance(kind, word, len);
-                    let hw = self.burst_half_width;
-                    let near = front.saturating_sub(hw)
-                        ..front.saturating_add(hw).saturating_add(1).min(len);
-                    for j in near {
-                        let key = sample_key ^ (j as u64) << 17;
-                        if uniform_hash(self.seed ^ 0x4D45_5441, key) < 0.5 {
-                            flip_bit(word, j);
-                        }
+                continue;
+            }
+            // The front is read before any bit moves, and each flip
+            // depends only on its own bit, so no copy is needed.
+            if burst {
+                let front = hamming_distance(kind, word, len);
+                let hw = self.burst_half_width;
+                let near =
+                    front.saturating_sub(hw)..front.saturating_add(hw).saturating_add(1).min(len);
+                for j in near {
+                    let key = sample_key ^ (j as u64) << 17;
+                    if uniform_hash(self.seed ^ 0x4D45_5441, key) < 0.5 {
+                        flip_bit(word, j);
                     }
-                }
-                for ((w, &s), &h) in word.iter_mut().zip(&stuck.stuck).zip(&stuck.high) {
-                    *w = (*w & !s) | h;
                 }
             }
+            for ((w, &s), &h) in word.iter_mut().zip(&stuck.stuck).zip(&stuck.high) {
+                *w = (*w & !s) | h;
+            }
         }
-        trace
     }
 }
 
@@ -261,25 +249,57 @@ mod tests {
         CaptureWord::new(kind, bits)
     }
 
-    fn clean_trace(theta: f64) -> Trace {
-        Trace::new(
-            theta,
-            vec![front_word(TransitionKind::Rising, 64, 30); 8],
-            vec![front_word(TransitionKind::Falling, 64, 30); 8],
-        )
+    /// Packs words into one polarity's sample buffer.
+    fn pack(words: &[CaptureWord]) -> Vec<u64> {
+        let mut packed = Vec::new();
+        for w in words {
+            let mut word = vec![0; stride(w.len())];
+            for (j, _) in w.bits().iter().enumerate().filter(|&(_, &b)| b) {
+                flip_bit(&mut word, j);
+            }
+            packed.extend(word);
+        }
+        packed
+    }
+
+    /// `words`, all of `kind` and `len` elements, corrupted by `plan` at θ.
+    fn corrupt(
+        plan: &SensorFaultPlan,
+        theta_ps: f64,
+        kind: TransitionKind,
+        len: usize,
+        words: &[CaptureWord],
+    ) -> Vec<CaptureWord> {
+        let mut packed = pack(words);
+        plan.corrupt_samples(theta_ps, kind, len, &plan.stuck_masks(len), &mut packed);
+        packed
+            .chunks_exact(stride(len))
+            .map(|w| CaptureWord::from_packed(kind, len, w.to_vec()))
+            .collect()
+    }
+
+    /// Eight clean 64-element samples of `kind` with the front at 30.
+    fn clean(kind: TransitionKind) -> Vec<CaptureWord> {
+        vec![front_word(kind, 64, 30); 8]
     }
 
     #[test]
     fn benign_plan_is_identity() {
-        let t = clean_trace(500.0);
-        assert_eq!(SensorFaultPlan::none().corrupt_trace(t.clone()), t);
+        for kind in TransitionKind::ALL {
+            let got = corrupt(&SensorFaultPlan::none(), 500.0, kind, 64, &clean(kind));
+            assert_eq!(got, clean(kind));
+        }
     }
 
     #[test]
     fn corruption_is_deterministic() {
         let plan = SensorFaultPlan::noisy(9, 0.3);
-        let t = clean_trace(500.0);
-        assert_eq!(plan.corrupt_trace(t.clone()), plan.corrupt_trace(t));
+        for kind in TransitionKind::ALL {
+            assert_eq!(
+                corrupt(&plan, 500.0, kind, 64, &clean(kind)),
+                corrupt(&plan, 500.0, kind, 64, &clean(kind))
+            );
+        }
     }
 
     #[test]
@@ -287,9 +307,8 @@ mod tests {
         let mut plan = SensorFaultPlan::none();
         plan.seed = 5;
         plan.dropout_rate = 1.0;
-        let t = plan.corrupt_trace(clean_trace(500.0));
         for kind in TransitionKind::ALL {
-            for w in t.words(kind) {
+            for w in corrupt(&plan, 500.0, kind, 64, &clean(kind)) {
                 assert_eq!(w.propagation_distance(), 0);
                 assert!(w.is_saturated());
             }
@@ -301,14 +320,14 @@ mod tests {
         let mut plan = SensorFaultPlan::none();
         plan.seed = 5;
         plan.stuck_element_rate = 0.2;
-        let t = plan.corrupt_trace(clean_trace(500.0));
-        let words = t.words(TransitionKind::Rising);
+        let kind = TransitionKind::Rising;
+        let words = corrupt(&plan, 500.0, kind, 64, &clean(kind));
         for w in &words[1..] {
             assert_eq!(w.bits(), words[0].bits(), "same stuck pattern everywhere");
         }
         assert_ne!(
             words[0].bits(),
-            front_word(TransitionKind::Rising, 64, 30).bits(),
+            front_word(kind, 64, 30).bits(),
             "at 20% some of 64 elements must stick"
         );
     }
@@ -319,8 +338,8 @@ mod tests {
         plan.seed = 11;
         plan.metastability_burst_rate = 1.0;
         plan.burst_half_width = 3;
-        let t = plan.corrupt_trace(clean_trace(500.0));
-        for w in t.words(TransitionKind::Rising) {
+        let kind = TransitionKind::Rising;
+        for w in corrupt(&plan, 500.0, kind, 64, &clean(kind)) {
             for (j, &b) in w.bits().iter().enumerate() {
                 let clean = j < 30;
                 if j.abs_diff(30) > 3 {
@@ -333,9 +352,8 @@ mod tests {
     #[test]
     fn moderate_faults_leave_quorum_of_clean_samples() {
         let plan = SensorFaultPlan::noisy(3, 0.2);
-        let t = plan.corrupt_trace(clean_trace(500.0));
-        let clean = t
-            .words(TransitionKind::Rising)
+        let kind = TransitionKind::Rising;
+        let clean = corrupt(&plan, 500.0, kind, 64, &clean(kind))
             .iter()
             .filter(|w| !w.is_saturated())
             .count();
@@ -364,9 +382,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// `corrupt_trace` under a noisy plan equals the `Vec<bool>`
-        /// reference word for word, on chains on both sides of the
-        /// 64-bit boundary and bursts wide enough to span words.
+        /// `corrupt_samples` under a noisy plan equals the `Vec<bool>`
+        /// reference word for word, for both polarities, on chains on both
+        /// sides of the 64-bit boundary and bursts wide enough to span
+        /// words.
         #[test]
         fn corruption_matches_bool_reference(
             len in 1usize..=130,
@@ -379,28 +398,14 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut plan = SensorFaultPlan::noisy(seed, intensity);
             plan.burst_half_width = burst_half_width;
-            let bools = |kind, rng: &mut StdRng| -> Vec<Vec<bool>> {
-                (0..samples).map(|_| random_bools(rng, kind, len)).collect()
-            };
-            let rising = bools(TransitionKind::Rising, &mut rng);
-            let falling = bools(TransitionKind::Falling, &mut rng);
-            let words = |kind, raw: &[Vec<bool>]| -> Vec<CaptureWord> {
-                raw.iter().map(|b| CaptureWord::new(kind, b.clone())).collect()
-            };
-            let trace = Trace::new(
-                theta_ps,
-                words(TransitionKind::Rising, &rising),
-                words(TransitionKind::Falling, &falling),
-            );
-            let corrupted = plan.corrupt_trace(trace);
-            let polarities = [
-                (TransitionKind::Rising, &rising),
-                (TransitionKind::Falling, &falling),
-            ];
-            for (kind, raw) in polarities {
-                let got = corrupted.words(kind);
+            for kind in TransitionKind::ALL {
+                let raw: Vec<Vec<bool>> =
+                    (0..samples).map(|_| random_bools(&mut rng, kind, len)).collect();
+                let words: Vec<CaptureWord> =
+                    raw.iter().map(|b| CaptureWord::new(kind, b.clone())).collect();
+                let got = corrupt(&plan, theta_ps, kind, len, &words);
                 prop_assert_eq!(got.len(), raw.len());
-                for (i, (word, bits)) in got.iter().zip(raw).enumerate() {
+                for (i, (word, bits)) in got.iter().zip(&raw).enumerate() {
                     let want = plan.corrupt_bools(theta_ps, kind, i, bits);
                     prop_assert_eq!(word.bits(), &want[..], "{:?} sample {}", kind, i);
                 }

@@ -3,23 +3,47 @@
 use fpga_fabric::{TransitionKind, CARRY_ELEMENT_PS};
 use serde::{Deserialize, Serialize};
 
-use crate::capture::{self, hamming_distance, stride};
+use crate::capture::is_saturated;
 use crate::{CaptureWord, TdcError};
+
+/// One polarity's samples reduced to what every reader of a trace needs:
+/// their count and distance sum, over all samples and over the `valid`
+/// ones, which carried timing information (distance neither 0 nor the
+/// chain length).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct Tally {
+    samples: usize,
+    total: usize,
+    valid: usize,
+    valid_total: usize,
+}
+
+impl Tally {
+    /// Counts one sample of `distance` bits on a `len`-element chain.
+    #[inline]
+    pub(crate) fn add(&mut self, distance: usize, len: usize) {
+        self.samples += 1;
+        self.total += distance;
+        if !is_saturated(distance, len) {
+            self.valid += 1;
+            self.valid_total += distance;
+        }
+    }
+}
 
 /// One trace: a short burst of samples of both polarities at a single θ.
 ///
-/// Each polarity's samples are packed into one `Vec<u64>`,
-/// [`stride`] words per sample (see [`crate::capture`]).
+/// Each polarity is held as sums over its samples' propagation
+/// distances, which is all the Hamming post-processing reads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
     theta_ps: f64,
-    chain_length: usize,
-    rising: Vec<u64>,
-    falling: Vec<u64>,
+    rising: Tally,
+    falling: Tally,
 }
 
 impl Trace {
-    /// Builds a trace from captured words, packing them.
+    /// Builds a trace from captured words, tallying their distances.
     ///
     /// # Panics
     ///
@@ -27,39 +51,31 @@ impl Trace {
     /// if the words differ in length.
     #[must_use]
     pub fn new(theta_ps: f64, rising: Vec<CaptureWord>, falling: Vec<CaptureWord>) -> Self {
-        let chain_length = rising
+        let len = rising
             .iter()
             .chain(&falling)
             .next()
             .map_or(0, CaptureWord::len);
-        let pack = |kind, words: &[CaptureWord]| -> Vec<u64> {
-            let mut packed = Vec::with_capacity(words.len() * stride(chain_length));
+        let tally = |kind, words: &[CaptureWord]| {
+            let mut tally = Tally::default();
             for w in words {
                 assert_eq!(w.kind(), kind, "a {kind} trace holds {kind} words");
-                assert_eq!(w.len(), chain_length, "a trace's words share one length");
-                packed.extend_from_slice(w.packed());
+                assert_eq!(w.len(), len, "a trace's words share one length");
+                tally.add(w.propagation_distance(), len);
             }
-            packed
+            tally
         };
-        Self::from_packed(
+        Self::from_tallies(
             theta_ps,
-            chain_length,
-            pack(TransitionKind::Rising, &rising),
-            pack(TransitionKind::Falling, &falling),
+            tally(TransitionKind::Rising, &rising),
+            tally(TransitionKind::Falling, &falling),
         )
     }
 
-    /// Wraps samples already packed, [`stride`]`(chain_length)` words
-    /// each.
-    pub(crate) fn from_packed(
-        theta_ps: f64,
-        chain_length: usize,
-        rising: Vec<u64>,
-        falling: Vec<u64>,
-    ) -> Self {
+    /// Wraps the tallies of samples already captured.
+    pub(crate) fn from_tallies(theta_ps: f64, rising: Tally, falling: Tally) -> Self {
         Self {
             theta_ps,
-            chain_length,
             rising,
             falling,
         }
@@ -71,52 +87,24 @@ impl Trace {
         self.theta_ps
     }
 
-    /// Length of the carry chain each sample captured.
-    pub(crate) fn chain_length(&self) -> usize {
-        self.chain_length
-    }
-
-    /// One polarity's packed samples, for in-place corruption.
-    pub(crate) fn packed_mut(&mut self, kind: TransitionKind) -> &mut [u64] {
+    fn tally(&self, kind: TransitionKind) -> Tally {
         match kind {
-            TransitionKind::Rising => &mut self.rising,
-            TransitionKind::Falling => &mut self.falling,
+            TransitionKind::Rising => self.rising,
+            TransitionKind::Falling => self.falling,
         }
-    }
-
-    fn samples(&self, kind: TransitionKind) -> std::slice::ChunksExact<'_, u64> {
-        let packed = match kind {
-            TransitionKind::Rising => &self.rising,
-            TransitionKind::Falling => &self.falling,
-        };
-        packed.chunks_exact(stride(self.chain_length))
-    }
-
-    /// Each sample's propagation distance, in capture order.
-    fn distances(&self, kind: TransitionKind) -> impl Iterator<Item = usize> + '_ {
-        self.samples(kind)
-            .map(move |w| hamming_distance(kind, w, self.chain_length))
-    }
-
-    /// The captured words of one polarity, unpacked.
-    #[must_use]
-    pub fn words(&self, kind: TransitionKind) -> Vec<CaptureWord> {
-        self.samples(kind)
-            .map(|w| CaptureWord::from_packed(kind, self.chain_length, w.to_vec()))
-            .collect()
     }
 
     /// Mean propagation distance (in carry bits) of one polarity across
     /// the trace's samples.
     #[must_use]
     pub fn mean_distance(&self, kind: TransitionKind) -> f64 {
-        let n = self.samples(kind).len();
-        if n == 0 {
+        let t = self.tally(kind);
+        if t.samples == 0 {
             return 0.0;
         }
         // Distances are small integers, so an integer total converts to
         // the same f64 as summing the distances as floats.
-        self.distances(kind).sum::<usize>() as f64 / n as f64
+        t.total as f64 / t.samples as f64
     }
 
     /// Whether either polarity saturated in a majority of samples —
@@ -124,11 +112,8 @@ impl Trace {
     #[must_use]
     pub fn is_saturated(&self) -> bool {
         TransitionKind::ALL.into_iter().any(|kind| {
-            let saturated = self
-                .distances(kind)
-                .filter(|&d| capture::is_saturated(d, self.chain_length))
-                .count();
-            saturated * 2 > self.samples(kind).len()
+            let t = self.tally(kind);
+            (t.samples - t.valid) * 2 > t.samples
         })
     }
 
@@ -141,15 +126,12 @@ impl Trace {
     /// rather than silently reading a distance of zero.
     #[must_use]
     pub fn quorum_distance(&self, kind: TransitionKind) -> Option<(f64, f64)> {
-        let (valid, total) = self
-            .distances(kind)
-            .filter(|&d| !capture::is_saturated(d, self.chain_length))
-            .fold((0usize, 0usize), |(n, total), d| (n + 1, total + d));
-        if valid == 0 {
+        let t = self.tally(kind);
+        if t.valid == 0 {
             return None;
         }
-        let mean = total as f64 / valid as f64;
-        Some((mean, valid as f64 / self.samples(kind).len().max(1) as f64))
+        let mean = t.valid_total as f64 / t.valid as f64;
+        Some((mean, t.valid as f64 / t.samples as f64))
     }
 
     /// The fraction of this trace's samples (worst polarity) that carried

@@ -6,8 +6,9 @@ use fpga_fabric::{
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::capture::{set_bits, stride};
+use crate::capture::{hamming_distance, set_bits, stride};
 use crate::faults::StuckMasks;
+use crate::measurement::Tally;
 use crate::util::{box_muller, box_muller_bracket, gaussian_uniforms};
 use crate::{
     CaptureWord, ClockGenerator, Measurement, SensorFaultPlan, TdcConfig, TdcError, Trace,
@@ -156,11 +157,15 @@ impl TdcSensor {
     ) -> CaptureWord {
         let len = self.chain.len();
         let mut word = vec![0; stride(len)];
-        self.capture_into(route_delay_ps, theta_ps, kind, rng, &mut word);
+        self.capture_into::<true, R>(route_delay_ps, theta_ps, kind, rng, &mut word);
         CaptureWord::from_packed(kind, len, word)
     }
 
-    /// Writes one packed sample into `word`, one [`stride`] of words.
+    /// Captures one sample and returns its propagation distance, `settled`
+    /// plus the metastable elements the edge passed. A rising word sets
+    /// exactly those bits and a falling word the rest, whose `len −
+    /// popcount` is the same sum. Only with `PACK` is the word written,
+    /// into `word`: one [`stride`] of words, zero on entry.
     ///
     /// The capture margin `front_time − passed_at(i)` never increases
     /// along the chain (its cumulative delays strictly increase), so the
@@ -178,14 +183,14 @@ impl TdcSensor {
     /// Every decision is monotone in the front, so each is made on a
     /// [`Front`] bracket and takes the exact jitter only where the
     /// bracket's two ends disagree.
-    fn capture_into<R: Rng + ?Sized>(
+    fn capture_into<const PACK: bool, R: Rng + ?Sized>(
         &self,
         route_delay_ps: f64,
         theta_ps: f64,
         kind: TransitionKind,
         rng: &mut R,
         word: &mut [u64],
-    ) {
+    ) -> usize {
         let mut front = Front::draw(rng, theta_ps, self.config.jitter_sigma_ps, route_delay_ps);
         let w = self.config.metastable_window_ps;
         // Element `i` is passed once the edge clears its output.
@@ -203,11 +208,11 @@ impl TdcSensor {
         }
         // A bit is set where the edge passed (rising) or did not (falling).
         let set_if_passed = matches!(kind, TransitionKind::Rising);
-        word.fill(0);
-        if set_if_passed {
+        if PACK && set_if_passed {
             set_bits(word, 0..settled);
         }
         let mut reached = settled;
+        let mut passes = 0;
         for &p in &passed_at[settled..] {
             // The scan's own `< −w/2` test, so that even a NaN margin
             // lands in the metastable band exactly as it did there.
@@ -229,12 +234,17 @@ impl TdcSensor {
                 front.decide(|front_time| front_time - p >= 0.0)
             };
             // Branch-free: the outcome is a coin flip no predictor learns.
-            word[reached / 64] ^= u64::from(transition_passed == set_if_passed) << (reached % 64);
+            passes += usize::from(transition_passed);
+            if PACK {
+                word[reached / 64] ^=
+                    u64::from(transition_passed == set_if_passed) << (reached % 64);
+            }
             reached += 1;
         }
-        if !set_if_passed {
+        if PACK && !set_if_passed {
             set_bits(word, reached..len);
         }
+        settled + passes
     }
 
     /// Captures one trace (both polarities, `samples_per_trace` each) at a
@@ -253,9 +263,10 @@ impl TdcSensor {
         self.capture_trace_at(device.route_delay(&self.route), theta_ps, rng)
     }
 
-    /// One trace against a route delay already read off the device: each
-    /// polarity's samples land in one packed buffer, so capture allocates
-    /// twice per trace, never per sample.
+    /// One trace against a route delay already read off the device. Under
+    /// a benign fault plan no bit is ever read, so capture only counts;
+    /// otherwise a polarity's samples are packed into one buffer,
+    /// corrupted in place and then tallied.
     fn capture_trace_at<R: Rng + ?Sized>(
         &self,
         delay: RouteDelay,
@@ -265,21 +276,31 @@ impl TdcSensor {
         // The clock generator can only realize phases on its grid.
         let theta_ps = self.clock.quantize(theta_ps);
         let len = self.chain.len();
-        let stride = stride(len);
-        let sample = |kind, rng: &mut R| {
-            let route_delay = delay.for_transition(kind);
-            let mut packed = vec![0; self.config.samples_per_trace * stride];
-            for word in packed.chunks_exact_mut(stride) {
-                self.capture_into(route_delay, theta_ps, kind, rng, word);
+        let samples = self.config.samples_per_trace;
+        let tally = |kind, rng: &mut R| {
+            let delay = delay.for_transition(kind);
+            let mut tally = Tally::default();
+            if self.faults.is_benign() {
+                for _ in 0..samples {
+                    let d = self.capture_into::<false, R>(delay, theta_ps, kind, rng, &mut []);
+                    tally.add(d, len);
+                }
+            } else {
+                let stride = stride(len);
+                let mut packed = vec![0; samples * stride];
+                for word in packed.chunks_exact_mut(stride) {
+                    self.capture_into::<true, R>(delay, theta_ps, kind, rng, word);
+                }
+                self.faults
+                    .corrupt_samples(theta_ps, kind, len, &self.stuck, &mut packed);
+                for word in packed.chunks_exact(stride) {
+                    tally.add(hamming_distance(kind, word, len), len);
+                }
             }
-            packed
+            tally
         };
-        let rising = sample(TransitionKind::Rising, rng);
-        let falling = sample(TransitionKind::Falling, rng);
-        self.faults.corrupt_trace_with(
-            Trace::from_packed(theta_ps, len, rising, falling),
-            &self.stuck,
-        )
+        let rising = tally(TransitionKind::Rising, rng);
+        Trace::from_tallies(theta_ps, rising, tally(TransitionKind::Falling, rng))
     }
 
     /// The stored θ_init, checked usable: a non-finite one would put every
@@ -488,6 +509,9 @@ struct Front {
 }
 
 impl Front {
+    /// Forced inline: a trace holds two instantiations of the walk, and
+    /// outlined, this returns the `Front` through memory.
+    #[inline(always)]
     fn draw<R: Rng + ?Sized>(
         rng: &mut R,
         theta_ps: f64,
@@ -519,7 +543,9 @@ impl Front {
         front
     }
 
-    /// Replaces the bracket by the exact front.
+    /// Replaces the bracket by the exact front. Inlinable across crates,
+    /// so no instantiation passes `&mut Front` out of line.
+    #[inline]
     fn resolve(&mut self) {
         let front_time = exact_front(
             self.u1,
@@ -707,74 +733,49 @@ mod tests {
             }
         }
 
-        /// A whole captured trace — both polarities, every sample, after
-        /// fault corruption — equals the `Vec<bool>` reference bit for
-        /// bit, and leaves the RNG in the same state. Chains run on both
-        /// sides of the 64-bit word boundary. Every word's distance and
-        /// the trace's summaries match a `bool`-at-a-time count.
+        /// A whole trace from the public `capture_trace`, both polarities
+        /// after fault corruption, summarises exactly as the `Vec<bool>`
+        /// scan corrupted by the `Vec<bool>` fault reference, and leaves
+        /// the RNG in the same state. Chains run on both sides of the
+        /// 64-bit word boundary.
         #[test]
-        fn packed_trace_matches_bool_reference(
-            window_ps in prop_oneof![Just(0.0), Just(1.5), Just(10.0)],
+        fn trace_summaries_match_bool_reference(
+            cloud in any::<bool>(),
+            noisy in any::<bool>(),
             chain_length in 1usize..=130,
-            samples_per_trace in 1usize..=20,
             front_frac in 0.0f64..1.0,
-            jitter_sigma_ps in 0.0f64..8.0,
-            fault_intensity in prop_oneof![Just(None), (0.0f64..0.6).prop_map(Some)],
             seed in 0u64..1_000_000,
         ) {
             let device = FpgaDevice::zcu102_new(seed % 7);
             let route = device
                 .route_with_target_delay(&RouteRequest::new(TileCoord::new(4, 4), 1_000.0))
                 .unwrap();
-            let config = TdcConfig {
-                chain_length,
-                samples_per_trace,
-                jitter_sigma_ps,
-                metastable_window_ps: window_ps,
-                ..TdcConfig::lab()
-            };
+            let profile = if cloud { TdcConfig::cloud() } else { TdcConfig::lab() };
+            let config = TdcConfig { chain_length, ..profile };
             let mut sensor = TdcSensor::place(&device, route, config).unwrap();
-            if let Some(intensity) = fault_intensity {
-                sensor.set_fault_plan(SensorFaultPlan::noisy(seed, intensity));
+            if noisy {
+                sensor.set_fault_plan(SensorFaultPlan::noisy(seed, 0.15));
             }
             let delay = device.route_delay(sensor.route());
             let total = sensor.chain().total_delay_ps();
             let theta = delay.rise_ps + front_frac * (total + 40.0) - 20.0;
             let mut fast_rng = StdRng::seed_from_u64(seed);
             let mut ref_rng = fast_rng.clone();
-            let fast = sensor.capture_trace_at(delay, theta, &mut fast_rng);
+            let trace = sensor.capture_trace(&device, theta, &mut fast_rng);
             let (ref_theta, [rising, falling]) =
                 capture_trace_reference(&sensor, delay, theta, &mut ref_rng);
             prop_assert_eq!(fast_rng.state(), ref_rng.state());
-            prop_assert_eq!(fast.theta_ps().to_bits(), ref_theta.to_bits());
-            let as_words = |kind, raw: &[Vec<bool>]| -> Vec<CaptureWord> {
-                raw.iter().map(|b| CaptureWord::new(kind, b.clone())).collect()
-            };
-            prop_assert_eq!(
-                &fast,
-                &Trace::new(
-                    ref_theta,
-                    as_words(TransitionKind::Rising, &rising),
-                    as_words(TransitionKind::Falling, &falling),
-                )
-            );
+            prop_assert_eq!(trace.theta_ps().to_bits(), ref_theta.to_bits());
+            let mut majority_saturated = false;
             let polarities = [
-                (TransitionKind::Rising, &rising),
-                (TransitionKind::Falling, &falling),
+                (TransitionKind::Rising, rising),
+                (TransitionKind::Falling, falling),
             ];
             for (kind, raw) in polarities {
-                let words = fast.words(kind);
-                prop_assert_eq!(words.len(), raw.len());
-                let mut distances = Vec::new();
-                for (word, bits) in words.iter().zip(raw) {
-                    prop_assert_eq!(word.bits(), &bits[..]);
-                    let d = bool_distance(kind, bits);
-                    prop_assert_eq!(word.propagation_distance(), d);
-                    prop_assert_eq!(word.is_saturated(), d == 0 || d == chain_length);
-                    distances.push(d);
-                }
-                let mean = distances.iter().map(|&d| d as f64).sum::<f64>() / raw.len() as f64;
-                prop_assert_eq!(fast.mean_distance(kind).to_bits(), mean.to_bits());
+                let distances: Vec<usize> = raw.iter().map(|b| bool_distance(kind, b)).collect();
+                let n = distances.len() as f64;
+                let mean = distances.iter().map(|&d| d as f64).sum::<f64>() / n;
+                prop_assert_eq!(trace.mean_distance(kind).to_bits(), mean.to_bits());
                 let valid: Vec<usize> = distances
                     .iter()
                     .copied()
@@ -783,24 +784,61 @@ mod tests {
                 let quorum = (!valid.is_empty()).then(|| {
                     (
                         valid.iter().sum::<usize>() as f64 / valid.len() as f64,
-                        valid.len() as f64 / raw.len() as f64,
+                        valid.len() as f64 / n,
                     )
                 });
-                prop_assert_eq!(fast.quorum_distance(kind), quorum);
+                prop_assert_eq!(trace.quorum_distance(kind), quorum);
+                majority_saturated |= (distances.len() - valid.len()) * 2 > distances.len();
             }
-            let majority_saturated = |raw: &[Vec<bool>], kind| {
-                let saturated = raw
-                    .iter()
-                    .map(|b| bool_distance(kind, b))
-                    .filter(|&d| d == 0 || d == chain_length)
-                    .count();
-                saturated * 2 > raw.len()
-            };
-            prop_assert_eq!(
-                fast.is_saturated(),
-                majority_saturated(&rising, TransitionKind::Rising)
-                    || majority_saturated(&falling, TransitionKind::Falling)
-            );
+            prop_assert_eq!(trace.is_saturated(), majority_saturated);
+        }
+    }
+
+    /// The counting and the packing capture are one walk: for every
+    /// sample they return the same distance, equal to the packed word's
+    /// Hamming distance, and leave the RNG in the same state. Fronts
+    /// sweep past both ends of chains on both sides of 64 elements.
+    #[test]
+    fn counting_capture_matches_packing() {
+        let device = FpgaDevice::zcu102_new(3);
+        let route = device
+            .route_with_target_delay(&RouteRequest::new(TileCoord::new(4, 4), 1_000.0))
+            .unwrap();
+        for chain_length in [1, 63, 64, 65, 130] {
+            for metastable_window_ps in [0.0, 1.5, 10.0] {
+                let config = TdcConfig {
+                    chain_length,
+                    metastable_window_ps,
+                    ..TdcConfig::cloud()
+                };
+                let sensor = TdcSensor::place(&device, route.clone(), config).unwrap();
+                let total = sensor.chain().total_delay_ps();
+                let mut count_rng = StdRng::seed_from_u64(chain_length as u64);
+                let mut pack_rng = count_rng.clone();
+                for kind in TransitionKind::ALL {
+                    for step in 0..=200 {
+                        let front = f64::from(step) / 200.0 * (total + 40.0) - 20.0;
+                        let mut word = vec![0; stride(chain_length)];
+                        let counted = sensor.capture_into::<false, _>(
+                            0.0,
+                            front,
+                            kind,
+                            &mut count_rng,
+                            &mut [],
+                        );
+                        let packed = sensor.capture_into::<true, _>(
+                            0.0,
+                            front,
+                            kind,
+                            &mut pack_rng,
+                            &mut word,
+                        );
+                        assert_eq!(counted, packed);
+                        assert_eq!(counted, hamming_distance(kind, &word, chain_length));
+                        assert_eq!(count_rng.state(), pack_rng.state());
+                    }
+                }
+            }
         }
     }
 
@@ -828,8 +866,7 @@ mod tests {
             sensor.measure(&device, &mut rng).unwrap();
         }
         let exact = EXACT_FRONTS.with(Cell::get) - before;
-        // Each read captures its samples once per polarity.
-        let samples = reads * 2 * sensor.config().samples_per_measurement();
+        let samples = reads * sensor.config().samples_per_measurement();
         let share = exact as f64 / samples as f64;
         assert!(share > 0.0 && share < 0.15, "{exact} of {samples} exact");
     }

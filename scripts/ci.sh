@@ -217,6 +217,10 @@ else
     echo "clippy not installed; skipping (install with: rustup component add clippy)"
 fi
 
+echo "== cargo doc (warning-clean) =="
+# Broken or private intra-doc links are errors, not noise.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo fmt --check =="
 if command -v cargo-fmt >/dev/null 2>&1; then
     cargo fmt --check
