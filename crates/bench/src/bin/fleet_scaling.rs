@@ -17,11 +17,7 @@
 //!
 //! Flags: `--smoke` trims the width sweep for CI (the fleet stays at
 //! full size); `--threads N` caps the widest lane pool (default 4);
-//! `--trace/--metrics PATH` drain one run's telemetry into artifacts;
-//! `--dashboard` repaints the live ANSI fleet-health dashboard during a
-//! dedicated run; `--dashboard-once FILE` writes that run's final
-//! dashboard frame to FILE — a deterministic artifact, byte-identical
-//! at every `--threads` width (CI `cmp`s frames across 1/2/4).
+//! `--trace/--metrics PATH` drain one run's telemetry into artifacts.
 //!
 //! Artifact: `BENCH_fleet.json` (`identical` is sentinel-gated
 //! unconditionally; `campaigns_per_sec` is hardware-gated).
@@ -32,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use bench::{exit_by, path_from_args, save_artifact, threads_from_args, ObsSink, ShapeReport};
+use bench::{exit_by, save_artifact, threads_from_args, ObsSink, ShapeReport};
 use cloud::{
     Assignment, DevicePool, Provider, ProviderConfig, RentRequest, SessionBroker, TenantId,
 };
@@ -237,28 +233,6 @@ fn run_at_width(winners: &[Assignment], plan: &ChaosPlan, width: usize) -> RunRe
         .install(|| run_once(winners, plan, None))
 }
 
-/// One dedicated fleet run for the health dashboard: `live` repaints
-/// the ANSI frame every tick; the return value is the final frame —
-/// rendered from the supervisor's deterministic [`fleet::HealthSnapshot`]
-/// series, so it is byte-identical at every lane width.
-fn dashboard_frame(winners: &[Assignment], plan: &ChaosPlan, width: usize, live: bool) -> String {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(width)
-        .build()
-        .expect("thread pool")
-        .install(|| {
-            let scratch = Scratch::new();
-            let config = FleetConfig {
-                checkpoint_every_hours: 4,
-                dashboard: live,
-                ..FleetConfig::default()
-            };
-            let mut supervisor = Supervisor::new(&scratch.0, config).expect("store opens");
-            let _ = supervisor.run(specs(winners, plan, None), plan.clone());
-            fleet::render_frame(supervisor.health_snapshots())
-        })
-}
-
 struct Row {
     threads: usize,
     identical: bool,
@@ -414,29 +388,6 @@ fn main() {
     // carries the scheduler_tick/commit_batch event stream CI validates.
     if let Some(rec) = &sink_recorder {
         let _ = run_once(&winners, &plan, Some(rec));
-    }
-
-    // Fleet-health dashboard: a dedicated run at the widest lane pool.
-    // `--dashboard` repaints live; `--dashboard-once FILE` seals the
-    // final frame, which must be byte-identical at every `--threads`.
-    let dashboard_live = std::env::args().any(|a| a == "--dashboard");
-    let dashboard_once = path_from_args("dashboard-once");
-    if dashboard_live || dashboard_once.is_some() {
-        let frame = dashboard_frame(&winners, &plan, max_threads, dashboard_live);
-        match &dashboard_once {
-            Some(path) => {
-                let written = fs::write(path, &frame).is_ok();
-                report.check(
-                    "dashboard frame written",
-                    written,
-                    path.display().to_string(),
-                );
-                if written {
-                    println!("wrote {}", path.display());
-                }
-            }
-            None => print!("{frame}"),
-        }
     }
 
     let json_rows: Vec<String> = rows

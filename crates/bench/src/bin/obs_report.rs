@@ -11,13 +11,8 @@
 //!   `--stream` feeds the trace through [`StreamingIndicators`] in
 //!   fixed-size chunks (bounded memory, no event `Vec`); the rendering
 //!   is byte-identical to the batch path by the DESIGN.md §15 contract.
-//! * `alerts <trace> [--json|--md] [--stream]` — replays the trace
-//!   through the rule-based [`obs_analyze::alerts`] engine and renders
-//!   the deterministic firing/clearing edge log. Exit 0 whether or not
-//!   alerts fired (an alert is a report, not a failure); `--stream`
-//!   drives the engine off [`StreamingIndicators`] in bounded memory.
 //! * `diff <base> <cand>` — semantic multiset diff of two traces (event
-//!   multisets, counters, indicators, and derived alert streams). Exit 0
+//!   multisets, counters, and indicators). Exit 0
 //!   when the runs are semantically identical, 1 otherwise.
 //! * `sentinel --baseline b.json [--current f.json ...] [--write-baseline]`
 //!   — BENCH regression gates. A missing baseline is written from the
@@ -30,7 +25,6 @@ use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use obs_analyze::alerts::{compute_alerts, AlertConfig, AlertLog};
 use obs_analyze::diff::diff;
 use obs_analyze::indicators::{compute, IndicatorConfig, Indicators};
 use obs_analyze::json::Value;
@@ -50,7 +44,6 @@ fn main() -> ExitCode {
     let code = match args.first().map(String::as_str) {
         Some("validate") => cmd_validate(&args[1..]),
         Some("indicators") => cmd_indicators(&args[1..]),
-        Some("alerts") => cmd_alerts(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("sentinel") => cmd_sentinel(&args[1..]),
         Some(other) => Err(format!("unknown subcommand {other:?}\n{USAGE}")),
@@ -68,7 +61,6 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage: obs_report <subcommand>\n  \
     validate <trace.jsonl> [metrics.json]\n  \
     indicators <trace.jsonl> [--metrics metrics.json] [--json|--md] [--stream]\n  \
-    alerts <trace.jsonl> [--json|--md] [--stream]\n  \
     diff <base.jsonl> <candidate.jsonl>\n  \
     sentinel --baseline <bundle.json> [--current <BENCH.json>]... [--write-baseline]";
 
@@ -173,61 +165,6 @@ fn cmd_indicators(args: &[String]) -> Result<ExitCode, String> {
         print!("{}", ind.to_markdown());
     } else {
         println!("{}", ind.to_json());
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Streams a trace through [`StreamingIndicators`] with the alert
-/// engine attached, snapshotting the log before `finish` validates the
-/// stream's termination (alert edges are append-only, so the snapshot
-/// is already complete — `finish` never ingests).
-fn stream_alerts(trace_path: &str) -> Result<AlertLog, String> {
-    let mut file =
-        fs::File::open(trace_path).map_err(|e| format!("cannot read {trace_path}: {e}"))?;
-    let mut engine =
-        StreamingIndicators::new(&IndicatorConfig::default()).with_alerts(&AlertConfig::default());
-    let mut chunk = [0u8; 8192];
-    loop {
-        let n = file
-            .read(&mut chunk)
-            .map_err(|e| format!("cannot read {trace_path}: {e}"))?;
-        if n == 0 {
-            break;
-        }
-        engine
-            .push_chunk(&chunk[..n])
-            .map_err(|e| format!("{trace_path}: {e}"))?;
-    }
-    let log = engine.alert_log().expect("alert engine was attached");
-    engine
-        .finish(None)
-        .map_err(|e| format!("{trace_path}: {e}"))?;
-    Ok(log)
-}
-
-fn cmd_alerts(args: &[String]) -> Result<ExitCode, String> {
-    let mut trace_path = None;
-    let mut markdown = false;
-    let mut streaming = false;
-    for arg in args {
-        match arg.as_str() {
-            "--json" => markdown = false,
-            "--md" => markdown = true,
-            "--stream" => streaming = true,
-            other if trace_path.is_none() => trace_path = Some(other.to_owned()),
-            other => return Err(format!("unexpected argument {other:?}\n{USAGE}")),
-        }
-    }
-    let trace_path = trace_path.ok_or_else(|| format!("alerts needs a trace path\n{USAGE}"))?;
-    let log = if streaming {
-        stream_alerts(&trace_path)?
-    } else {
-        compute_alerts(&load_trace(&trace_path)?, &AlertConfig::default())
-    };
-    if markdown {
-        print!("{}", log.to_markdown());
-    } else {
-        println!("{}", log.to_json());
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -37,7 +37,6 @@
 
 pub mod breaker;
 pub mod chaos;
-pub mod dashboard;
 pub mod error;
 pub mod store;
 pub mod supervisor;
@@ -47,12 +46,9 @@ pub use breaker::{
     QuarantineRecord,
 };
 pub use chaos::{ChaosAction, ChaosCursor, ChaosPlan, ChaosState};
-pub use dashboard::render_frame;
 pub use error::{FleetError, StoreError};
 pub use store::{CheckpointStore, Envelope};
-pub use supervisor::{
-    CampaignResult, CampaignSpec, FleetConfig, FleetReport, HealthSnapshot, Supervisor,
-};
+pub use supervisor::{CampaignResult, CampaignSpec, FleetConfig, FleetReport, Supervisor};
 
 #[cfg(test)]
 mod tests {

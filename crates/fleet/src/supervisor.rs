@@ -62,7 +62,6 @@ use std::time::Instant;
 
 use obs::{CampaignEvent, EventKind, FlightRecorder, Recorder};
 use obs_analyze::indicators::FLEET_TICK_HISTOGRAM;
-use obs_analyze::{AlertConfig, AlertEngine};
 use pentimento::{Campaign, CampaignCheckpoint, CampaignOutcome, PentimentoError};
 use rayon::prelude::*;
 
@@ -102,9 +101,6 @@ pub struct FleetConfig {
     /// Directory flight dumps are sealed into; `None` uses
     /// `<store root>/flight`.
     pub flight_dir: Option<PathBuf>,
-    /// Repaint a live fleet-health dashboard frame on stdout after
-    /// every tick. Human-eyes only — artifacts are unaffected.
-    pub dashboard: bool,
 }
 
 impl Default for FleetConfig {
@@ -119,54 +115,7 @@ impl Default for FleetConfig {
             backoff_max_s: 60.0,
             flight_recorder_capacity: 64,
             flight_dir: None,
-            dashboard: false,
         }
-    }
-}
-
-/// One per-tick rollup of fleet health, the dashboard's data row. Pure
-/// function of the (deterministic) fleet state — no wall clock — so the
-/// snapshot series, like every other artifact, is identical at every
-/// thread width.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthSnapshot {
-    /// Supervisor tick this snapshot was taken at (1-based).
-    pub tick: u64,
-    /// Slots with a live campaign image this tick.
-    pub live: usize,
-    /// Campaigns completed so far.
-    pub completed: usize,
-    /// Campaigns terminally failed so far.
-    pub failed: usize,
-    /// Quarantine-ledger records so far.
-    pub quarantined: usize,
-    /// Circuit breakers currently open.
-    pub open_breakers: usize,
-    /// Supervisor restarts performed so far.
-    pub restarts: u64,
-    /// Chaos kills injected so far.
-    pub kills: u64,
-    /// Alerts raised so far (firing edges).
-    pub alerts_raised: u64,
-    /// Alerts still firing.
-    pub alerts_active: u64,
-    /// Flight dumps sealed so far.
-    pub flight_dumps: usize,
-    /// Peak per-device aging-arena bytes observed so far.
-    pub arena_bytes_peak: usize,
-    /// Deterministic backoff accounted so far, in seconds.
-    pub backoff_seconds: f64,
-}
-
-impl HealthSnapshot {
-    /// One-line deterministic summary, the `health_snapshot` trace
-    /// event's detail.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        format!(
-            "live={} completed={} failed={} open_breakers={} alerts_active={}",
-            self.live, self.completed, self.failed, self.open_breakers, self.alerts_active
-        )
     }
 }
 
@@ -327,8 +276,7 @@ struct LaneEffect {
     commit: Option<CommitIntent>,
     quarantine: Option<QuarantineRecord>,
     /// Every event the lane emitted for this slot, replayed at the
-    /// barrier into the slot's flight ring and the tick's alert feed
-    /// (in slot-index order, so the feed is width-invariant).
+    /// barrier into the slot's flight ring.
     events: Vec<CampaignEvent>,
 }
 
@@ -654,12 +602,6 @@ pub struct Supervisor {
     /// in seconds. Diagnostics only — never part of any report or
     /// determinism comparison.
     tick_latencies_s: Vec<f64>,
-    /// Events emitted since the last alert pump, fed to the online
-    /// [`AlertEngine`] in canonical (`cmp_key`) order once per tick so
-    /// the feed — and therefore every alert edge — is width-invariant.
-    tick_events: Vec<CampaignEvent>,
-    /// Per-tick health rollups of the most recent [`run`](Self::run).
-    health: Vec<HealthSnapshot>,
     /// Flight-dump bodies sealed during the most recent run, keyed by
     /// campaign id — the in-memory mirror of `flight/<id>.jsonl`, so
     /// determinism harnesses can compare dumps without racing scratch
@@ -680,8 +622,6 @@ impl Supervisor {
             store: CheckpointStore::open(store_root.as_ref().to_path_buf())?,
             recorder: None,
             tick_latencies_s: Vec::new(),
-            tick_events: Vec::new(),
-            health: Vec::new(),
             flight_dumps: BTreeMap::new(),
         })
     }
@@ -698,14 +638,6 @@ impl Supervisor {
     #[must_use]
     pub fn last_tick_latencies_s(&self) -> &[f64] {
         &self.tick_latencies_s
-    }
-
-    /// Per-tick [`HealthSnapshot`] rollups of the most recent
-    /// [`run`](Self::run), in tick order — the dashboard's data. Fully
-    /// deterministic: identical at every thread width.
-    #[must_use]
-    pub fn health_snapshots(&self) -> &[HealthSnapshot] {
-        &self.health
     }
 
     /// Flight-dump bodies sealed during the most recent run, keyed by
@@ -732,14 +664,11 @@ impl Supervisor {
         }
     }
 
-    /// Barrier-side event emission: the event reaches the shared
-    /// recorder *and* the tick's alert feed.
-    fn emit(&mut self, kind: EventKind, at: f64, value: f64, detail: &str) {
-        let event = CampaignEvent::new(kind, at).value(value).detail(detail);
+    /// Barrier-side event emission to the shared recorder.
+    fn emit(&self, kind: EventKind, at: f64, value: f64, detail: &str) {
         if let Some(r) = &self.recorder {
-            r.event(event.clone());
+            r.event(CampaignEvent::new(kind, at).value(value).detail(detail));
         }
-        self.tick_events.push(event);
     }
 
     fn incr(&self, counter: &'static str) {
@@ -811,11 +740,10 @@ impl Supervisor {
         let event = CampaignEvent::new(EventKind::Quarantine, slot.ticks as f64)
             .value(f64::from(slot.device.0))
             .detail(record.reason.tag());
-        slot.flight.push(event.clone());
         if let Some(r) = &self.recorder {
             r.event(event.clone());
         }
-        self.tick_events.push(event);
+        slot.flight.push(event);
         self.incr("fleet.quarantines");
         report.quarantine.push(record);
     }
@@ -864,87 +792,6 @@ impl Supervisor {
         self.incr("fleet.flight_dumps");
     }
 
-    /// Feeds the events buffered since the last pump to the online
-    /// alert engine — sorted by the canonical content key first, so the
-    /// feed order is a pure function of the events themselves — and
-    /// emits every new firing/clearing edge back into the trace.
-    fn pump_alerts(&mut self, alerts: &mut AlertEngine) {
-        self.tick_events.sort_by(|a, b| a.cmp_key(b));
-        for event in std::mem::take(&mut self.tick_events) {
-            alerts.ingest(&event);
-        }
-        for edge in alerts.drain_new_edges() {
-            if let Some(r) = &self.recorder {
-                r.event(edge.trace_event());
-            }
-            self.incr(if edge.raised {
-                "fleet.alerts_raised"
-            } else {
-                "fleet.alerts_cleared"
-            });
-        }
-    }
-
-    /// Rolls up one per-tick [`HealthSnapshot`], records it as a
-    /// `health_snapshot` trace event (recorder only — snapshots are
-    /// derived from alerts, never fed back into them), and repaints the
-    /// live dashboard when configured.
-    fn snapshot_health(
-        &mut self,
-        tick: u64,
-        slots: &[Slot],
-        report: &FleetReport,
-        alerts: &AlertEngine,
-    ) {
-        let mut completed = 0;
-        let mut failed = 0;
-        for slot in slots {
-            match slot.result {
-                Some(CampaignResult::Completed(_)) => completed += 1,
-                Some(CampaignResult::Failed(_)) => failed += 1,
-                None => {}
-            }
-        }
-        let snapshot = HealthSnapshot {
-            tick,
-            live: slots
-                .iter()
-                .filter(|s| s.result.is_none() && s.campaign.is_some())
-                .count(),
-            completed,
-            failed,
-            quarantined: report.quarantine.records().len(),
-            open_breakers: slots
-                .iter()
-                .filter(|s| s.breaker.state() == crate::breaker::BreakerState::Open)
-                .count(),
-            restarts: report.restarts,
-            kills: report.kills_injected,
-            alerts_raised: alerts.raised_total(),
-            alerts_active: alerts.active_count(),
-            flight_dumps: self.flight_dumps.len(),
-            arena_bytes_peak: slots.iter().map(|s| s.arena_bytes).max().unwrap_or(0),
-            backoff_seconds: report.backoff_seconds,
-        };
-        if let Some(r) = &self.recorder {
-            r.event(
-                CampaignEvent::new(EventKind::HealthSnapshot, tick as f64)
-                    .value(snapshot.live as f64)
-                    .detail(snapshot.summary()),
-            );
-        }
-        self.incr("fleet.health_snapshots");
-        self.health.push(snapshot);
-        if self.config.dashboard {
-            print!(
-                "{}{}",
-                crate::dashboard::CLEAR_SCREEN,
-                crate::dashboard::render_frame(&self.health)
-            );
-            let _ = std::io::stdout().flush();
-        }
-    }
-
     /// Converts drained slots into the report's result rows. A slot
     /// without a result cannot happen (the tick loop only exits when
     /// every slot resolved) — but a drain must never panic, so an
@@ -975,10 +822,7 @@ impl Supervisor {
     pub fn run(&mut self, specs: Vec<CampaignSpec>, chaos: ChaosPlan) -> FleetReport {
         let mut report = FleetReport::default();
         self.tick_latencies_s.clear();
-        self.tick_events.clear();
-        self.health.clear();
         self.flight_dumps.clear();
-        let mut alerts = AlertEngine::new(&AlertConfig::default());
 
         // Startup crash-recovery scan: every campaign directory already
         // in the store is a survivor of a previous incarnation.
@@ -1046,9 +890,6 @@ impl Supervisor {
             }
             slots.push(slot);
         }
-        // Startup emissions (recovery scans, store-failure quarantines)
-        // reach the alert engine before the first tick.
-        self.pump_alerts(&mut alerts);
 
         // The sharded tick loop: lanes advance every unresolved slot in
         // parallel, then the barrier merges effects in slot-index order.
@@ -1076,9 +917,8 @@ impl Supervisor {
             // Barrier phase 1: merge accounting, events, and
             // quarantines in slot-index order, and collect the tick's
             // commit batch. Lane events replay into the slot's flight
-            // ring and the tick's alert feed here, so both observe the
-            // same width-invariant order; a lane quarantine seals the
-            // flight dump once its own event is in the ring.
+            // ring here, in a width-invariant order; a lane quarantine
+            // seals the flight dump once its own event is in the ring.
             let mut intents: Vec<(usize, CommitIntent)> = Vec::new();
             for (index, effect) in effects.into_iter().enumerate() {
                 let Some(mut effect) = effect else { continue };
@@ -1087,8 +927,7 @@ impl Supervisor {
                 report.rollbacks += effect.rollbacks;
                 report.backoff_seconds += effect.backoff_seconds;
                 for event in effect.events.drain(..) {
-                    slots[index].flight.push(event.clone());
-                    self.tick_events.push(event);
+                    slots[index].flight.push(event);
                 }
                 if let Some(record) = effect.quarantine.take() {
                     report.quarantine.push(record);
@@ -1138,11 +977,6 @@ impl Supervisor {
                     }
                 }
             }
-            // Barrier phase 3: the observability loop — pump the tick's
-            // events through the alert engine, then roll up and record
-            // the tick's health snapshot.
-            self.pump_alerts(&mut alerts);
-            self.snapshot_health(report.ticks, &slots, &report, &alerts);
 
             let elapsed = tick_started.elapsed().as_secs_f64();
             if let Some(r) = &self.recorder {
@@ -1152,7 +986,6 @@ impl Supervisor {
         }
 
         self.drain_slots(slots, &mut report);
-        self.pump_alerts(&mut alerts);
         report
     }
 }

@@ -11,11 +11,6 @@
 //!   deterministic `span_seconds.*` histograms.
 //! * `mini_trace.indicators.md` — the golden Markdown indicator report
 //!   for the pair, byte-compared by `tests/obs_report_golden.rs`.
-//! * `alert_storm.jsonl` — a compact synthetic trace that drives every
-//!   [`AlertKind`] over its default threshold at least once (and walks
-//!   the cache rule back under it, so a clearing edge is exercised
-//!   too), plus `alert_storm.alerts.md`, the golden alert report for
-//!   it, byte-compared by `tests/streaming_cache.rs`.
 //!
 //! Run with: `cargo run -q -p obs-analyze --example gen_fixtures`
 //! (only needed when the trace schema or report format changes; commit
@@ -25,7 +20,6 @@ use std::fs;
 use std::path::PathBuf;
 
 use obs::{CampaignEvent, EventKind, Recorder};
-use obs_analyze::alerts::{compute_alerts, AlertConfig, AlertKind};
 use obs_analyze::indicators::{compute, IndicatorConfig};
 use obs_analyze::parse::{parse_metrics, parse_trace};
 
@@ -152,88 +146,6 @@ fn main() {
     let snapshot = parse_metrics(&metrics).expect("fixture metrics parse");
     let report = compute(&events, Some(&snapshot), &IndicatorConfig::default()).to_markdown();
     fs::write(dir.join("mini_trace.indicators.md"), &report).expect("write golden report");
-
-    // Synthetic alert storm: one trace that crosses all five default
-    // thresholds. Event order is canonical because every `at` is
-    // distinct and increasing, so the Recorder drain preserves it.
-    let a = Recorder::new();
-    // First measurement phase. Eight cold misses put the cache at
-    // ratio 0.0 with the traffic floor met — `cache_hit_collapse`
-    // fires immediately.
-    a.event(CampaignEvent::new(EventKind::PhaseTransition, 0.0).detail("measure"));
-    a.event(
-        CampaignEvent::new(EventKind::CacheMiss, 0.5)
-            .value(8.0)
-            .detail("decay"),
-    );
-    // Route 0 storms past the 5.0 retry threshold in one burst.
-    a.event(
-        CampaignEvent::new(EventKind::Retry, 1.0)
-            .route(0)
-            .value(6.0)
-            .detail("measure"),
-    );
-    // Two abstains across the two observed routes: rate 1.0 > 0.5
-    // once the second route lifts the min-routes floor.
-    a.event(
-        CampaignEvent::new(EventKind::Abstain, 1.5)
-            .route(0)
-            .value(0.3)
-            .detail("low confidence"),
-    );
-    a.event(
-        CampaignEvent::new(EventKind::Abstain, 2.0)
-            .route(1)
-            .value(0.2)
-            .detail("low confidence"),
-    );
-    // Two quorum failures over what becomes two measurement phases:
-    // rate 1.0 > 0.5, edge landing on the second phase transition.
-    a.event(
-        CampaignEvent::new(EventKind::QuorumFailure, 2.5)
-            .route(1)
-            .value(2.0)
-            .detail("measure"),
-    );
-    a.event(CampaignEvent::new(EventKind::PhaseTransition, 3.0).detail("measure"));
-    // Breaker "device 0" flaps: open → close → open is three
-    // transitions on one key.
-    a.event(
-        CampaignEvent::new(EventKind::CircuitOpen, 3.5)
-            .value(0.0)
-            .detail("device 0"),
-    );
-    a.event(
-        CampaignEvent::new(EventKind::CircuitClose, 4.0)
-            .value(0.0)
-            .detail("device 0"),
-    );
-    a.event(
-        CampaignEvent::new(EventKind::CircuitOpen, 4.5)
-            .value(0.0)
-            .detail("device 0"),
-    );
-    // A warm burst lifts the hit ratio back over the floor, so the
-    // cache rule also exercises its clearing edge.
-    a.event(
-        CampaignEvent::new(EventKind::CacheHit, 5.0)
-            .value(24.0)
-            .detail("decay"),
-    );
-    let storm = a.trace_jsonl();
-    fs::write(dir.join("alert_storm.jsonl"), &storm).expect("write storm trace");
-
-    let storm_events = parse_trace(&storm).expect("storm trace parses");
-    let storm_log = compute_alerts(&storm_events, &AlertConfig::default());
-    for kind in AlertKind::ALL {
-        assert!(
-            storm_log.tallies[&kind].raised >= 1,
-            "storm fixture failed to fire {}",
-            kind.as_str()
-        );
-    }
-    fs::write(dir.join("alert_storm.alerts.md"), storm_log.to_markdown())
-        .expect("write golden alert report");
 
     println!("regenerated fixtures in {}", dir.display());
 }

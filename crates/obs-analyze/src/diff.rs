@@ -17,12 +17,12 @@ use std::fmt::Write as _;
 
 use obs::{json_f64, CampaignEvent, EventKind};
 
-use crate::alerts::{compute_alerts, AlertConfig, AlertEdge};
 use crate::indicators::{compute, IndicatorConfig, Indicators};
 use crate::parse::MetricsSnapshot;
 
-/// Schema version of the diff report JSON.
-pub const DIFF_SCHEMA_VERSION: u32 = 1;
+/// Schema version of the diff report JSON. Version 2 dropped v1's
+/// `alert_deltas` object.
+pub const DIFF_SCHEMA_VERSION: u32 = 2;
 
 /// One scalar indicator that moved between base and candidate.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,12 +54,6 @@ pub struct TraceDiff {
     pub counter_deltas: BTreeMap<String, i64>,
     /// Scalar indicators that moved.
     pub indicator_deltas: Vec<IndicatorDelta>,
-    /// Alert edges (derived from each trace under the default
-    /// [`AlertConfig`]) present only in the candidate's alert log.
-    /// A *changed* alert shows up as one removed plus one added edge.
-    pub added_alerts: Vec<AlertEdge>,
-    /// Alert edges present only in the base's alert log.
-    pub removed_alerts: Vec<AlertEdge>,
 }
 
 /// Compares two parsed traces (and optionally their metrics snapshots,
@@ -132,12 +126,6 @@ pub fn diff(
     let ci = compute(candidate, None, &config);
     let indicator_deltas = scalar_deltas(&bi, &ci);
 
-    let alert_config = AlertConfig::default();
-    let (added_alerts, removed_alerts) = alert_edge_diff(
-        &compute_alerts(base, &alert_config).edges,
-        &compute_alerts(candidate, &alert_config).edges,
-    );
-
     TraceDiff {
         base_events: base.len() as u64,
         candidate_events: candidate.len() as u64,
@@ -146,44 +134,7 @@ pub fn diff(
         kind_deltas,
         counter_deltas,
         indicator_deltas,
-        added_alerts,
-        removed_alerts,
     }
-}
-
-/// Multiset difference of two derived alert logs, compared by each
-/// edge's deterministic JSON rendering (a total order on edge content).
-/// Returns `(added, removed)` in that rendering's sort order.
-fn alert_edge_diff(
-    base: &[AlertEdge],
-    candidate: &[AlertEdge],
-) -> (Vec<AlertEdge>, Vec<AlertEdge>) {
-    let mut b: Vec<(String, &AlertEdge)> = base.iter().map(|e| (e.json(), e)).collect();
-    let mut c: Vec<(String, &AlertEdge)> = candidate.iter().map(|e| (e.json(), e)).collect();
-    b.sort_by(|x, y| x.0.cmp(&y.0));
-    c.sort_by(|x, y| x.0.cmp(&y.0));
-    let mut added = Vec::new();
-    let mut removed = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < b.len() && j < c.len() {
-        match b[i].0.cmp(&c[j].0) {
-            Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-            Ordering::Less => {
-                removed.push(b[i].1.clone());
-                i += 1;
-            }
-            Ordering::Greater => {
-                added.push(c[j].1.clone());
-                j += 1;
-            }
-        }
-    }
-    removed.extend(b[i..].iter().map(|(_, e)| (*e).clone()));
-    added.extend(c[j..].iter().map(|(_, e)| (*e).clone()));
-    (added, removed)
 }
 
 fn scalar_deltas(base: &Indicators, cand: &Indicators) -> Vec<IndicatorDelta> {
@@ -231,15 +182,10 @@ fn scalar_deltas(base: &Indicators, cand: &Indicators) -> Vec<IndicatorDelta> {
 
 impl TraceDiff {
     /// True when the two runs are semantically identical: same event
-    /// multiset, same derived alert stream, and (when metrics were
-    /// supplied) same counters.
+    /// multiset and (when metrics were supplied) same counters.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.added.is_empty()
-            && self.removed.is_empty()
-            && self.counter_deltas.is_empty()
-            && self.added_alerts.is_empty()
-            && self.removed_alerts.is_empty()
+        self.added.is_empty() && self.removed.is_empty() && self.counter_deltas.is_empty()
     }
 
     /// The diff as one line of deterministic JSON (schema documented in
@@ -292,21 +238,7 @@ impl TraceDiff {
                 json_f64(d.candidate),
             );
         }
-        out.push_str("],\"alert_deltas\":{\"added\":[");
-        for (n, e) in self.added_alerts.iter().enumerate() {
-            if n > 0 {
-                out.push(',');
-            }
-            out.push_str(&e.json());
-        }
-        out.push_str("],\"removed\":[");
-        for (n, e) in self.removed_alerts.iter().enumerate() {
-            if n > 0 {
-                out.push(',');
-            }
-            out.push_str(&e.json());
-        }
-        out.push_str("]}}");
+        out.push_str("]}");
         out
     }
 }
@@ -398,41 +330,12 @@ mod tests {
     }
 
     #[test]
-    fn alert_stream_drift_is_diffed_and_breaks_emptiness() {
-        // Base: a storm cell fires on route 3. Candidate: the same
-        // retries land on route 4, so the derived alert moved.
-        let base = vec![
-            event(EventKind::PhaseTransition, 0.0).detail("measure"),
-            event(EventKind::Retry, 1.0)
-                .route(3)
-                .value(6.0)
-                .detail("measure"),
-        ];
-        let mut cand = base.clone();
-        cand[1] = event(EventKind::Retry, 1.0)
-            .route(4)
-            .value(6.0)
-            .detail("measure");
-        let d = diff(&base, &cand, None, None);
-        assert_eq!(d.added_alerts.len(), 1);
-        assert_eq!(d.removed_alerts.len(), 1);
-        assert_eq!(d.added_alerts[0].route, Some(4));
-        assert_eq!(d.removed_alerts[0].route, Some(3));
-        assert!(!d.is_empty());
-        assert!(d.to_json().contains("\"alert_deltas\""));
-        // Identical traces derive identical alerts.
-        let same = diff(&base, &base, None, None);
-        assert!(same.added_alerts.is_empty() && same.removed_alerts.is_empty());
-        assert!(same.is_empty());
-    }
-
-    #[test]
     fn diff_json_is_deterministic() {
         let base = base_run();
         let cand = base_run();
         let a = diff(&base, &cand, None, None).to_json();
         let b = diff(&base, &cand, None, None).to_json();
         assert_eq!(a, b);
-        assert!(a.starts_with("{\"schema_version\":1,\"empty\":true,"));
+        assert!(a.starts_with("{\"schema_version\":2,\"empty\":true,"));
     }
 }

@@ -4,7 +4,7 @@
 //! JSONL event trace and a metrics snapshot — but until now nothing in
 //! the workspace could read them back: CI validated traces with an
 //! ad-hoc `python3` fallback and nobody compared two runs except by
-//! `diff(1)` on bytes. This crate closes the loop with six pillars:
+//! `diff(1)` on bytes. This crate closes the loop with five pillars:
 //!
 //! 1. [`json`] / [`parse`] — a strict, position-reporting JSON layer and
 //!    typed decoders. A parsed trace line is an [`obs::CampaignEvent`]
@@ -28,11 +28,6 @@
 //!    trace line by line (arbitrary chunk boundaries) and produces the
 //!    byte-identical [`Indicators`] value, so fleet-scale traces never
 //!    have to fit in memory.
-//! 6. [`alerts`] — rule-based online anomaly detection driven off the
-//!    streaming engine: retry storms, abstain/quorum-rate spikes,
-//!    cache collapse, and breaker flapping, each threshold crossing
-//!    logged as a deterministic firing/clearing [`alerts::AlertEdge`]
-//!    with byte-stable JSON and Markdown renderings.
 //!
 //! Like `obs` itself the crate is std-only: the workspace vendors
 //! offline dependency stubs, so anything that must run everywhere (CI,
@@ -45,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alerts;
 pub mod diff;
 pub mod indicators;
 pub mod json;
@@ -53,7 +47,6 @@ pub mod parse;
 pub mod sentinel;
 pub mod stream;
 
-pub use alerts::{compute_alerts, AlertConfig, AlertEdge, AlertEngine, AlertKind, AlertLog};
 pub use diff::{diff, TraceDiff};
 pub use indicators::{compute as compute_indicators, IndicatorConfig, Indicators};
 pub use json::{JsonError, Value};

@@ -85,7 +85,7 @@ fn f64_or_null(v: &Value, m: &Member) -> Result<f64, ParseError> {
 ///
 /// Strictness: the object must contain exactly the five schema keys
 /// (`at`, `kind`, `route`, `value`, `detail`) — any order, no extras, no
-/// omissions — with `kind` one of the 22 wire names and `route` a
+/// omissions — with `kind` one of the 19 wire names and `route` a
 /// non-negative integer or null.
 ///
 /// # Errors
@@ -604,6 +604,32 @@ mod tests {
             .unwrap_err()
             .message
             .contains("unsupported"));
+        // Version 6 retired `alert_raised`, `alert_cleared` and
+        // `health_snapshot`. A version-5 (N−1) artifact that names one
+        // is rejected as an unknown kind rather than silently read; one
+        // without them still parses.
+        let v5_with = |kinds: &str| {
+            format!(
+                "{{\"schema_version\":5,\"counters\":{{}},\"histograms\":{{}},\"events\":1,\"event_kinds\":{{{kinds}}}}}"
+            )
+        };
+        let err = parse_metrics(&v5_with("\"health_snapshot\":1")).unwrap_err();
+        assert!(
+            err.message
+                .contains("unknown event kind `health_snapshot` in event_kinds"),
+            "{err}"
+        );
+        assert_eq!(
+            parse_metrics(&v5_with("\"circuit_open\":1"))
+                .expect("v5 without retired kinds accepted")
+                .event_kinds[&EventKind::CircuitOpen],
+            1
+        );
+        let err = parse_trace_line(
+            "{\"at\":1,\"kind\":\"alert_raised\",\"route\":null,\"value\":0,\"detail\":\"\"}",
+        )
+        .unwrap_err();
+        assert!(err.message.contains("unknown event kind"), "{err}");
     }
 
     #[test]

@@ -30,7 +30,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use obs::{CampaignEvent, EventKind};
 
-use crate::alerts::{AlertConfig, AlertEngine, AlertLog};
 use crate::indicators::{spans_from_metrics, IndicatorConfig, Indicators, RetryCellKey, PRE_PHASE};
 use crate::parse::{parse_trace_line, MetricsSnapshot, ParseError};
 
@@ -65,10 +64,6 @@ pub struct StreamingIndicators {
     measure_phases: u64,
     phase_events: BTreeMap<String, u64>,
     current_phase: String,
-    /// Optional online alert engine fed every accepted event — the
-    /// "driven incrementally off `StreamingIndicators`" half of the
-    /// anomaly layer (see [`crate::alerts`]).
-    alerts: Option<AlertEngine>,
 }
 
 impl StreamingIndicators {
@@ -95,27 +90,7 @@ impl StreamingIndicators {
             measure_phases: 0,
             phase_events: BTreeMap::new(),
             current_phase: PRE_PHASE.to_owned(),
-            alerts: None,
         }
-    }
-
-    /// Attaches an online [`AlertEngine`]: every event the stream
-    /// accepts is also folded into the alert rules. Snapshot the sealed
-    /// log with [`alert_log`](Self::alert_log) any time before
-    /// [`finish`](Self::finish) consumes the engine.
-    #[must_use]
-    pub fn with_alerts(mut self, config: &AlertConfig) -> Self {
-        self.alerts = Some(AlertEngine::new(config));
-        self
-    }
-
-    /// The alert log accumulated so far (`None` when
-    /// [`with_alerts`](Self::with_alerts) was never called). Callable at
-    /// any point — alert edges are append-only, so a mid-stream snapshot
-    /// is a prefix of the final log.
-    #[must_use]
-    pub fn alert_log(&self) -> Option<AlertLog> {
-        self.alerts.as_ref().map(AlertEngine::log)
     }
 
     /// Complete lines consumed so far.
@@ -195,9 +170,6 @@ impl StreamingIndicators {
             }
         }
         self.accumulate(&event);
-        if let Some(alerts) = &mut self.alerts {
-            alerts.ingest(&event);
-        }
         self.last = Some(event);
         true
     }

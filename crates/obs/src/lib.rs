@@ -53,10 +53,15 @@ use std::time::Instant;
 /// * **5** — the observability-loop kinds (`alert_raised`,
 ///   `alert_cleared`, `flight_dump`, `health_snapshot`) may now appear
 ///   in `event_kinds`; same reasoning as the version-3 bump.
+/// * **6** — retires `alert_raised`, `alert_cleared` and
+///   `health_snapshot` along with the alert engine and the fleet
+///   dashboard. A version-5 artifact that names one of them in
+///   `event_kinds` is rejected as an unknown kind, not silently read;
+///   a version-5 artifact without them still parses.
 ///
 /// The analysis layer (`obs-analyze`) accepts version N and N−1, so a
 /// schema bump here must keep one generation of old artifacts readable.
-pub const METRICS_SCHEMA_VERSION: u32 = 5;
+pub const METRICS_SCHEMA_VERSION: u32 = 6;
 
 /// Schema version of the JSONL trace line shape (the five-key
 /// `at`/`kind`/`route`/`value`/`detail` object emitted by
@@ -115,22 +120,14 @@ pub enum EventKind {
     /// The scheduler barrier landed a batched checkpoint commit
     /// (value = checkpoints in the batch).
     CommitBatch,
-    /// An alert rule crossed its firing threshold (value = observed
-    /// magnitude, detail = rule attribution).
-    AlertRaised,
-    /// A previously firing alert rule dropped back under threshold.
-    AlertCleared,
     /// A flight-recorder ring buffer was sealed to a post-mortem
     /// artifact (value = events in the dump, detail = campaign id).
     FlightDump,
-    /// The fleet supervisor rolled up a per-tick health snapshot
-    /// (value = live slots, detail = the snapshot's summary line).
-    HealthSnapshot,
 }
 
 impl EventKind {
     /// All kinds, in rank order.
-    pub const ALL: [EventKind; 22] = [
+    pub const ALL: [EventKind; 19] = [
         EventKind::PhaseTransition,
         EventKind::SessionAcquired,
         EventKind::SessionReleased,
@@ -149,10 +146,7 @@ impl EventKind {
         EventKind::RecoveryScan,
         EventKind::SchedulerTick,
         EventKind::CommitBatch,
-        EventKind::AlertRaised,
-        EventKind::AlertCleared,
         EventKind::FlightDump,
-        EventKind::HealthSnapshot,
     ];
 
     /// Stable wire name used in JSONL traces and the summary table.
@@ -177,15 +171,12 @@ impl EventKind {
             EventKind::RecoveryScan => "recovery_scan",
             EventKind::SchedulerTick => "scheduler_tick",
             EventKind::CommitBatch => "commit_batch",
-            EventKind::AlertRaised => "alert_raised",
-            EventKind::AlertCleared => "alert_cleared",
             EventKind::FlightDump => "flight_dump",
-            EventKind::HealthSnapshot => "health_snapshot",
         }
     }
 }
 
-/// Error returned when a string is not one of the 22 wire names in
+/// Error returned when a string is not one of the 19 wire names in
 /// [`EventKind::as_str`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseEventKindError {

@@ -1,5 +1,4 @@
-//! Streaming/batch twin parity for the trace indicators and the alert
-//! engine (DESIGN.md §15, §16).
+//! Streaming/batch twin parity for the trace indicators (DESIGN.md §15).
 //!
 //! Batch `compute` folds a stable-sorted copy of the trace through the
 //! streaming engine's accumulator, so the two derivations agree by
@@ -7,12 +6,7 @@
 //! arbitrary Recorder traces — fed line by line or re-chunked at
 //! arbitrary byte boundaries, including mid-UTF-8 — the streamed
 //! [`Indicators`] must be *byte-identical* to the batch `compute` in
-//! both JSON and Markdown renderings. The same
-//! contract covers the online alert engine (DESIGN.md §16): an
-//! attached `with_alerts` log replayed at arbitrary `push_chunk`
-//! strides must equal the batch `compute_alerts` twin byte-for-byte,
-//! and the synthetic `alert_storm.jsonl` fixture proves every
-//! `AlertKind` can actually fire.
+//! both JSON and Markdown renderings.
 
 use std::fs;
 use std::path::PathBuf;
@@ -20,7 +14,7 @@ use std::path::PathBuf;
 use obs::{CampaignEvent, EventKind, Recorder};
 use obs_analyze::indicators::{compute, IndicatorConfig};
 use obs_analyze::parse::{parse_metrics, parse_trace};
-use obs_analyze::{compute_alerts, AlertConfig, AlertKind, StreamingIndicators};
+use obs_analyze::StreamingIndicators;
 use proptest::prelude::*;
 
 fn fixture(name: &str) -> String {
@@ -122,29 +116,6 @@ proptest! {
         prop_assert_eq!(streamed.to_json(), batch.to_json());
     }
 
-    /// Alert replay determinism: an attached alert engine replayed at
-    /// an arbitrary `push_chunk` stride yields a log byte-identical to
-    /// the batch `compute_alerts` twin — struct, JSON, and Markdown.
-    #[test]
-    fn alert_log_is_chunk_boundary_invariant(
-        events in proptest::collection::vec(arb_event(), 1..60),
-        stride in 1usize..23,
-    ) {
-        let trace = trace_of(events);
-        let alert_config = AlertConfig::default();
-        let batch = compute_alerts(&parse_trace(&trace).expect("parses"), &alert_config);
-        let mut engine =
-            StreamingIndicators::new(&IndicatorConfig::default()).with_alerts(&alert_config);
-        for chunk in trace.as_bytes().chunks(stride) {
-            engine.push_chunk(chunk).expect("chunk accepted");
-        }
-        let streamed = engine.alert_log().expect("alerts attached");
-        engine.finish(None).expect("terminated stream finishes");
-        prop_assert_eq!(&streamed, &batch);
-        prop_assert_eq!(streamed.to_json(), batch.to_json());
-        prop_assert_eq!(streamed.to_markdown(), batch.to_markdown());
-    }
-
     /// Dropping the final newline must always be rejected by `finish`,
     /// with the error positioned on the truncated line.
     #[test]
@@ -185,54 +156,6 @@ fn streaming_matches_golden_fixture_with_metrics() {
         "streaming -md drifted from the golden report"
     );
     assert_eq!(streamed.to_json(), batch.to_json());
-}
-
-/// Streaming alerts reproduce the batch twin on the checked-in golden
-/// trace (which exercises a retry storm, cache traffic, a quorum
-/// failure, an abstain, and a breaker cycle).
-#[test]
-fn streaming_alerts_match_batch_on_golden_fixture() {
-    let trace = fixture("mini_trace.jsonl");
-    let config = AlertConfig::default();
-    let batch = compute_alerts(&parse_trace(&trace).expect("parses"), &config);
-    let mut engine = StreamingIndicators::new(&IndicatorConfig::default()).with_alerts(&config);
-    engine
-        .push_chunk(trace.as_bytes())
-        .expect("fixture accepted");
-    let streamed = engine.alert_log().expect("alerts attached");
-    engine.finish(None).expect("finishes");
-    assert_eq!(streamed, batch);
-    assert_eq!(streamed.to_json(), batch.to_json());
-    assert_eq!(streamed.to_markdown(), batch.to_markdown());
-}
-
-/// The synthetic storm fixture drives every rule over its default
-/// threshold at least once — so no alert kind is dead code — and its
-/// Markdown report matches the checked-in golden byte-for-byte.
-#[test]
-fn alert_storm_fixture_fires_every_kind() {
-    let trace = fixture("alert_storm.jsonl");
-    let log = compute_alerts(
-        &parse_trace(&trace).expect("storm fixture parses"),
-        &AlertConfig::default(),
-    );
-    for kind in AlertKind::ALL {
-        assert!(
-            log.tallies[&kind].raised >= 1,
-            "{} never fired on the storm fixture",
-            kind.as_str()
-        );
-    }
-    let cache = log.tallies[&AlertKind::CacheHitCollapse];
-    assert_eq!(
-        cache.cleared, 1,
-        "the storm fixture must also exercise a clearing edge"
-    );
-    assert_eq!(
-        log.to_markdown(),
-        fixture("alert_storm.alerts.md"),
-        "alert report drifted from the golden file"
-    );
 }
 
 #[test]
