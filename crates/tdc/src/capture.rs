@@ -1,31 +1,49 @@
 //! Captured carry-chain snapshots and their Hamming post-processing.
 //!
-//! Captures are packed: chain element `j` is bit `j % 64` of word
-//! `j / 64`, and every bit at or past the chain length is zero. A capture
-//! of `len` elements takes [`stride(len)`](stride) words, so a faulty
-//! trace holds all of one polarity's samples in a single `Vec<u64>`, and
-//! the Hamming distance is a popcount.
-
-use std::ops::Range;
+//! The capture kernel keeps a sample as a [`Capture`]: the prefix of
+//! elements the edge settled past, plus the outcomes of the metastable
+//! band after it, one bit per element. Every element past the band
+//! settled short, so these fix the whole register word, and its binary
+//! Hamming distance is `settled + band.count_ones()` for both polarities.
+//! Trace capture and fault corruption work on that distance alone;
+//! [`CaptureWord`] spells the word out as bits for callers that read them.
 
 use fpga_fabric::TransitionKind;
 use serde::{Deserialize, Serialize};
 
-/// Words one packed capture of `len` elements occupies (one for an empty
-/// chain, so samples stay countable).
-#[inline]
-pub(crate) fn stride(len: usize) -> usize {
-    len.div_ceil(64).max(1)
+/// Most metastable elements one capture scores: the band is one `u64`.
+pub(crate) const MAX_BAND: usize = 64;
+
+/// One sample as the capture kernel returns it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Capture {
+    /// Elements `0..settled` the edge settled past.
+    pub(crate) settled: usize,
+    /// Bit `i` is set where the edge passed element `settled + i` of the
+    /// metastable band.
+    pub(crate) band: u64,
+    /// The propagation distance, `settled + band.count_ones()`, counted
+    /// while the band is scored: without a `popcnt` instruction in the
+    /// baseline x86-64 target, the popcount costs about 1 ns a sample.
+    pub(crate) distance: usize,
 }
 
-/// The binary Hamming distance of a packed capture from all-zeros
-/// (rising) or all-ones (falling): the one implementation, shared by
-/// [`CaptureWord`] and the fault path of trace capture.
-pub(crate) fn hamming_distance(kind: TransitionKind, words: &[u64], len: usize) -> usize {
-    let ones: usize = words.iter().map(|w| w.count_ones() as usize).sum();
-    match kind {
-        TransitionKind::Rising => ones,
-        TransitionKind::Falling => len - ones,
+impl Capture {
+    /// Whether the edge passed element `j`.
+    #[inline]
+    pub(crate) fn passed(self, j: usize) -> bool {
+        match j.checked_sub(self.settled) {
+            None => true,
+            Some(i) => i < MAX_BAND && self.band >> i & 1 == 1,
+        }
+    }
+
+    /// The register word of a `len`-element chain: a bit is set where
+    /// the edge passed (rising) or did not (falling).
+    pub(crate) fn word(self, kind: TransitionKind, len: usize) -> CaptureWord {
+        let set_if_passed = matches!(kind, TransitionKind::Rising);
+        let bits = (0..len).map(|j| self.passed(j) == set_if_passed).collect();
+        CaptureWord::new(kind, bits)
     }
 }
 
@@ -33,24 +51,6 @@ pub(crate) fn hamming_distance(kind: TransitionKind, words: &[u64], len: usize) 
 /// entered the chain (0) or overran all of it (`len`).
 pub(crate) fn is_saturated(distance: usize, len: usize) -> bool {
     distance == 0 || distance == len
-}
-
-/// Sets bits `range` of a packed capture, a word at a time.
-#[inline]
-pub(crate) fn set_bits(words: &mut [u64], range: Range<usize>) {
-    let mut lo = range.start;
-    while lo < range.end {
-        let (word, start) = (lo / 64, lo % 64);
-        let end = (range.end - word * 64).min(64);
-        words[word] |= (u64::MAX >> (64 - (end - start))) << start;
-        lo = word * 64 + end;
-    }
-}
-
-/// Flips bit `j` of a packed capture.
-#[inline]
-pub(crate) fn flip_bit(words: &mut [u64], j: usize) {
-    words[j / 64] ^= 1 << (j % 64);
 }
 
 /// One snapshot of the capture registers: the chain state at the moment
@@ -63,25 +63,14 @@ pub(crate) fn flip_bit(words: &mut [u64], j: usize) {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CaptureWord {
     kind: TransitionKind,
-    len: usize,
-    words: Vec<u64>,
+    bits: Vec<bool>,
 }
 
 impl CaptureWord {
     /// Wraps a captured register word, chain entry first.
     #[must_use]
     pub fn new(kind: TransitionKind, bits: Vec<bool>) -> Self {
-        let mut words = vec![0; stride(bits.len())];
-        for (j, _) in bits.iter().enumerate().filter(|&(_, &b)| b) {
-            flip_bit(&mut words, j);
-        }
-        Self::from_packed(kind, bits.len(), words)
-    }
-
-    /// Wraps one packed capture of `len` elements.
-    pub(crate) fn from_packed(kind: TransitionKind, len: usize, words: Vec<u64>) -> Self {
-        debug_assert_eq!(words.len(), stride(len), "one stride of words");
-        Self { kind, len, words }
+        Self { kind, bits }
     }
 
     /// The transition polarity this capture observed.
@@ -93,28 +82,27 @@ impl CaptureWord {
     /// The raw register bits, chain entry first.
     #[must_use]
     pub fn bits(&self) -> Vec<bool> {
-        (0..self.len)
-            .map(|j| self.words[j / 64] >> (j % 64) & 1 == 1)
-            .collect()
+        self.bits.clone()
     }
 
     /// Chain length.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.bits.len()
     }
 
     /// Whether the word is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.bits.is_empty()
     }
 
     /// The propagation distance in carry bits: Hamming distance from
     /// all-zeros (rising) or all-ones (falling).
     #[must_use]
     pub fn propagation_distance(&self) -> usize {
-        hamming_distance(self.kind, &self.words, self.len)
+        let set_if_passed = matches!(self.kind, TransitionKind::Rising);
+        self.bits.iter().filter(|&&b| b == set_if_passed).count()
     }
 
     /// Whether the edge overran the whole chain (distance == length) or
@@ -122,7 +110,7 @@ impl CaptureWord {
     /// timing information and θ must be retuned.
     #[must_use]
     pub fn is_saturated(&self) -> bool {
-        is_saturated(self.propagation_distance(), self.len)
+        is_saturated(self.propagation_distance(), self.len())
     }
 }
 
@@ -178,21 +166,5 @@ mod tests {
         assert!(word_from_str(TransitionKind::Rising, "1111").is_saturated());
         assert!(!word_from_str(TransitionKind::Rising, "1100").is_saturated());
         assert!(word_from_str(TransitionKind::Falling, "1111").is_saturated());
-    }
-
-    #[test]
-    fn set_bits_matches_bit_by_bit_across_word_boundaries() {
-        for len in [1, 63, 64, 65, 128, 130] {
-            for lo in 0..=len {
-                for hi in lo..=len {
-                    let mut packed = vec![0; stride(len)];
-                    set_bits(&mut packed, lo..hi);
-                    let want: Vec<bool> = (0..len).map(|j| (lo..hi).contains(&j)).collect();
-                    let word = CaptureWord::from_packed(TransitionKind::Rising, len, packed);
-                    assert_eq!(word.bits(), want, "len {len}, {lo}..{hi}");
-                    assert_eq!(word, CaptureWord::new(TransitionKind::Rising, want));
-                }
-            }
-        }
     }
 }

@@ -1,8 +1,15 @@
 //! Sensor configuration.
 
+use fpga_fabric::CARRY_ELEMENT_PS;
 use serde::{Deserialize, Serialize};
 
+use crate::capture::MAX_BAND;
 use crate::TdcError;
+
+/// The widest metastable window a capture can score. Process variation
+/// keeps every carry element at least half the nominal 2.8 ps, so a
+/// window 63 such elements wide spans at most [`MAX_BAND`] of them.
+pub(crate) const MAX_METASTABLE_WINDOW_PS: f64 = (MAX_BAND - 1) as f64 * CARRY_ELEMENT_PS / 2.0;
 
 /// Configuration of a TDC sensor instance.
 ///
@@ -88,6 +95,11 @@ impl TdcConfig {
                 "metastable_window_ps must be non-negative",
             ));
         }
+        if self.metastable_window_ps > MAX_METASTABLE_WINDOW_PS {
+            return Err(TdcError::InvalidConfig(
+                "metastable_window_ps must be at most 88.2 (63 shortest carry elements)",
+            ));
+        }
         Ok(())
     }
 
@@ -152,6 +164,10 @@ mod tests {
             },
             TdcConfig {
                 metastable_window_ps: f64::NAN,
+                ..TdcConfig::lab()
+            },
+            TdcConfig {
+                metastable_window_ps: MAX_METASTABLE_WINDOW_PS.next_up(),
                 ..TdcConfig::lab()
             },
         ] {

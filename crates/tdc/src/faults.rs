@@ -9,6 +9,12 @@
 //! own noise RNG — a benign plan leaves the sensor byte-identical to one
 //! with no plan at all.
 //!
+//! Each fault is stated on the register word but applied to the sample's
+//! propagation distance, the one number a trace keeps: a dropout reads 0,
+//! a flipped bit moves the distance by one, and a stuck element counts by
+//! its fixed value instead of its captured one. The element-by-element
+//! corruption of a `Vec<bool>` word stays in the tests as the oracle.
+//!
 //! The matching graceful-degradation machinery lives in
 //! [`Measurement::try_from_traces`](crate::Measurement::try_from_traces)
 //! (per-sample quorum + MAD outlier rejection across traces).
@@ -16,7 +22,7 @@
 use fpga_fabric::TransitionKind;
 use serde::{Deserialize, Serialize};
 
-use crate::capture::{flip_bit, hamming_distance, set_bits, stride};
+use crate::capture::Capture;
 
 /// A seeded, deterministic description of how corrupted captures are.
 ///
@@ -81,97 +87,111 @@ impl SensorFaultPlan {
             && self.metastability_burst_rate <= 0.0
     }
 
-    /// The stuck capture registers of a `len`-element chain. They are a
-    /// property of the element, not the sample: decided from `(seed,
-    /// element)` alone.
-    pub(crate) fn stuck_masks(&self, len: usize) -> StuckMasks {
+    /// The stuck capture registers of a `len`-element chain, as
+    /// `(element, reads_high)` in element order. They are a property of
+    /// the element, not the sample: decided from `(seed, element)` alone.
+    pub(crate) fn stuck_elements(&self, len: usize) -> Vec<(usize, bool)> {
         if self.stuck_element_rate <= 0.0 {
-            return StuckMasks::default();
+            return Vec::new();
         }
-        let mut masks = StuckMasks {
-            stuck: vec![0; stride(len)],
-            high: vec![0; stride(len)],
-        };
-        for j in 0..len {
-            let roll = uniform_hash(self.seed ^ 0x5354_5543, j as u64);
-            if roll < self.stuck_element_rate {
-                flip_bit(&mut masks.stuck, j);
-                if roll < self.stuck_element_rate / 2.0 {
-                    flip_bit(&mut masks.high, j);
-                }
-            }
-        }
-        masks
+        (0..len)
+            .filter_map(|j| {
+                let roll = uniform_hash(self.seed ^ 0x5354_5543, j as u64);
+                (roll < self.stuck_element_rate)
+                    .then_some((j, roll < self.stuck_element_rate / 2.0))
+            })
+            .collect()
     }
 
-    /// Corrupts one polarity's samples in place, `packed` holding them in
-    /// capture order, [`stride`]`(len)` words each, and `stuck` being
-    /// [`stuck_masks`](Self::stuck_masks)`(len)`. Pure in its inputs.
-    pub(crate) fn corrupt_samples(
-        &self,
+    /// The corruption of one polarity's samples at θ on a `len`-element
+    /// chain whose [`stuck_elements`](Self::stuck_elements) are `stuck`.
+    /// The burst is decided here, once for the whole polarity.
+    pub(crate) fn polarity<'a>(
+        &'a self,
         theta_ps: f64,
         kind: TransitionKind,
+        stuck: &'a [(usize, bool)],
         len: usize,
-        stuck: &StuckMasks,
-        packed: &mut [u64],
-    ) {
-        let theta_bits = theta_ps.to_bits();
+    ) -> PolarityFaults<'a> {
         let kind_tag = match kind {
             TransitionKind::Rising => 0x5249_5345,
             TransitionKind::Falling => 0x4641_4C4C,
         };
+        let key = theta_ps.to_bits() ^ kind_tag;
         let burst = self.metastability_burst_rate > 0.0
             && self.burst_half_width > 0
-            && uniform_hash(self.seed ^ 0x4255_5253, theta_bits ^ kind_tag)
-                < self.metastability_burst_rate;
-        for (sample, word) in packed.chunks_exact_mut(stride(len)).enumerate() {
-            let sample_key = theta_bits ^ kind_tag ^ (sample as u64).rotate_left(23);
-            // Dropout: the word is lost and reads as "edge never
-            // arrived" — all bits at their pre-transition value, a
-            // zero-distance word.
-            if self.dropout_rate > 0.0
-                && uniform_hash(self.seed ^ 0x44524F50, sample_key) < self.dropout_rate
-            {
-                word.fill(0);
-                if kind == TransitionKind::Falling {
-                    set_bits(word, 0..len);
-                }
-                continue;
-            }
-            // The front is read before any bit moves, and each flip
-            // depends only on its own bit, so no copy is needed.
-            if burst {
-                let front = hamming_distance(kind, word, len);
-                let hw = self.burst_half_width;
-                let near =
-                    front.saturating_sub(hw)..front.saturating_add(hw).saturating_add(1).min(len);
-                for j in near {
-                    let key = sample_key ^ (j as u64) << 17;
-                    if uniform_hash(self.seed ^ 0x4D45_5441, key) < 0.5 {
-                        flip_bit(word, j);
-                    }
-                }
-            }
-            for ((w, &s), &h) in word.iter_mut().zip(&stuck.stuck).zip(&stuck.high) {
-                *w = (*w & !s) | h;
-            }
+            && uniform_hash(self.seed ^ 0x4255_5253, key) < self.metastability_burst_rate;
+        PolarityFaults {
+            plan: self,
+            key,
+            burst,
+            rising: matches!(kind, TransitionKind::Rising),
+            stuck,
+            len,
         }
     }
 }
 
-/// Which elements of a chain a plan sticks (`stuck`), and which of those
-/// read high (`high`), as packed masks one [`stride`] long; both are
-/// empty when the plan sticks nothing.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub(crate) struct StuckMasks {
-    stuck: Vec<u64>,
-    high: Vec<u64>,
+/// [`SensorFaultPlan::polarity`]: the faults of one polarity of one
+/// trace, applied sample by sample.
+pub(crate) struct PolarityFaults<'a> {
+    plan: &'a SensorFaultPlan,
+    /// θ's bits xor the polarity's tag.
+    key: u64,
+    burst: bool,
+    rising: bool,
+    stuck: &'a [(usize, bool)],
+    len: usize,
+}
+
+impl PolarityFaults<'_> {
+    /// The distance sample number `sample` reads back once corrupted.
+    #[inline]
+    pub(crate) fn distance(&self, sample: usize, capture: Capture) -> usize {
+        let plan = self.plan;
+        let sample_key = self.key ^ (sample as u64).rotate_left(23);
+        // Dropout: the word is lost and reads as "edge never arrived" —
+        // all bits at their pre-transition value, a zero-distance word.
+        if plan.dropout_rate > 0.0
+            && uniform_hash(plan.seed ^ 0x4452_4F50, sample_key) < plan.dropout_rate
+        {
+            return 0;
+        }
+        // A burst flips bits around the clean front; each flip passes an
+        // element the edge had not passed, or the reverse.
+        let front = capture.distance;
+        let hw = plan.burst_half_width;
+        let flips = |j: usize| {
+            self.burst
+                && j.abs_diff(front) <= hw
+                && uniform_hash(plan.seed ^ 0x4D45_5441, sample_key ^ (j as u64) << 17) < 0.5
+        };
+        let mut distance = front;
+        if self.burst {
+            let near =
+                front.saturating_sub(hw)..front.saturating_add(hw).saturating_add(1).min(self.len);
+            for j in near.filter(|&j| flips(j)) {
+                if capture.passed(j) {
+                    distance -= 1;
+                } else {
+                    distance += 1;
+                }
+            }
+        }
+        // A stuck register reads its fixed value whatever the edge or a
+        // burst did: high is "passed" on a rising word, "not" on a falling.
+        for &(j, reads_high) in self.stuck {
+            let read = capture.passed(j) != flips(j);
+            distance = distance + usize::from(reads_high == self.rising) - usize::from(read);
+        }
+        distance
+    }
 }
 
 #[cfg(test)]
 impl SensorFaultPlan {
-    /// The word-at-a-time corruption of one `Vec<bool>` sample, kept as
-    /// the oracle the packed path is compared against.
+    /// The element-by-element corruption of one `Vec<bool>` word, kept as
+    /// the oracle the distance corruption is compared against.
     pub(crate) fn corrupt_bools(
         &self,
         theta_ps: f64,
@@ -234,60 +254,50 @@ fn uniform_hash(seed: u64, key: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capture::MAX_BAND;
     use crate::CaptureWord;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn front_word(kind: TransitionKind, len: usize, front: usize) -> CaptureWord {
-        let bits = (0..len)
-            .map(|i| match kind {
-                TransitionKind::Rising => i < front,
-                TransitionKind::Falling => i >= front,
-            })
-            .collect();
-        CaptureWord::new(kind, bits)
-    }
-
-    /// Packs words into one polarity's sample buffer.
-    fn pack(words: &[CaptureWord]) -> Vec<u64> {
-        let mut packed = Vec::new();
-        for w in words {
-            let mut word = vec![0; stride(w.len())];
-            for (j, _) in w.bits().iter().enumerate().filter(|&(_, &b)| b) {
-                flip_bit(&mut word, j);
-            }
-            packed.extend(word);
-        }
-        packed
-    }
-
-    /// `words`, all of `kind` and `len` elements, corrupted by `plan` at θ.
+    /// The distances `captures`, of `kind` on a `len`-element chain, read
+    /// back under `plan` at θ.
     fn corrupt(
         plan: &SensorFaultPlan,
         theta_ps: f64,
         kind: TransitionKind,
         len: usize,
-        words: &[CaptureWord],
-    ) -> Vec<CaptureWord> {
-        let mut packed = pack(words);
-        plan.corrupt_samples(theta_ps, kind, len, &plan.stuck_masks(len), &mut packed);
-        packed
-            .chunks_exact(stride(len))
-            .map(|w| CaptureWord::from_packed(kind, len, w.to_vec()))
+        captures: &[Capture],
+    ) -> Vec<usize> {
+        let stuck = plan.stuck_elements(len);
+        let faults = plan.polarity(theta_ps, kind, &stuck, len);
+        captures
+            .iter()
+            .enumerate()
+            .map(|(sample, &capture)| faults.distance(sample, capture))
             .collect()
     }
 
-    /// Eight clean 64-element samples of `kind` with the front at 30.
-    fn clean(kind: TransitionKind) -> Vec<CaptureWord> {
-        vec![front_word(kind, 64, 30); 8]
+    /// A capture of `settled` elements and then `band`.
+    fn capture_of(settled: usize, band: u64) -> Capture {
+        let distance = settled + band.count_ones() as usize;
+        Capture {
+            settled,
+            band,
+            distance,
+        }
+    }
+
+    /// Eight clean samples on a 64-element chain with the front at 30.
+    fn clean() -> Vec<Capture> {
+        vec![capture_of(30, 0); 8]
     }
 
     #[test]
     fn benign_plan_is_identity() {
         for kind in TransitionKind::ALL {
-            let got = corrupt(&SensorFaultPlan::none(), 500.0, kind, 64, &clean(kind));
-            assert_eq!(got, clean(kind));
+            let got = corrupt(&SensorFaultPlan::none(), 500.0, kind, 64, &clean());
+            assert_eq!(got, vec![30; 8]);
         }
     }
 
@@ -296,8 +306,8 @@ mod tests {
         let plan = SensorFaultPlan::noisy(9, 0.3);
         for kind in TransitionKind::ALL {
             assert_eq!(
-                corrupt(&plan, 500.0, kind, 64, &clean(kind)),
-                corrupt(&plan, 500.0, kind, 64, &clean(kind))
+                corrupt(&plan, 500.0, kind, 64, &clean()),
+                corrupt(&plan, 500.0, kind, 64, &clean())
             );
         }
     }
@@ -308,10 +318,7 @@ mod tests {
         plan.seed = 5;
         plan.dropout_rate = 1.0;
         for kind in TransitionKind::ALL {
-            for w in corrupt(&plan, 500.0, kind, 64, &clean(kind)) {
-                assert_eq!(w.propagation_distance(), 0);
-                assert!(w.is_saturated());
-            }
+            assert_eq!(corrupt(&plan, 500.0, kind, 64, &clean()), vec![0; 8]);
         }
     }
 
@@ -320,31 +327,39 @@ mod tests {
         let mut plan = SensorFaultPlan::none();
         plan.seed = 5;
         plan.stuck_element_rate = 0.2;
-        let kind = TransitionKind::Rising;
-        let words = corrupt(&plan, 500.0, kind, 64, &clean(kind));
-        for w in &words[1..] {
-            assert_eq!(w.bits(), words[0].bits(), "same stuck pattern everywhere");
-        }
-        assert_ne!(
-            words[0].bits(),
-            front_word(kind, 64, 30).bits(),
+        assert!(
+            !plan.stuck_elements(64).is_empty(),
             "at 20% some of 64 elements must stick"
         );
+        for kind in TransitionKind::ALL {
+            let got = corrupt(&plan, 500.0, kind, 64, &clean());
+            assert!(
+                got.iter().all(|&d| d == got[0]),
+                "same stuck pattern everywhere"
+            );
+            assert_ne!(got[0], 30, "{kind:?}: the stuck elements move the front");
+        }
     }
 
+    /// With only bursts enabled, a burst flips at most the `2·hw + 1`
+    /// bits around the clean front, so the distance moves by at most that
+    /// much, and a certain burst moves some sample.
     #[test]
-    fn bursts_only_disturb_near_the_front() {
-        let mut plan = SensorFaultPlan::none();
-        plan.seed = 11;
-        plan.metastability_burst_rate = 1.0;
-        plan.burst_half_width = 3;
-        let kind = TransitionKind::Rising;
-        for w in corrupt(&plan, 500.0, kind, 64, &clean(kind)) {
-            for (j, &b) in w.bits().iter().enumerate() {
-                let clean = j < 30;
-                if j.abs_diff(30) > 3 {
-                    assert_eq!(b, clean, "bit {j} outside the burst must be clean");
+    fn bursts_move_the_distance_by_at_most_their_width() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for hw in [1, 3, 8] {
+            let mut plan = SensorFaultPlan::none();
+            plan.seed = 11;
+            plan.metastability_burst_rate = 1.0;
+            plan.burst_half_width = hw;
+            for kind in TransitionKind::ALL {
+                let captures: Vec<Capture> =
+                    (0..16).map(|_| random_capture(&mut rng, 64)).collect();
+                let got = corrupt(&plan, 500.0, kind, 64, &captures);
+                for (d, c) in got.iter().zip(&captures) {
+                    assert!(d.abs_diff(c.distance) <= 2 * hw + 1, "{kind:?} hw {hw}");
                 }
+                assert!(got.iter().zip(&captures).any(|(&d, c)| d != c.distance));
             }
         }
     }
@@ -352,40 +367,30 @@ mod tests {
     #[test]
     fn moderate_faults_leave_quorum_of_clean_samples() {
         let plan = SensorFaultPlan::noisy(3, 0.2);
-        let kind = TransitionKind::Rising;
-        let clean = corrupt(&plan, 500.0, kind, 64, &clean(kind))
+        let usable = corrupt(&plan, 500.0, TransitionKind::Rising, 64, &clean())
             .iter()
-            .filter(|w| !w.is_saturated())
+            .filter(|&&d| d != 0 && d != 64)
             .count();
-        assert!(clean >= 4, "{clean}/8 usable");
+        assert!(usable >= 4, "{usable}/8 usable");
     }
 
-    /// `len`-element words whose fronts land anywhere in the chain, with
-    /// metastable bubbles scattered around them.
-    fn random_bools(rng: &mut StdRng, kind: TransitionKind, len: usize) -> Vec<bool> {
-        let front = rng.gen_range(0..=len);
-        (0..len)
-            .map(|i| {
-                let passed = if i.abs_diff(front) <= 2 {
-                    rng.gen_bool(0.5)
-                } else {
-                    i < front
-                };
-                match kind {
-                    TransitionKind::Rising => passed,
-                    TransitionKind::Falling => !passed,
-                }
-            })
-            .collect()
+    /// A capture of a `len`-element chain whose front lands anywhere in
+    /// it, with a metastable band of up to 64 elements after the prefix.
+    fn random_capture(rng: &mut StdRng, len: usize) -> Capture {
+        let settled = rng.gen_range(0..=len);
+        let band_len = rng.gen_range(0..=(len - settled).min(MAX_BAND));
+        let mask = u64::MAX.checked_shr((MAX_BAND - band_len) as u32);
+        capture_of(settled, rng.gen::<u64>() & mask.unwrap_or(0))
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// `corrupt_samples` under a noisy plan equals the `Vec<bool>`
-        /// reference word for word, for both polarities, on chains on both
-        /// sides of the 64-bit boundary and bursts wide enough to span
-        /// words.
+        /// A capture's word has the capture's distance, and the distance
+        /// corruption under a noisy plan equals the Hamming distance of
+        /// the `Vec<bool>` reference's corrupted word, for both
+        /// polarities, on chains on both sides of 64 elements, bands up
+        /// to 64 elements and bursts wide enough to span the chain.
         #[test]
         fn corruption_matches_bool_reference(
             len in 1usize..=130,
@@ -399,15 +404,17 @@ mod tests {
             let mut plan = SensorFaultPlan::noisy(seed, intensity);
             plan.burst_half_width = burst_half_width;
             for kind in TransitionKind::ALL {
-                let raw: Vec<Vec<bool>> =
-                    (0..samples).map(|_| random_bools(&mut rng, kind, len)).collect();
-                let words: Vec<CaptureWord> =
-                    raw.iter().map(|b| CaptureWord::new(kind, b.clone())).collect();
-                let got = corrupt(&plan, theta_ps, kind, len, &words);
-                prop_assert_eq!(got.len(), raw.len());
-                for (i, (word, bits)) in got.iter().zip(&raw).enumerate() {
-                    let want = plan.corrupt_bools(theta_ps, kind, i, bits);
-                    prop_assert_eq!(word.bits(), &want[..], "{:?} sample {}", kind, i);
+                let captures: Vec<Capture> =
+                    (0..samples).map(|_| random_capture(&mut rng, len)).collect();
+                let got = corrupt(&plan, theta_ps, kind, len, &captures);
+                prop_assert_eq!(got.len(), captures.len());
+                for (i, (&distance, capture)) in got.iter().zip(&captures).enumerate() {
+                    let word = capture.word(kind, len);
+                    prop_assert_eq!(word.propagation_distance(), capture.distance);
+                    let bits = word.bits();
+                    let want = plan.corrupt_bools(theta_ps, kind, i, &bits);
+                    let want = CaptureWord::new(kind, want).propagation_distance();
+                    prop_assert_eq!(distance, want, "{:?} sample {}", kind, i);
                 }
             }
         }

@@ -4,7 +4,7 @@ use fpga_fabric::{TransitionKind, CARRY_ELEMENT_PS};
 use serde::{Deserialize, Serialize};
 
 use crate::capture::is_saturated;
-use crate::{CaptureWord, TdcError};
+use crate::TdcError;
 
 /// One polarity's samples reduced to what every reader of a trace needs:
 /// their count and distance sum, over all samples and over the `valid`
@@ -43,35 +43,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Builds a trace from captured words, tallying their distances.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a word's polarity is not the one it is filed under, or
-    /// if the words differ in length.
-    #[must_use]
-    pub fn new(theta_ps: f64, rising: Vec<CaptureWord>, falling: Vec<CaptureWord>) -> Self {
-        let len = rising
-            .iter()
-            .chain(&falling)
-            .next()
-            .map_or(0, CaptureWord::len);
-        let tally = |kind, words: &[CaptureWord]| {
-            let mut tally = Tally::default();
-            for w in words {
-                assert_eq!(w.kind(), kind, "a {kind} trace holds {kind} words");
-                assert_eq!(w.len(), len, "a trace's words share one length");
-                tally.add(w.propagation_distance(), len);
-            }
-            tally
-        };
-        Self::from_tallies(
-            theta_ps,
-            tally(TransitionKind::Rising, &rising),
-            tally(TransitionKind::Falling, &falling),
-        )
-    }
-
     /// Wraps the tallies of samples already captured.
     pub(crate) fn from_tallies(theta_ps: f64, rising: Tally, falling: Tally) -> Self {
         Self {
@@ -322,22 +293,20 @@ fn select_median(values: &mut [f64]) -> f64 {
 mod tests {
     use super::*;
 
-    fn front_word(kind: TransitionKind, len: usize, front: usize) -> CaptureWord {
-        let bits = (0..len)
-            .map(|i| match kind {
-                TransitionKind::Rising => i < front,
-                TransitionKind::Falling => i >= front,
-            })
-            .collect();
-        CaptureWord::new(kind, bits)
+    /// A trace of 64-element samples at these distances.
+    fn trace_of(theta: f64, rising: &[usize], falling: &[usize]) -> Trace {
+        let tally = |distances: &[usize]| {
+            let mut tally = Tally::default();
+            for &d in distances {
+                tally.add(d, 64);
+            }
+            tally
+        };
+        Trace::from_tallies(theta, tally(rising), tally(falling))
     }
 
     fn trace(theta: f64, rise_front: usize, fall_front: usize) -> Trace {
-        Trace::new(
-            theta,
-            vec![front_word(TransitionKind::Rising, 64, rise_front); 4],
-            vec![front_word(TransitionKind::Falling, 64, fall_front); 4],
-        )
+        trace_of(theta, &[rise_front; 4], &[fall_front; 4])
     }
 
     #[test]
@@ -386,13 +355,7 @@ mod tests {
     #[test]
     fn quorum_distance_ignores_dropped_samples() {
         // 4 good samples at front 30 plus 2 dropouts (front 0).
-        let mut rising = vec![front_word(TransitionKind::Rising, 64, 30); 4];
-        rising.extend(vec![front_word(TransitionKind::Rising, 64, 0); 2]);
-        let t = Trace::new(
-            500.0,
-            rising,
-            vec![front_word(TransitionKind::Falling, 64, 30); 6],
-        );
+        let t = trace_of(500.0, &[30, 30, 30, 30, 0, 0], &[30; 6]);
         // The plain mean is dragged toward zero by the dropouts...
         assert!(t.mean_distance(TransitionKind::Rising) < 21.0);
         // ...the quorum mean is not.
@@ -420,11 +383,7 @@ mod tests {
     #[test]
     fn try_from_traces_errors_when_quorum_collapses() {
         // Every trace fully saturated: nothing usable.
-        let dead = Trace::new(
-            500.0,
-            vec![front_word(TransitionKind::Rising, 64, 0); 4],
-            vec![front_word(TransitionKind::Falling, 64, 0); 4],
-        );
+        let dead = trace(500.0, 0, 0);
         let err = Measurement::try_from_traces(&[dead.clone(), dead], 0.5).unwrap_err();
         assert!(matches!(
             err,

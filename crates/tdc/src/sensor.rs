@@ -6,8 +6,7 @@ use fpga_fabric::{
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::capture::{hamming_distance, set_bits, stride};
-use crate::faults::StuckMasks;
+use crate::capture::{Capture, MAX_BAND};
 use crate::measurement::Tally;
 use crate::util::{box_muller, box_muller_bracket, gaussian_uniforms};
 use crate::{
@@ -31,10 +30,10 @@ pub struct TdcSensor {
     theta_init_ps: Option<f64>,
     #[serde(default)]
     faults: SensorFaultPlan,
-    /// `faults`' stuck elements on this chain, derived when the plan is
-    /// installed rather than on every trace.
+    /// `faults`' stuck elements on this chain as `(element, reads_high)`,
+    /// derived when the plan is installed rather than on every trace.
     #[serde(default)]
-    stuck: StuckMasks,
+    stuck: Vec<(usize, bool)>,
 }
 
 impl TdcSensor {
@@ -66,7 +65,7 @@ impl TdcSensor {
             clock,
             theta_init_ps: None,
             faults: SensorFaultPlan::none(),
-            stuck: StuckMasks::default(),
+            stuck: Vec::new(),
         })
     }
 
@@ -74,7 +73,7 @@ impl TdcSensor {
     /// default plan corrupts nothing; a benign plan leaves every capture
     /// byte-identical to a sensor with no plan at all.
     pub fn set_fault_plan(&mut self, plan: SensorFaultPlan) {
-        self.stuck = plan.stuck_masks(self.chain.len());
+        self.stuck = plan.stuck_elements(self.chain.len());
         self.faults = plan;
     }
 
@@ -155,17 +154,12 @@ impl TdcSensor {
         kind: TransitionKind,
         rng: &mut R,
     ) -> CaptureWord {
-        let len = self.chain.len();
-        let mut word = vec![0; stride(len)];
-        self.capture_into::<true, R>(route_delay_ps, theta_ps, kind, rng, &mut word);
-        CaptureWord::from_packed(kind, len, word)
+        self.capture(route_delay_ps, theta_ps, rng)
+            .word(kind, self.chain.len())
     }
 
-    /// Captures one sample and returns its propagation distance, `settled`
-    /// plus the metastable elements the edge passed. A rising word sets
-    /// exactly those bits and a falling word the rest, whose `len −
-    /// popcount` is the same sum. Only with `PACK` is the word written,
-    /// into `word`: one [`stride`] of words, zero on entry.
+    /// Captures one sample: the settled prefix, the metastable band after
+    /// it, and their passes, the propagation distance of either polarity.
     ///
     /// The capture margin `front_time − passed_at(i)` never increases
     /// along the chain (its cumulative delays strictly increase), so the
@@ -176,21 +170,13 @@ impl TdcSensor {
     /// element before, which by monotonicity stops at the same boundary a
     /// bisection finds. The metastable elements after it are scored in
     /// index order until the first one the edge settled short of, so the
-    /// word and the RNG draws match an element-by-element scan exactly.
-    /// Settled runs are written as word masks; only metastable bits are
-    /// set one at a time.
+    /// outcomes and the RNG draws match an element-by-element scan
+    /// exactly.
     ///
     /// Every decision is monotone in the front, so each is made on a
     /// [`Front`] bracket and takes the exact jitter only where the
     /// bracket's two ends disagree.
-    fn capture_into<const PACK: bool, R: Rng + ?Sized>(
-        &self,
-        route_delay_ps: f64,
-        theta_ps: f64,
-        kind: TransitionKind,
-        rng: &mut R,
-        word: &mut [u64],
-    ) -> usize {
+    fn capture<R: Rng + ?Sized>(&self, route_delay_ps: f64, theta_ps: f64, rng: &mut R) -> Capture {
         let mut front = Front::draw(rng, theta_ps, self.config.jitter_sigma_ps, route_delay_ps);
         let w = self.config.metastable_window_ps;
         // Element `i` is passed once the edge clears its output.
@@ -206,14 +192,12 @@ impl TdcSensor {
         while settled > 0 && !front.decide(settles(passed_at[settled - 1])) {
             settled -= 1;
         }
-        // A bit is set where the edge passed (rising) or did not (falling).
-        let set_if_passed = matches!(kind, TransitionKind::Rising);
-        if PACK && set_if_passed {
-            set_bits(word, 0..settled);
-        }
-        let mut reached = settled;
+        // A validated window spans at most `MAX_BAND` elements. Only a NaN
+        // front reaches the cap, and only with a zero window: it then
+        // passes no element and draws nothing, so the cut changes nothing.
+        let mut band = 0;
         let mut passes = 0;
-        for &p in &passed_at[settled..] {
+        for (i, &p) in passed_at[settled..].iter().take(MAX_BAND).enumerate() {
             // The scan's own `< −w/2` test, so that even a NaN margin
             // lands in the metastable band exactly as it did there.
             if front.decide(|front_time| front_time - p < -w / 2.0) {
@@ -234,17 +218,14 @@ impl TdcSensor {
                 front.decide(|front_time| front_time - p >= 0.0)
             };
             // Branch-free: the outcome is a coin flip no predictor learns.
+            band |= u64::from(transition_passed) << i;
             passes += usize::from(transition_passed);
-            if PACK {
-                word[reached / 64] ^=
-                    u64::from(transition_passed == set_if_passed) << (reached % 64);
-            }
-            reached += 1;
         }
-        if PACK && !set_if_passed {
-            set_bits(word, reached..len);
+        Capture {
+            settled,
+            band,
+            distance: settled + passes,
         }
-        settled + passes
     }
 
     /// Captures one trace (both polarities, `samples_per_trace` each) at a
@@ -263,10 +244,9 @@ impl TdcSensor {
         self.capture_trace_at(device.route_delay(&self.route), theta_ps, rng)
     }
 
-    /// One trace against a route delay already read off the device. Under
-    /// a benign fault plan no bit is ever read, so capture only counts;
-    /// otherwise a polarity's samples are packed into one buffer,
-    /// corrupted in place and then tallied.
+    /// One trace against a route delay already read off the device: every
+    /// sample is captured, corrupted by the fault plan (a benign plan
+    /// changes nothing) and tallied by its distance.
     fn capture_trace_at<R: Rng + ?Sized>(
         &self,
         delay: RouteDelay,
@@ -276,26 +256,13 @@ impl TdcSensor {
         // The clock generator can only realize phases on its grid.
         let theta_ps = self.clock.quantize(theta_ps);
         let len = self.chain.len();
-        let samples = self.config.samples_per_trace;
         let tally = |kind, rng: &mut R| {
             let delay = delay.for_transition(kind);
+            let faults = self.faults.polarity(theta_ps, kind, &self.stuck, len);
             let mut tally = Tally::default();
-            if self.faults.is_benign() {
-                for _ in 0..samples {
-                    let d = self.capture_into::<false, R>(delay, theta_ps, kind, rng, &mut []);
-                    tally.add(d, len);
-                }
-            } else {
-                let stride = stride(len);
-                let mut packed = vec![0; samples * stride];
-                for word in packed.chunks_exact_mut(stride) {
-                    self.capture_into::<true, R>(delay, theta_ps, kind, rng, word);
-                }
-                self.faults
-                    .corrupt_samples(theta_ps, kind, len, &self.stuck, &mut packed);
-                for word in packed.chunks_exact(stride) {
-                    tally.add(hamming_distance(kind, word, len), len);
-                }
+            for sample in 0..self.config.samples_per_trace {
+                let capture = self.capture(delay, theta_ps, rng);
+                tally.add(faults.distance(sample, capture), len);
             }
             tally
         };
@@ -509,9 +476,6 @@ struct Front {
 }
 
 impl Front {
-    /// Forced inline: a trace holds two instantiations of the walk, and
-    /// outlined, this returns the `Front` through memory.
-    #[inline(always)]
     fn draw<R: Rng + ?Sized>(
         rng: &mut R,
         theta_ps: f64,
@@ -587,6 +551,7 @@ fn exact_front(u1: f64, u2: f64, theta_ps: f64, sigma_ps: f64, route_delay_ps: f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MAX_METASTABLE_WINDOW_PS;
     use crate::util::gaussian;
     use bti_physics::{DutyCycle, Hours};
     use fpga_fabric::RouteRequest;
@@ -643,10 +608,10 @@ mod tests {
         CaptureWord::new(kind, bits)
     }
 
-    /// The trace capture before packing, word for word: every sample a
-    /// fresh `Vec<bool>` from the element scan, corrupted by the
-    /// `Vec<bool>` fault reference. Returns the quantized θ and the raw
-    /// rising and falling words.
+    /// The trace capture word for word: every sample a fresh `Vec<bool>`
+    /// from the element scan, corrupted by the `Vec<bool>` fault
+    /// reference. Returns the quantized θ and the raw rising and falling
+    /// words.
     fn capture_trace_reference<R: Rng + ?Sized>(
         sensor: &TdcSensor,
         delay: RouteDelay,
@@ -794,52 +759,62 @@ mod tests {
         }
     }
 
-    /// The counting and the packing capture are one walk: for every
-    /// sample they return the same distance, equal to the packed word's
-    /// Hamming distance, and leave the RNG in the same state. Fronts
-    /// sweep past both ends of chains on both sides of 64 elements.
+    /// A capture is the element scan's word: the same bits, its distance
+    /// the word's Hamming distance, and the RNG left in the same state.
+    /// Fronts sweep past both ends of chains on both sides of 64 elements,
+    /// under windows up to the widest that validates. A NaN front under a
+    /// zero window runs into the band cap and still reads as the scan.
+    /// Placement refuses a wider window.
     #[test]
-    fn counting_capture_matches_packing() {
+    fn capture_distance_is_the_word_distance() {
         let device = FpgaDevice::zcu102_new(3);
         let route = device
             .route_with_target_delay(&RouteRequest::new(TileCoord::new(4, 4), 1_000.0))
             .unwrap();
         for chain_length in [1, 63, 64, 65, 130] {
-            for metastable_window_ps in [0.0, 1.5, 10.0] {
+            for w in [0.0, 1.5, 10.0, MAX_METASTABLE_WINDOW_PS] {
                 let config = TdcConfig {
                     chain_length,
-                    metastable_window_ps,
+                    metastable_window_ps: w,
                     ..TdcConfig::cloud()
                 };
                 let sensor = TdcSensor::place(&device, route.clone(), config).unwrap();
                 let total = sensor.chain().total_delay_ps();
-                let mut count_rng = StdRng::seed_from_u64(chain_length as u64);
-                let mut pack_rng = count_rng.clone();
+                let mut fronts: Vec<f64> = (0..=200)
+                    .map(|step| f64::from(step) / 200.0 * (total + w + 40.0) - w / 2.0 - 20.0)
+                    .collect();
+                if w == 0.0 {
+                    fronts.push(f64::NAN);
+                }
+                let mut rng = StdRng::seed_from_u64(chain_length as u64);
+                let mut scan_rng = rng.clone();
+                let mut most_band_passes = 0;
                 for kind in TransitionKind::ALL {
-                    for step in 0..=200 {
-                        let front = f64::from(step) / 200.0 * (total + 40.0) - 20.0;
-                        let mut word = vec![0; stride(chain_length)];
-                        let counted = sensor.capture_into::<false, _>(
-                            0.0,
-                            front,
-                            kind,
-                            &mut count_rng,
-                            &mut [],
-                        );
-                        let packed = sensor.capture_into::<true, _>(
-                            0.0,
-                            front,
-                            kind,
-                            &mut pack_rng,
-                            &mut word,
-                        );
-                        assert_eq!(counted, packed);
-                        assert_eq!(counted, hamming_distance(kind, &word, chain_length));
-                        assert_eq!(count_rng.state(), pack_rng.state());
+                    for &front in &fronts {
+                        let capture = sensor.capture(0.0, front, &mut rng);
+                        let scan = capture_scan(&sensor, 0.0, front, kind, &mut scan_rng);
+                        assert_eq!(capture.distance, scan.propagation_distance());
+                        assert_eq!(capture.word(kind, chain_length), scan);
+                        assert_eq!(rng.state(), scan_rng.state());
+                        most_band_passes = most_band_passes.max(capture.band.count_ones());
                     }
+                }
+                if w == MAX_METASTABLE_WINDOW_PS && chain_length > 60 {
+                    assert!(
+                        most_band_passes >= 10,
+                        "{most_band_passes} passes in a {w} ps band"
+                    );
                 }
             }
         }
+        // One ULP wider is a typed placement error, not a band that
+        // overflows its word.
+        let too_wide = TdcConfig {
+            metastable_window_ps: MAX_METASTABLE_WINDOW_PS.next_up(),
+            ..TdcConfig::cloud()
+        };
+        let err = TdcSensor::place(&device, route, too_wide).unwrap_err();
+        assert!(matches!(err, TdcError::InvalidConfig(_)), "{err:?}");
     }
 
     #[test]

@@ -38,17 +38,19 @@ cmp results/fig3_traces.txt /tmp/ci_fig3_traces.txt \
 echo "== perfbench self-test + pinned passes (benchmark workloads, bit identity) =="
 # perfbench is a workspace of its own. The self-test checks that the
 # outcome digest and every work counter repeat at pool widths 2, 2 and 1;
-# one traced pass per workload must reproduce its pinned seed-1 digest,
-# so a capture change that moves a bit on the benchmark's own workloads
-# fails here.
+# one traced pass per workload and pinned seed (0-10, perfbench/src/pins.rs)
+# must reproduce its pinned digest, so a capture change that moves a bit
+# on the benchmark's own workloads fails here.
 cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- --self-test
-for workload in attack_tdc campaign_hostile; do
-    line=$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 0 --trace 1 | tail -n 1)
-    case "$line" in
-        *'"correct":true'*) ;;
-        *) echo "FAIL: perfbench $workload seed 1: $line"; exit 1 ;;
-    esac
+for seed in $(seq 0 10); do
+    for workload in attack_tdc campaign_hostile; do
+        line=$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed "$seed" --seconds 0 --trace 1 | tail -n 1)
+        case "$line" in
+            *'"correct":true'*) ;;
+            *) echo "FAIL: perfbench $workload seed $seed: $line"; exit 1 ;;
+        esac
+    done
 done
 
 echo "== fig6 + fig7 + fig8 + repeatability (paper figures, byte identity) =="
