@@ -28,7 +28,8 @@
 //! replay determinism of the flight recorder are always gated.
 //!
 //! Artifact: `BENCH_chaos.json` (per-cell identity verdicts and chaos
-//! accounting; `bit_identical`/`gate_passed` are sentinel-gated).
+//! accounting; `bit_identical`/`gate_passed` are gated by this bin's
+//! exit code).
 
 use std::fs;
 use std::path::PathBuf;

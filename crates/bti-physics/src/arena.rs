@@ -173,7 +173,8 @@ impl AgingArena {
     /// All aged wires as `(key, view)` pairs in ascending-key order —
     /// the one sanctioned iteration order, so that every digest or dump
     /// built on it is deterministic regardless of stress history.
-    pub fn iter_sorted(&self) -> impl Iterator<Item = (u64, WireAging<'_>)> + '_ {
+    #[cfg(test)]
+    fn iter_sorted(&self) -> impl Iterator<Item = (u64, WireAging<'_>)> + '_ {
         self.sorted
             .iter()
             .map(move |&s| (self.keys[s as usize], self.view_at(s as usize)))

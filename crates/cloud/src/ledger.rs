@@ -204,12 +204,6 @@ impl FaultFunnel {
         }
     }
 
-    /// Number of lock stripes.
-    #[must_use]
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
-    }
-
     /// The stripe a record hashes onto. Pure function of the record's
     /// content (never of thread identity or arrival order), so the
     /// assignment replays identically across runs — though nothing

@@ -198,12 +198,6 @@ impl Design {
         &self.nets
     }
 
-    /// Mutable access to a net (e.g. to change a held value at runtime,
-    /// as a Type B victim does).
-    pub fn net_mut(&mut self, index: usize) -> Option<&mut Net> {
-        self.nets.get_mut(index)
-    }
-
     /// The design's cells.
     #[must_use]
     pub fn cells(&self) -> &[Cell] {

@@ -199,14 +199,6 @@ impl FpgaDevice {
         self.die_temp
     }
 
-    /// The steady-state die temperature the current power draw is heading
-    /// toward.
-    #[must_use]
-    pub fn steady_state_die_temperature(&self) -> Celsius {
-        let watts = self.loaded.as_ref().map_or(0.0, Design::power_watts);
-        self.thermal.die_temperature(watts)
-    }
-
     /// Fresh-stress sensitivity factor from accumulated wear: 1.0 for a
     /// new board, ≈0.1 for a four-year-old cloud device.
     #[must_use]
@@ -250,16 +242,6 @@ impl FpgaDevice {
     /// Returns [`FabricError::OutOfGrid`] or [`FabricError::Unroutable`].
     pub fn route_between(&self, from: TileCoord, to: TileCoord) -> Result<Route, FabricError> {
         route_direct(self.topo, from, to, &HashSet::new())
-    }
-
-    /// Like [`route_between`](Self::route_between), avoiding used wires.
-    pub fn route_between_avoiding(
-        &self,
-        from: TileCoord,
-        to: TileCoord,
-        used: &HashSet<WireId>,
-    ) -> Result<Route, FabricError> {
-        route_direct(self.topo, from, to, used)
     }
 
     /// Places a carry chain (the TDC delay line) on this device's silicon.
@@ -480,15 +462,6 @@ impl FpgaDevice {
     #[must_use]
     pub fn aged_wire_count(&self) -> usize {
         self.aging.len()
-    }
-
-    /// All aged wires in ascending [`WireId`] order — the one sanctioned
-    /// iteration order over aging state, so digests and dumps built on it
-    /// are deterministic regardless of stress history.
-    pub fn aged_wires(&self) -> impl Iterator<Item = (WireId, WireAging<'_>)> + '_ {
-        self.aging
-            .iter_sorted()
-            .map(|(key, view)| (WireId(key as u32), view))
     }
 
     /// Order-stable FNV digest of the device's full aging state (keys,

@@ -14,13 +14,12 @@
 //! file always reports the same percentiles, but two runs of the same
 //! workload time differently.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use obs::{json_f64, CampaignEvent, EventKind};
 
 use crate::parse::MetricsSnapshot;
-use crate::stream::StreamingIndicators;
 
 /// Schema version of the indicator report JSON.
 pub const INDICATORS_SCHEMA_VERSION: u32 = 1;
@@ -127,7 +126,7 @@ pub const FLEET_TICK_HISTOGRAM: &str = "fleet.tick_ms";
 /// Extracts the spans table from a metrics snapshot: every
 /// `span_seconds.*` histogram (stats in seconds) plus the fleet
 /// scheduler's [`FLEET_TICK_HISTOGRAM`] (stats in milliseconds).
-pub(crate) fn spans_from_metrics(metrics: &MetricsSnapshot) -> BTreeMap<String, SpanStats> {
+fn spans_from_metrics(metrics: &MetricsSnapshot) -> BTreeMap<String, SpanStats> {
     let mut spans = BTreeMap::new();
     for (name, hist) in &metrics.histograms {
         let short = match name.strip_prefix("span_seconds.") {
@@ -154,7 +153,7 @@ pub(crate) fn spans_from_metrics(metrics: &MetricsSnapshot) -> BTreeMap<String, 
 /// metrics snapshot, which contributes the wall-clock span percentiles).
 /// The events may be in any order; derivation stable-sorts a copy by the
 /// canonical content key, so attribution matches the Recorder's total
-/// order, then folds it through the [`StreamingIndicators`] accumulator.
+/// order, then folds each event through one accumulator.
 #[must_use]
 pub fn compute(
     events: &[CampaignEvent],
@@ -163,11 +162,131 @@ pub fn compute(
 ) -> Indicators {
     let mut sorted: Vec<&CampaignEvent> = events.iter().collect();
     sorted.sort_by(|a, b| a.cmp_key(b));
-    let mut engine = StreamingIndicators::new(config);
+    let mut acc = Accumulator::new(config);
     for event in sorted {
-        engine.accumulate(event);
+        acc.accumulate(event);
     }
-    engine.report(metrics)
+    acc.report(metrics)
+}
+
+/// The indicator fold: per-`(phase, route)` retry cells, kind and phase
+/// counters, cache and quorum tallies. Events must arrive in canonical
+/// content order, which [`compute`] guarantees by sorting first, so
+/// every floating-point sum is accumulated in one fixed order.
+struct Accumulator {
+    retry_storm_threshold: f64,
+    events: u64,
+    kind_counts: BTreeMap<EventKind, u64>,
+    routes: BTreeSet<u64>,
+    retry_total: f64,
+    retry_cells: BTreeMap<RetryCellKey, f64>,
+    backoff_events: u64,
+    backoff_seconds_total: f64,
+    cache_hits: f64,
+    cache_misses: f64,
+    abstains: u64,
+    quorum_failures: f64,
+    measure_phases: u64,
+    phase_events: BTreeMap<String, u64>,
+    current_phase: String,
+}
+
+impl Accumulator {
+    fn new(config: &IndicatorConfig) -> Self {
+        Self {
+            retry_storm_threshold: config.retry_storm_threshold,
+            events: 0,
+            // Every kind listed, zeros included.
+            kind_counts: EventKind::ALL.into_iter().map(|k| (k, 0)).collect(),
+            routes: BTreeSet::new(),
+            retry_total: 0.0,
+            retry_cells: BTreeMap::new(),
+            backoff_events: 0,
+            backoff_seconds_total: 0.0,
+            cache_hits: 0.0,
+            cache_misses: 0.0,
+            abstains: 0,
+            quorum_failures: 0.0,
+            measure_phases: 0,
+            phase_events: BTreeMap::new(),
+            current_phase: PRE_PHASE.to_owned(),
+        }
+    }
+
+    fn accumulate(&mut self, event: &CampaignEvent) {
+        if event.kind == EventKind::PhaseTransition {
+            self.current_phase = if event.detail.is_empty() {
+                PRE_PHASE.to_owned()
+            } else {
+                event.detail.clone()
+            };
+            if event.detail == "measure" {
+                self.measure_phases += 1;
+            }
+        }
+        *self.kind_counts.entry(event.kind).or_insert(0) += 1;
+        *self
+            .phase_events
+            .entry(self.current_phase.clone())
+            .or_insert(0) += 1;
+        if let Some(route) = event.route {
+            self.routes.insert(route);
+        }
+        match event.kind {
+            EventKind::Retry => {
+                self.retry_total += event.value;
+                let key = RetryCellKey {
+                    phase: self.current_phase.clone(),
+                    route: event.route,
+                };
+                *self.retry_cells.entry(key).or_insert(0.0) += event.value;
+            }
+            EventKind::Backoff => {
+                self.backoff_events += 1;
+                self.backoff_seconds_total += event.value;
+            }
+            EventKind::CacheHit => self.cache_hits += event.value,
+            EventKind::CacheMiss => self.cache_misses += event.value,
+            EventKind::Abstain => self.abstains += 1,
+            EventKind::QuorumFailure => self.quorum_failures += event.value,
+            _ => {}
+        }
+        self.events += 1;
+    }
+
+    fn report(self, metrics: Option<&MetricsSnapshot>) -> Indicators {
+        let retry_storms: Vec<(RetryCellKey, f64)> = self
+            .retry_cells
+            .iter()
+            .filter(|&(_, &total)| total > self.retry_storm_threshold)
+            .map(|(key, &total)| (key.clone(), total))
+            .collect();
+        let cache_traffic = self.cache_hits + self.cache_misses;
+        let spans = metrics.map(spans_from_metrics).unwrap_or_default();
+        Indicators {
+            events: self.events,
+            kind_counts: self.kind_counts,
+            routes_observed: self.routes.len() as u64,
+            retry_total: self.retry_total,
+            retry_cells: self.retry_cells,
+            retry_storms,
+            retry_storm_threshold: self.retry_storm_threshold,
+            backoff_events: self.backoff_events,
+            backoff_seconds_total: self.backoff_seconds_total,
+            cache_hits: self.cache_hits,
+            cache_misses: self.cache_misses,
+            cache_hit_ratio: (cache_traffic > 0.0).then(|| self.cache_hits / cache_traffic),
+            abstains: self.abstains,
+            abstain_rate_per_route: (!self.routes.is_empty())
+                .then(|| self.abstains as f64 / self.routes.len() as f64),
+            quorum_failures: self.quorum_failures,
+            measure_phases: self.measure_phases,
+            quorum_failures_per_measure_phase: (self.measure_phases > 0)
+                .then(|| self.quorum_failures / self.measure_phases as f64),
+            phase_events: self.phase_events,
+            spans,
+        }
+    }
 }
 
 fn json_opt(v: Option<f64>) -> String {

@@ -34,8 +34,8 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// A JSON number, kept as its raw source text so re-serialization is
-/// byte-faithful and integer precision is never laundered through `f64`.
+/// A JSON number, kept as its raw source text so integer precision is
+/// never laundered through `f64` and errors can quote the source.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Number {
     raw: String,
@@ -77,9 +77,8 @@ pub struct Member {
     pub column: usize,
 }
 
-/// A parsed JSON value. Objects preserve member order (the emitters sort
-/// deterministically, so order is meaningful and re-serialization must
-/// not shuffle it).
+/// A parsed JSON value. Objects preserve member order and each key's
+/// position, so typed decoders report errors where they occur.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`
@@ -133,29 +132,11 @@ impl Value {
         }
     }
 
-    /// The elements, when this is an array.
-    #[must_use]
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// The string contents, when this is a string.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The boolean, when this is a bool.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -179,53 +160,6 @@ impl Value {
             Value::String(_) => "string",
             Value::Array(_) => "array",
             Value::Object(_) => "object",
-        }
-    }
-
-    /// Re-serializes the value. Numbers keep their raw source text and
-    /// objects keep member order, so `to_json` of a parsed artifact is
-    /// byte-identical to its minified source.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out);
-        out
-    }
-
-    fn write_json(&self, out: &mut String) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(true) => out.push_str("true"),
-            Value::Bool(false) => out.push_str("false"),
-            Value::Number(n) => out.push_str(&n.raw),
-            Value::String(s) => {
-                out.push('"');
-                out.push_str(&obs::escape_json(s));
-                out.push('"');
-            }
-            Value::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_json(out);
-                }
-                out.push(']');
-            }
-            Value::Object(members) => {
-                out.push('{');
-                for (i, member) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    out.push_str(&obs::escape_json(&member.key));
-                    out.push_str("\":");
-                    member.value.write_json(out);
-                }
-                out.push('}');
-            }
         }
     }
 }
@@ -563,7 +497,11 @@ mod tests {
     fn numbers_round_trip_raw_text() {
         for raw in ["0", "-3", "12.5", "1.9536033923958532e-15", "0e0", "1e12"] {
             let v = Value::parse(raw).expect(raw);
-            assert_eq!(v.to_json(), raw, "raw number text must survive");
+            assert_eq!(
+                v.as_number().map(Number::raw),
+                Some(raw),
+                "raw number text must survive"
+            );
         }
         assert_eq!(
             Value::parse("42").unwrap().as_number().unwrap().as_u64(),
@@ -585,11 +523,5 @@ mod tests {
         assert_eq!(v.as_str(), Some("A\u{e9}\u{1F600} é😀"));
         assert!(Value::parse(r#""\ud83d""#).is_err(), "lone high surrogate");
         assert!(Value::parse(r#""\ude00""#).is_err(), "lone low surrogate");
-    }
-
-    #[test]
-    fn reserialization_is_byte_faithful_for_minified_sources() {
-        let src = r#"{"counters":{"a":1},"histograms":{"h":{"count":2,"sum":0.5,"buckets":{"0":2}}},"events":3,"event_kinds":{"retry":3}}"#;
-        assert_eq!(Value::parse(src).expect("parses").to_json(), src);
     }
 }

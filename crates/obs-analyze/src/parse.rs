@@ -562,6 +562,10 @@ mod tests {
         let good = "{\"at\":1,\"kind\":\"retry\",\"route\":null,\"value\":0,\"detail\":\"\"}";
         let err = parse_trace(&format!("{good}\nnot json\n")).unwrap_err();
         assert_eq!(err.line, 2);
+        // A blank line (whitespace only) is rejected on its own line.
+        let err = parse_trace(&format!("{good}\n{good}\n   \n{good}\n")).unwrap_err();
+        assert_eq!((err.line, err.column), (3, 1));
+        assert!(err.message.contains("blank line in trace"), "{err}");
     }
 
     #[test]

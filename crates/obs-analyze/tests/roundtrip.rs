@@ -5,7 +5,6 @@
 //! non-ASCII) and non-finite numeric payloads.
 
 use obs::{CampaignEvent, EventKind, Recorder};
-use obs_analyze::diff::diff;
 use obs_analyze::parse::{cross_check, first_order_violation, parse_metrics, parse_trace};
 use proptest::prelude::*;
 
@@ -91,32 +90,5 @@ proptest! {
         let metrics = parse_metrics(&r.metrics_json()).expect("emitted metrics must parse");
         prop_assert_eq!(cross_check(&parsed, &metrics), Ok(()),
             "trace and metrics must agree on event counts");
-    }
-
-    /// A trace diffed against an independently recorded copy of the same
-    /// event multiset is empty, however the copies were ordered.
-    #[test]
-    fn same_multiset_always_diffs_empty(
-        raw in proptest::collection::vec(
-            (0u8..100, 0u8..16, 0u8..5, 0u8..7, 0u8..250,
-             proptest::collection::vec(0u16..80, 0..8)),
-            0..30,
-        ),
-    ) {
-        let events = events_from(raw);
-        let forward = Recorder::new();
-        for e in &events {
-            forward.event(e.clone());
-        }
-        let backward = Recorder::new();
-        for e in events.iter().rev() {
-            backward.event(e.clone());
-        }
-        let base = parse_trace(&forward.trace_jsonl()).expect("parses");
-        let cand = parse_trace(&backward.trace_jsonl()).expect("parses");
-        let d = diff(&base, &cand, None, None);
-        prop_assert!(d.is_empty(), "spurious diff: {}", d.to_json());
-        prop_assert_eq!(d.added.len(), 0);
-        prop_assert_eq!(d.removed.len(), 0);
     }
 }

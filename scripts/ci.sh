@@ -80,10 +80,14 @@ echo "== attack_accuracy trace smoke (observability artifacts + overhead) =="
 # The traced smoke run must produce a parseable JSONL trace and metrics
 # JSON, leave the CSV artifact byte-identical to the untraced run, and
 # (on real hardware) stay within the < 5 % instrumentation overhead
-# budget. Like the sentinel's timing gates, the overhead gate is
-# informational on hosts with < 4 hardware threads.
+# budget. The binary is built first and timed directly, so the gate
+# measures tracing and not a cargo rebuild. Wall-clock timing is too
+# noisy to gate on hosts with < 4 hardware threads, so there the
+# overhead is printed but not enforced.
+cargo build --release -q -p bench --bin attack_accuracy
+attack_accuracy="${CARGO_TARGET_DIR:-target}/release/attack_accuracy"
 t0=$(date +%s%N)
-cargo run --release -q -p bench --bin attack_accuracy -- --smoke
+"$attack_accuracy" --smoke
 t1=$(date +%s%N)
 # The checked-in CSV is the smoke output: a sensing change that moves
 # any bit of it must fail here, not only traced-vs-untraced below.
@@ -91,7 +95,7 @@ git diff --exit-code -- results/attack_accuracy.csv \
     || { echo "FAIL: attack_accuracy.csv differs from the checked-in copy"; exit 1; }
 cp results/attack_accuracy.csv /tmp/ci_untraced_attack_accuracy.csv
 t2=$(date +%s%N)
-cargo run --release -q -p bench --bin attack_accuracy -- --smoke \
+"$attack_accuracy" --smoke \
     --trace /tmp/ci_trace.jsonl --metrics /tmp/ci_metrics.json
 t3=$(date +%s%N)
 cmp results/attack_accuracy.csv /tmp/ci_untraced_attack_accuracy.csv \
@@ -114,27 +118,21 @@ else
     echo "(${hw_threads} hardware thread(s): overhead gate informational)"
 fi
 
-echo "== streaming indicators parity (--stream == batch at widths 1/2/4) =="
-# The streaming engine must derive byte-identical reports from real
-# smoke traces at every pool width, in both renderings — and since the
-# indicator report is a pure function of the (width-invariant) trace,
-# every width's report must equal width 1's. Each width's fresh CSV must
-# also equal the checked-in one: sweep cells are width-invariant.
+echo "== indicators across pool widths (attack_accuracy at widths 1/2/4) =="
+# The indicator report is a pure function of the (width-invariant)
+# trace, so every width's report must equal width 1's in both
+# renderings. Each width's fresh CSV must also equal the checked-in one:
+# sweep cells are width-invariant.
 for t in 1 2 4; do
     cargo run --release -q -p bench --bin attack_accuracy -- --smoke \
-        --threads "$t" --trace "/tmp/ci_stream_$t.jsonl"
+        --threads "$t" --trace "/tmp/ci_width_$t.jsonl"
     git diff --exit-code -- results/attack_accuracy.csv \
         || { echo "FAIL: attack_accuracy.csv changed at $t threads"; exit 1; }
     for fmt in json md; do
         cargo run --release -q -p bench --bin obs_report -- \
-            indicators "/tmp/ci_stream_$t.jsonl" "--$fmt" \
-            > "/tmp/ci_ind_batch_$t.$fmt"
-        cargo run --release -q -p bench --bin obs_report -- \
-            indicators "/tmp/ci_stream_$t.jsonl" "--$fmt" --stream \
-            > "/tmp/ci_ind_stream_$t.$fmt"
-        cmp "/tmp/ci_ind_batch_$t.$fmt" "/tmp/ci_ind_stream_$t.$fmt" \
-            || { echo "FAIL: --stream diverged from batch (--$fmt, $t threads)"; exit 1; }
-        cmp "/tmp/ci_ind_stream_1.$fmt" "/tmp/ci_ind_stream_$t.$fmt" \
+            indicators "/tmp/ci_width_$t.jsonl" "--$fmt" \
+            > "/tmp/ci_ind_$t.$fmt"
+        cmp "/tmp/ci_ind_1.$fmt" "/tmp/ci_ind_$t.$fmt" \
             || { echo "FAIL: indicators differ between widths 1 and $t (--$fmt)"; exit 1; }
     done
 done
@@ -183,16 +181,6 @@ cargo run --release -q -p bench --bin fleet_scaling -- --smoke --threads 2 \
     --trace /tmp/ci_fleet_trace.jsonl --metrics /tmp/ci_fleet_metrics.json
 cargo run --release -q -p bench --bin obs_report -- \
     validate /tmp/ci_fleet_trace.jsonl /tmp/ci_fleet_metrics.json
-
-echo "== regression sentinel (BENCH lineage vs checked-in baseline) =="
-# The chaos_suite and fleet_scaling smoke steps above regenerated
-# results/BENCH_chaos.json and results/BENCH_fleet.json on this host, so
-# the sentinel compares fresh artifacts against the checked-in bundle. First run (no
-# baseline yet) writes the bundle and exits 0; afterwards any lost
-# identity/equivalence claim fails the build, while timing gates stay
-# informational on hosts with < 4 hardware threads.
-cargo run --release -q -p bench --bin obs_report -- \
-    sentinel --baseline results/BENCH_obs_baseline.json
 
 echo "== cargo clippy --workspace -- -D warnings =="
 if command -v cargo-clippy >/dev/null 2>&1; then

@@ -1,7 +1,6 @@
 //! Golden tests for the telemetry consumption layer: the checked-in
-//! mini-trace fixture must produce byte-identical reports, and the
-//! regression sentinel must hold its gate policy against the real
-//! checked-in BENCH baseline bundle.
+//! mini-trace fixture must parse strictly and produce byte-identical
+//! reports.
 //!
 //! If the indicator format changes intentionally, regenerate with
 //! `cargo run -q -p obs-analyze --example gen_fixtures` and commit the
@@ -12,8 +11,6 @@ use std::path::PathBuf;
 
 use obs_analyze::indicators::{compute, IndicatorConfig};
 use obs_analyze::parse::{cross_check, first_order_violation, parse_metrics, parse_trace};
-use obs_analyze::sentinel::{evaluate, parse_baseline, parse_bench, GateStatus};
-use obs_analyze::Value;
 
 fn fixture(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -55,83 +52,4 @@ fn indicator_markdown_report_is_byte_identical_to_golden() {
     // must agree byte-for-byte).
     let again = compute(&events, Some(&metrics), &IndicatorConfig::default());
     assert_eq!(report.to_json(), again.to_json());
-}
-
-#[test]
-fn sentinel_accepts_checked_in_baseline_against_itself() {
-    let bundle_path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results/BENCH_obs_baseline.json");
-    let bundle = fs::read_to_string(&bundle_path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", bundle_path.display()));
-    let docs = parse_baseline(&bundle).expect("checked-in baseline parses");
-    assert_eq!(
-        docs.keys().collect::<Vec<_>>(),
-        ["BENCH_chaos.json", "BENCH_fleet.json"],
-        "baseline must track exactly the chaos and fleet BENCH artifacts"
-    );
-    let snaps = docs
-        .iter()
-        .map(|(name, doc)| (name.clone(), parse_bench(doc).expect("bench parses")))
-        .collect();
-    let report = evaluate(&snaps, &snaps);
-    assert_eq!(
-        report.regressions(),
-        0,
-        "the baseline must not regress against itself: {}",
-        report.to_json()
-    );
-    assert!(
-        report
-            .gates
-            .iter()
-            .any(|g| g.status == GateStatus::Pass && g.field == "identical"),
-        "the determinism claim must be among the evaluated gates"
-    );
-}
-
-#[test]
-fn sentinel_flags_synthetic_regression_in_checked_in_baseline() {
-    let bundle = fs::read_to_string(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results/BENCH_obs_baseline.json"),
-    )
-    .expect("baseline readable");
-    let docs = parse_baseline(&bundle).expect("parses");
-    let base = docs
-        .iter()
-        .map(|(name, doc)| (name.clone(), parse_bench(doc).expect("bench parses")))
-        .collect();
-    // Synthetically lose the parallel-determinism claim in the current
-    // artifacts: the sentinel must exit the build.
-    let regressed_bundle = bundle.replace("\"identical\":true", "\"identical\":false");
-    assert_ne!(regressed_bundle, bundle, "fixture must contain the claim");
-    let regressed = parse_baseline(&regressed_bundle)
-        .expect("parses")
-        .iter()
-        .map(|(name, doc)| (name.clone(), parse_bench(doc).expect("bench parses")))
-        .collect();
-    let report = evaluate(&base, &regressed);
-    assert!(
-        report.regressions() > 0,
-        "lost identity claim must regress: {}",
-        report.to_json()
-    );
-    assert!(report
-        .gates
-        .iter()
-        .any(|g| g.status == GateStatus::Regression && g.field == "identical"));
-}
-
-#[test]
-fn baseline_bundle_embeds_artifacts_byte_faithfully() {
-    let repo = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let bundle =
-        fs::read_to_string(repo.join("results/BENCH_obs_baseline.json")).expect("baseline");
-    let docs = parse_baseline(&bundle).expect("parses");
-    for (name, doc) in &docs {
-        // The raw-preserving JSON layer re-serializes every embedded
-        // artifact with its original number spellings intact, so the
-        // bundle never silently reformats the lineage it snapshots.
-        let reparsed = Value::parse(&doc.to_json()).expect("re-parses");
-        assert_eq!(reparsed.to_json(), doc.to_json(), "{name} drifted");
-    }
 }

@@ -188,10 +188,9 @@ fn hostile_campaign_trace_is_identical_at_every_pool_width() {
 fn hostile_campaign_trace_diffs_empty_across_pool_widths() {
     use std::sync::Arc;
 
-    // Stronger than byte equality of the files: the semantic diff layer
-    // compares the runs as event multisets under the Recorder's content
-    // order, so this also proves the *consumption* path (strict parse →
-    // diff) sees serial and parallel runs as the same campaign.
+    // The determinism contract is byte-identical traces: a repeat run and
+    // every wider pool must reproduce width 1's trace byte for byte, and
+    // the consumption path (strict parse) must accept it.
     let traced = |width: usize| {
         at_width(width, || {
             let recorder = Arc::new(obs::Recorder::new());
@@ -201,17 +200,15 @@ fn hostile_campaign_trace_diffs_empty_across_pool_widths() {
             recorder.trace_jsonl()
         })
     };
-    let serial = obs_analyze::parse_trace(&traced(1)).expect("serial trace parses");
-    assert!(!serial.is_empty(), "hostile campaign must emit events");
+    let serial = traced(1);
+    let events = obs_analyze::parse_trace(&serial).expect("serial trace parses");
+    assert!(!events.is_empty(), "hostile campaign must emit events");
     for width in [1, 2, 4] {
-        let parallel = obs_analyze::parse_trace(&traced(width)).expect("parallel trace parses");
-        let d = obs_analyze::diff(&serial, &parallel, None, None);
-        assert!(
-            d.is_empty(),
-            "serial vs width-{width} trace must diff empty, got {}",
-            d.to_json()
+        assert_eq!(
+            traced(width),
+            serial,
+            "width-{width} trace must equal the first width-1 trace byte for byte"
         );
-        assert_eq!(d.added.len() + d.removed.len(), 0);
     }
 }
 
