@@ -1,15 +1,10 @@
 //! Scaling sweep for the sharded parallel fleet scheduler.
 //!
 //! Runs one ≥64-campaign fleet over a sharded device pool at increasing
-//! rayon lane widths and proves the scheduler's two headline claims:
-//!
-//! * **serial ≡ sharded-parallel** — outcomes, telemetry traces, and
-//!   quarantine ledgers are byte-identical at every width swept (width 1
-//!   *is* the serial scheduler: lanes run inline in slot order);
-//! * **contention is deterministic** — a two-tenant flash-attack race
-//!   submitted from concurrently racing workers resolves to the same
-//!   device assignments at every width, via the broker's
-//!   priority/sequence/tenant tie-break rule.
+//! rayon lane widths and proves the scheduler's headline claim,
+//! **serial ≡ sharded-parallel**: outcomes, telemetry traces, and
+//! quarantine ledgers are byte-identical at every width swept (width 1
+//! *is* the serial scheduler: lanes run inline in slot order).
 //!
 //! Throughput (campaigns/sec) and p99 supervisor-tick latency are
 //! reported per width; they are the one deliberately nondeterministic
@@ -19,9 +14,9 @@
 //! full size); `--threads N` caps the widest lane pool (default 4);
 //! `--trace/--metrics PATH` drain one run's telemetry into artifacts.
 //!
-//! Artifact: `BENCH_fleet.json`. `identical` and `contention_identical`
-//! are gated by this bin's exit code (a `false` fails the run on any
-//! hardware); `campaigns_per_sec` is informational.
+//! Artifact: `BENCH_fleet.json`. `identical` is gated by this bin's exit
+//! code (a `false` fails the run on any hardware); `campaigns_per_sec` is
+//! informational.
 
 use std::fs;
 use std::path::PathBuf;
@@ -30,9 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bench::{exit_by, save_artifact, threads_from_args, ObsSink, ShapeReport};
-use cloud::{
-    Assignment, DevicePool, Provider, ProviderConfig, RentRequest, SessionBroker, TenantId,
-};
+use cloud::{Provider, ProviderConfig};
 use fleet::{CampaignSpec, ChaosPlan, FleetConfig, FleetReport, Supervisor};
 use obs::Recorder;
 use pentimento::threat_model1::ThreatModel1Config;
@@ -64,38 +57,6 @@ impl Drop for Scratch {
     }
 }
 
-/// The two-tenant flash-attack race: `attacker` and `rival` each submit
-/// `FLEET_SIZE` equal-priority requests from `width` genuinely racing
-/// worker threads, then the barrier resolves them against a shared pool.
-/// The result is a pure function of the request set — the sweep asserts
-/// it never varies with `width`.
-fn contention_assignments(width: usize) -> Vec<Assignment> {
-    let broker = SessionBroker::new();
-    let requests: Vec<RentRequest> = (0..FLEET_SIZE as u64)
-        .flat_map(|sequence| {
-            ["attacker", "rival"].map(|tenant| RentRequest {
-                tenant: TenantId::new(tenant),
-                priority: 7,
-                sequence,
-            })
-        })
-        .collect();
-    let lanes = width.max(1);
-    std::thread::scope(|scope| {
-        for lane in 0..lanes {
-            let broker = &broker;
-            let requests = &requests;
-            scope.spawn(move || {
-                for request in requests.iter().skip(lane).step_by(lanes) {
-                    broker.submit(request.clone());
-                }
-            });
-        }
-    });
-    let mut pool = DevicePool::from_size(FLEET_SIZE as u32);
-    broker.resolve(&mut pool)
-}
-
 /// Scheduled kills on every fourth campaign, at staggered hours — chaos
 /// that is always survivable (no envelope damage), so completion itself
 /// is part of the gate.
@@ -109,21 +70,11 @@ fn chaos_plan() -> ChaosPlan {
     plan
 }
 
-/// Builds the fleet from the contention winners: campaign seeds derive
-/// from the *device the broker granted*, so the contention phase feeds
-/// the scheduling phase and any tie-break drift would show up as a
-/// different fleet digest.
-fn specs(
-    winners: &[Assignment],
-    plan: &ChaosPlan,
-    recorder: Option<&Arc<Recorder>>,
-) -> Vec<CampaignSpec> {
-    winners
-        .iter()
-        .enumerate()
-        .map(|(index, assignment)| {
-            let device = assignment.device.expect("winners hold devices");
-            let seed = 900 + u64::from(device.0);
+/// Builds the fleet: campaign `index` is seeded `900 + index`.
+fn specs(plan: &ChaosPlan, recorder: Option<&Arc<Recorder>>) -> Vec<CampaignSpec> {
+    (0..FLEET_SIZE)
+        .map(|index| {
+            let seed = 900 + index as u64;
             let tm1 = ThreatModel1Config {
                 route_lengths_ps: vec![600.0],
                 routes_per_length: 2,
@@ -199,11 +150,7 @@ fn p99_ms(latencies_s: &[f64]) -> f64 {
     sorted[index] * 1_000.0
 }
 
-fn run_once(
-    winners: &[Assignment],
-    plan: &ChaosPlan,
-    recorder: Option<&Arc<Recorder>>,
-) -> RunResult {
+fn run_once(plan: &ChaosPlan, recorder: Option<&Arc<Recorder>>) -> RunResult {
     let scratch = Scratch::new();
     let config = FleetConfig {
         checkpoint_every_hours: 4,
@@ -215,7 +162,7 @@ fn run_once(
         .unwrap_or_else(|| Arc::new(Recorder::new()));
     supervisor.set_recorder(Some(Arc::clone(&effective)));
     let started = Instant::now();
-    let report = supervisor.run(specs(winners, plan, Some(&effective)), plan.clone());
+    let report = supervisor.run(specs(plan, Some(&effective)), plan.clone());
     let elapsed_s = started.elapsed().as_secs_f64();
     let p99_tick_ms = p99_ms(supervisor.last_tick_latencies_s());
     RunResult {
@@ -226,18 +173,17 @@ fn run_once(
     }
 }
 
-fn run_at_width(winners: &[Assignment], plan: &ChaosPlan, width: usize) -> RunResult {
+fn run_at_width(plan: &ChaosPlan, width: usize) -> RunResult {
     rayon::ThreadPoolBuilder::new()
         .num_threads(width)
         .build()
         .expect("thread pool")
-        .install(|| run_once(winners, plan, None))
+        .install(|| run_once(plan, None))
 }
 
 struct Row {
     threads: usize,
     identical: bool,
-    contention_identical: bool,
     completed: usize,
     failed: usize,
     kills: u64,
@@ -246,24 +192,13 @@ struct Row {
     arena_bytes_per_device: usize,
 }
 
-/// Runs the full width sweep (contention race + sharded fleet at each
-/// width) and folds each width into a [`Row`]. Deterministic apart from
-/// the two wall-clock timing fields.
-fn compute_sweep(
-    widths: &[usize],
-    plan: &ChaosPlan,
-    winners: &[Assignment],
-    reference_assignments: &[Assignment],
-) -> Vec<Row> {
+/// Runs the sharded fleet at each width and folds each width into a
+/// [`Row`]. Deterministic apart from the two wall-clock timing fields.
+fn compute_sweep(widths: &[usize], plan: &ChaosPlan) -> Vec<Row> {
     let mut rows: Vec<Row> = Vec::new();
     let mut base: Option<(String, String)> = None; // (digest, trace) at width 1
     for &width in widths {
-        // Contention phase: the flash-attack race at this lane width must
-        // resolve exactly as the serial submission did.
-        let contention_identical = contention_assignments(width) == reference_assignments;
-
-        // Scheduling phase: the sharded fleet at this width.
-        let run = run_at_width(winners, plan, width);
+        let run = run_at_width(plan, width);
         let digest = run_digest(&run.report, &run.trace);
         let identical = match &base {
             None => {
@@ -282,7 +217,6 @@ fn compute_sweep(
         rows.push(Row {
             threads: width,
             identical,
-            contention_identical,
             completed,
             failed: run.report.failed(),
             kills: run.report.kills_injected,
@@ -314,28 +248,19 @@ fn main() {
 
     let plan = chaos_plan();
     let expected_kills = plan.scheduled_kills.len() as u64;
-    let reference_assignments = contention_assignments(1);
-    let winners: Vec<Assignment> = reference_assignments
-        .iter()
-        .filter(|a| a.device.is_some())
-        .cloned()
-        .collect();
-    assert_eq!(winners.len(), FLEET_SIZE, "pool grants exactly one fleet");
 
     let mut report = ShapeReport::new();
-    let rows = compute_sweep(&widths, &plan, &winners, &reference_assignments);
+    let rows = compute_sweep(&widths, &plan);
 
     let mut all_identical = true;
-    let mut all_contention_identical = true;
     let mut all_complete = true;
     for r in &rows {
         all_identical &= r.identical;
-        all_contention_identical &= r.contention_identical;
         all_complete &= r.completed == FLEET_SIZE && r.kills == expected_kills;
         println!(
             "  threads {}: {} completed / {} failed, kills {}, \
              {:.1} campaigns/sec, p99 tick {:.3} ms, arena {} KiB/device, \
-             identical {}, contention identical {}",
+             identical {}",
             r.threads,
             r.completed,
             r.failed,
@@ -343,16 +268,10 @@ fn main() {
             r.campaigns_per_sec,
             r.p99_tick_ms,
             r.arena_bytes_per_device / 1024,
-            r.identical,
-            r.contention_identical
+            r.identical
         );
     }
 
-    report.check(
-        "flash-attack contention resolves identically at every lane width",
-        all_contention_identical,
-        format!("widths {widths:?}"),
-    );
     report.check(
         "fleet outcomes, traces, and quarantine ledgers are bit-identical across widths",
         all_identical,
@@ -388,7 +307,7 @@ fn main() {
     // One more run feeding the shared obs sink, so the emitted trace
     // carries the scheduler_tick/commit_batch event stream CI validates.
     if let Some(rec) = &sink_recorder {
-        let _ = run_once(&winners, &plan, Some(rec));
+        let _ = run_once(&plan, Some(rec));
     }
 
     let json_rows: Vec<String> = rows
@@ -396,14 +315,13 @@ fn main() {
         .map(|r| {
             format!(
                 concat!(
-                    "{{\"threads\":{},\"identical\":{},\"contention_identical\":{},",
+                    "{{\"threads\":{},\"identical\":{},",
                     "\"campaigns\":{},\"completed\":{},\"failed\":{},",
                     "\"campaigns_per_sec\":{},\"p99_tick_ms\":{},",
                     "\"arena_bytes_per_device\":{}}}"
                 ),
                 r.threads,
                 r.identical,
-                r.contention_identical,
                 FLEET_SIZE,
                 r.completed,
                 r.failed,

@@ -68,17 +68,6 @@ impl ShapeReport {
     }
 }
 
-/// Mean of the final |Δps| of the series in one (length, burn) class.
-#[must_use]
-pub fn class_mean_final(series: &[RouteSeries], target_ps: f64, burn: LogicLevel) -> f64 {
-    let v: Vec<f64> = series
-        .iter()
-        .filter(|s| s.target_ps == target_ps && s.burn_value == burn)
-        .map(RouteSeries::last_delta_ps)
-        .collect();
-    mean(&v)
-}
-
 /// A route series selected for a class mean carried no measurements, so
 /// the nearest-hour lookup is undefined. Carries the offending route so
 /// a sweep can attribute the failure to one cell instead of panicking.
@@ -173,7 +162,7 @@ pub fn tm1_end_to_end_config(seed: u64) -> ThreatModel1Config {
 /// Parses a `--threads N` (or `--threads=N`) worker-count override from
 /// `args`. Returns `None` when absent or malformed.
 #[must_use]
-pub fn threads_from<I: IntoIterator<Item = String>>(args: I) -> Option<usize> {
+fn threads_from<I: IntoIterator<Item = String>>(args: I) -> Option<usize> {
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         if arg == "--threads" {
@@ -200,7 +189,7 @@ pub fn path_from_args(name: &str) -> Option<PathBuf> {
 
 /// Parses a `--NAME PATH` (or `--NAME=PATH`) flag value from `args`.
 /// Returns `None` when the flag is absent or has no value.
-pub fn path_value_from<I: IntoIterator<Item = String>>(args: I, name: &str) -> Option<PathBuf> {
+fn path_value_from<I: IntoIterator<Item = String>>(args: I, name: &str) -> Option<PathBuf> {
     let long = format!("--{name}");
     let assigned = format!("--{name}=");
     let mut args = args.into_iter();
@@ -369,8 +358,6 @@ mod tests {
             series(1000.0, LogicLevel::Zero, -2.0),
             series(2000.0, LogicLevel::One, 8.0),
         ];
-        assert_eq!(class_mean_final(&all, 1000.0, LogicLevel::One), 3.0);
-        assert_eq!(class_mean_final(&all, 2000.0, LogicLevel::One), 8.0);
         assert_eq!(
             class_mean_at_hour(&all, 1000.0, LogicLevel::Zero, 1.0),
             Ok(-2.0)

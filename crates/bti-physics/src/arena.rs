@@ -108,7 +108,7 @@ impl AgingArena {
 
     /// Occupancy values stored per wire (NBTI bins + PBTI bins).
     #[must_use]
-    pub fn stride(&self) -> usize {
+    fn stride(&self) -> usize {
         self.nbti_len + self.pbti_len
     }
 

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{DutyCycle, Hours};
+use crate::Hours;
 
 /// One bin of a discretized capture–emission time (CET) map.
 ///
@@ -103,30 +103,11 @@ impl TrapBin {
         // Numerical safety: keep occupancy inside its physical range.
         self.occupancy = self.occupancy.clamp(0.0, 1.0);
     }
-
-    /// Convenience wrapper: advances under a node duty cycle for a bank of
-    /// the given polarity.
-    pub fn advance_with_duty(
-        &mut self,
-        dt: Hours,
-        duty: DutyCycle,
-        polarity: crate::Polarity,
-        capture_accel: f64,
-        emission_accel: f64,
-    ) {
-        self.advance(
-            dt,
-            duty.stress_share(polarity),
-            capture_accel,
-            emission_accel,
-        );
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Polarity;
 
     fn bin(tau_c: f64, tau_e: f64) -> TrapBin {
         TrapBin::new(Hours::new(tau_c), Hours::new(tau_e), 1.0)
@@ -185,30 +166,6 @@ mod tests {
         b.occupancy = 0.3;
         b.advance(Hours::ZERO, 1.0, 1.0, 1.0);
         assert_eq!(b.occupancy, 0.3);
-    }
-
-    #[test]
-    fn advance_with_duty_maps_polarity() {
-        // Pure logical-1 duty stresses PBTI and relieves NBTI.
-        let mut pbti = bin(10.0, 10.0);
-        let mut nbti = bin(10.0, 10.0);
-        nbti.occupancy = 0.9;
-        pbti.advance_with_duty(
-            Hours::new(10.0),
-            DutyCycle::ALWAYS_ONE,
-            Polarity::Pbti,
-            1.0,
-            1.0,
-        );
-        nbti.advance_with_duty(
-            Hours::new(10.0),
-            DutyCycle::ALWAYS_ONE,
-            Polarity::Nbti,
-            1.0,
-            1.0,
-        );
-        assert!(pbti.occupancy > 0.5);
-        assert!(nbti.occupancy < 0.9);
     }
 
     #[test]

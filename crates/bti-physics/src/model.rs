@@ -317,13 +317,6 @@ impl BtiModelBuilder {
         self
     }
 
-    /// Scales both polarities' delay sensitivities (used by ablations).
-    pub fn sensitivity_scale(&mut self, scale: f64) -> &mut Self {
-        self.nbti.sensitivity *= scale;
-        self.pbti.sensitivity *= scale;
-        self
-    }
-
     /// Validates the parameters and builds the model.
     ///
     /// # Errors
@@ -396,15 +389,6 @@ mod tests {
         let mut p = *BtiModel::ultrascale_plus().pbti();
         p.bin_count = 0;
         assert_eq!(b.pbti(p).build().unwrap_err(), BtiError::EmptyCetGrid);
-    }
-
-    #[test]
-    fn sensitivity_scale_applies_to_both() {
-        let mut b = BtiModel::builder();
-        let m = b.sensitivity_scale(2.0).build().unwrap();
-        let base = BtiModel::ultrascale_plus();
-        assert!((m.nbti().sensitivity - 2.0 * base.nbti().sensitivity).abs() < 1e-15);
-        assert!((m.pbti().sensitivity - 2.0 * base.pbti().sensitivity).abs() < 1e-15);
     }
 
     #[test]

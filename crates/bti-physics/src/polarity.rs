@@ -35,15 +35,6 @@ impl LogicLevel {
         matches!(self, Self::One)
     }
 
-    /// The BTI polarity stressed while this level is held.
-    #[must_use]
-    pub fn stressed_polarity(self) -> Polarity {
-        match self {
-            Self::Zero => Polarity::Nbti,
-            Self::One => Polarity::Pbti,
-        }
-    }
-
     /// The duty cycle corresponding to holding this level statically.
     #[must_use]
     pub fn duty(self) -> DutyCycle {
@@ -93,15 +84,6 @@ pub enum Polarity {
 impl Polarity {
     /// Both polarities, in a fixed order.
     pub const ALL: [Self; 2] = [Self::Nbti, Self::Pbti];
-
-    /// The logic level that stresses this polarity.
-    #[must_use]
-    pub fn stress_level(self) -> LogicLevel {
-        match self {
-            Self::Nbti => LogicLevel::Zero,
-            Self::Pbti => LogicLevel::One,
-        }
-    }
 }
 
 impl fmt::Display for Polarity {
@@ -152,7 +134,7 @@ impl DutyCycle {
 
     /// Fraction of time spent at logical 0.
     #[must_use]
-    pub fn fraction_at_zero(self) -> f64 {
+    fn fraction_at_zero(self) -> f64 {
         1.0 - self.0
     }
 
@@ -186,16 +168,6 @@ mod tests {
     fn complement_matches_paper_x_bar() {
         assert_eq!(!LogicLevel::One, LogicLevel::Zero);
         assert_eq!(!LogicLevel::Zero, LogicLevel::One);
-    }
-
-    #[test]
-    fn levels_stress_the_right_polarity() {
-        // Figure 2: Vin = 0 degrades the PMOS through NBTI; Vin = 1 the NMOS
-        // through PBTI.
-        assert_eq!(LogicLevel::Zero.stressed_polarity(), Polarity::Nbti);
-        assert_eq!(LogicLevel::One.stressed_polarity(), Polarity::Pbti);
-        assert_eq!(Polarity::Nbti.stress_level(), LogicLevel::Zero);
-        assert_eq!(Polarity::Pbti.stress_level(), LogicLevel::One);
     }
 
     #[test]

@@ -169,20 +169,6 @@ impl Kelvin {
     }
 }
 
-impl Hours {
-    /// Creates a span from seconds.
-    #[must_use]
-    pub fn from_seconds(seconds: f64) -> Self {
-        Self::new(seconds / 3600.0)
-    }
-
-    /// Returns the span expressed in seconds.
-    #[must_use]
-    pub fn to_seconds(self) -> f64 {
-        self.value() * 3600.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,13 +191,6 @@ mod tests {
         let k = t.to_kelvin();
         assert!((k.value() - 333.15).abs() < 1e-9);
         assert!((k.to_celsius().value() - 60.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn hours_seconds_round_trip() {
-        let h = Hours::from_seconds(52.0);
-        assert!((h.to_seconds() - 52.0).abs() < 1e-9);
-        assert!(h.value() < 0.02);
     }
 
     #[test]

@@ -44,18 +44,6 @@ impl Afi {
         self.id
     }
 
-    /// The tenant who published the image.
-    #[must_use]
-    pub fn publisher(&self) -> &TenantId {
-        &self.publisher
-    }
-
-    /// Whether the design internals are hidden from renters.
-    #[must_use]
-    pub fn is_sealed(&self) -> bool {
-        self.sealed
-    }
-
     /// Inspects the design source, enforcing the IP seal.
     ///
     /// # Errors
@@ -159,7 +147,7 @@ mod tests {
         let publisher = TenantId::new("vendor");
         let id = market.publish(publisher.clone(), Design::new("secret-accel"), true);
         let afi = market.get(id).unwrap();
-        assert!(afi.is_sealed());
+        assert!(afi.sealed);
         assert!(afi.inspect(&TenantId::new("renter")).is_err());
         assert!(afi.inspect(&publisher).is_ok());
     }

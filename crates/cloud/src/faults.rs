@@ -80,7 +80,8 @@ impl FaultKind {
     /// tenant who re-rents / reloads before the next step loses nothing.
     /// A thermal transient, by contrast, genuinely perturbs the die.
     #[must_use]
-    pub fn is_trajectory_preserving(self) -> bool {
+    #[cfg(test)]
+    fn is_trajectory_preserving(self) -> bool {
         !matches!(self, Self::ThermalTransient)
     }
 
@@ -178,9 +179,9 @@ impl FaultPlan {
     }
 
     /// A hostile cloud restricted to **trajectory-preserving** faults
-    /// (see [`FaultKind::is_trajectory_preserving`]): with sufficient
-    /// retry budget, a campaign under this plan must classify the same
-    /// bits as a fault-free run of the same seed.
+    /// (every kind but thermal transients, which perturb the die): with
+    /// sufficient retry budget, a campaign under this plan must classify
+    /// the same bits as a fault-free run of the same seed.
     #[must_use]
     pub fn transient_only(seed: u64, intensity: f64) -> Self {
         let mut plan = Self::hostile(seed, intensity);

@@ -17,8 +17,8 @@
 //!   (paper Section 7).
 //! * **Device reacquisition** — the attacker's Assumption 2: a
 //!   [`FlashAttack`](Provider::rent_all) checks out all free capacity so
-//!   the victim's released board must come back to the attacker, plus
-//!   variation-based fingerprinting to recognize a previously seen die.
+//!   the victim's released board must come back to the attacker (the
+//!   campaign layer recognizes the die by its per-route silicon delays).
 //! * **Launch-rate control** — the Section 8.2 provider mitigation:
 //!   quarantining returned devices for hours before re-renting them, so
 //!   imprints relax away.
@@ -49,21 +49,17 @@
 #![warn(missing_docs)]
 
 mod afi;
-mod broker;
 mod error;
 mod faults;
-mod fingerprint;
 mod ledger;
 mod provider;
 mod session;
 mod tenant;
 
 pub use afi::{Afi, AfiId, Marketplace};
-pub use broker::{Assignment, DevicePool, RentRequest, SessionBroker};
 pub use error::CloudError;
 pub use faults::{FaultKind, FaultPlan, FaultState, ScheduledFault};
-pub use fingerprint::{fingerprint_device, Fingerprint};
-pub use ledger::{FaultFunnel, FaultRecord, RentalLedger, RentalRecord};
+pub use ledger::{FaultRecord, RentalLedger, RentalRecord};
 pub use provider::{DeviceId, Provider, ProviderConfig};
 pub use session::Session;
 pub use tenant::TenantId;

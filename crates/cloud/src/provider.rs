@@ -293,15 +293,6 @@ impl Provider {
         &mut self.marketplace
     }
 
-    /// Number of devices currently rentable.
-    #[must_use]
-    pub fn free_count(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|(_, s)| self.is_rentable(s))
-            .count()
-    }
-
     fn is_rentable(&self, slot: &Slot) -> bool {
         match slot.state {
             SlotState::Free { released_at } => match released_at {

@@ -176,7 +176,8 @@ pub enum FleetError {
 impl FleetError {
     /// The campaign id the failure is attributed to.
     #[must_use]
-    pub fn campaign_id(&self) -> &str {
+    #[cfg(test)]
+    fn campaign_id(&self) -> &str {
         match self {
             Self::Campaign { id, .. }
             | Self::RestartBudgetExhausted { id, .. }

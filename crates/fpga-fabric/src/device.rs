@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 
 use bti_physics::{
-    AgingArena, BtiModel, Celsius, DecayCache, DutyCycle, Hours, PhasePlan, WearModel, WireAging,
+    AgingArena, BtiModel, Celsius, DecayCache, DutyCycle, Hours, PhasePlan, WearModel,
 };
 use serde::{Deserialize, Serialize};
 
@@ -411,7 +411,7 @@ impl FpgaDevice {
 
     /// The aged, variation-adjusted delays of one wire segment.
     #[must_use]
-    pub fn wire_delay(&self, seg: &WireSegment) -> RouteDelay {
+    fn wire_delay(&self, seg: &WireSegment) -> RouteDelay {
         let base = seg.nominal_delay_ps() * self.variation.factor(u64::from(seg.id.0));
         let wear = self.wear_factor();
         let (rise_shift, fall_shift) = match self.aging.wire(u64::from(seg.id.0)) {
@@ -454,7 +454,8 @@ impl FpgaDevice {
     /// copying a full per-wire state out per query would reintroduce the
     /// allocations the arena removes.
     #[must_use]
-    pub fn wire_aging(&self, id: WireId) -> Option<WireAging<'_>> {
+    #[cfg(test)]
+    fn wire_aging(&self, id: WireId) -> Option<bti_physics::WireAging<'_>> {
         self.aging.wire(u64::from(id.0))
     }
 
@@ -467,7 +468,8 @@ impl FpgaDevice {
     /// Order-stable FNV digest of the device's full aging state (keys,
     /// odometers, occupancy bit patterns, in [`WireId`] order).
     #[must_use]
-    pub fn aging_digest(&self) -> u64 {
+    #[cfg(test)]
+    fn aging_digest(&self) -> u64 {
         self.aging.digest()
     }
 

@@ -56,12 +56,6 @@ impl LutConfigCell {
         self.location
     }
 
-    /// Which of the LUT's configuration bits this cell stores.
-    #[must_use]
-    pub fn bit_index(&self) -> u8 {
-        self.bit_index
-    }
-
     /// Holds a configuration value in the cell for `dt` (what happens for
     /// the whole time a bitstream is loaded).
     pub fn hold(&mut self, model: &BtiModel, value: LogicLevel, dt: Hours, temperature: Celsius) {
@@ -194,7 +188,7 @@ mod tests {
         let model = BtiModel::ultrascale_plus();
         let cell = LutConfigCell::new(&model, TileCoord::new(9, 4), 31);
         assert_eq!(cell.location(), TileCoord::new(9, 4));
-        assert_eq!(cell.bit_index(), 31);
+        assert_eq!(cell.bit_index, 31);
         assert_eq!(cell.aging().stress_hours(), Hours::ZERO);
     }
 }

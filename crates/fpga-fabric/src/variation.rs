@@ -53,12 +53,6 @@ impl VariationModel {
     pub fn sigma(&self) -> f64 {
         self.sigma
     }
-
-    /// The device seed (the silicon identity).
-    #[must_use]
-    pub fn device_seed(&self) -> u64 {
-        self.device_seed
-    }
 }
 
 #[cfg(test)]

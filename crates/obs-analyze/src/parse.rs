@@ -228,7 +228,7 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// Upper bound of bucket `i`, mirroring `obs::Histogram`'s layout.
     #[must_use]
-    pub fn bucket_upper_bound(index: u32) -> f64 {
+    fn bucket_upper_bound(index: u32) -> f64 {
         2f64.powi(index as i32 - 24)
     }
 

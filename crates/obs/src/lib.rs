@@ -5,12 +5,12 @@
 //! widths (see `tests/parallel_determinism.rs` at the workspace root), and
 //! its telemetry must be too — otherwise a trace diff between a serial and
 //! a parallel run would drown real regressions in interleaving noise. The
-//! [`Recorder`] therefore follows the same ordered-merge discipline as
-//! `cloud::FaultFunnel`: ingestion is thread-safe and order-free, and every
-//! read side (trace lines, metric snapshots, the summary table) sorts by a
-//! total, value-derived key before presenting anything. Two runs that
-//! record the same *multiset* of events produce byte-identical traces, no
-//! matter how their worker threads interleaved.
+//! [`Recorder`] therefore follows an ordered-merge discipline: ingestion
+//! is thread-safe and order-free, and every read side (trace lines,
+//! metric snapshots, the summary table) sorts by a total, value-derived
+//! key before presenting anything. Two runs that record the same
+//! *multiset* of events produce byte-identical traces, no matter how
+//! their worker threads interleaved.
 //!
 //! Determinism contract, in detail:
 //!
@@ -79,8 +79,7 @@ pub const NON_FINITE_DROPPED_COUNTER: &str = "histogram_non_finite_dropped";
 /// Every kind of structured event the campaign stack can emit.
 ///
 /// The discriminant order is part of the determinism contract: events that
-/// tie on `(at, route)` sort by this enum's declaration order, exactly as
-/// `cloud::fault_rank` totals the order of `FaultKind`.
+/// tie on `(at, route)` sort by this enum's declaration order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EventKind {
     /// A pipeline stage boundary (setup, arm, measure, classify, ...).
@@ -399,7 +398,7 @@ impl Histogram {
 
     /// Non-empty buckets as `(index, count)` pairs, ascending.
     #[must_use]
-    pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
+    fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
         self.buckets
             .iter()
             .enumerate()
@@ -537,23 +536,14 @@ impl Recorder {
 
     /// Number of events recorded so far.
     #[must_use]
-    pub fn event_count(&self) -> usize {
+    fn event_count(&self) -> usize {
         self.lock().events.len()
     }
 
     /// All events in the canonical content order (non-draining).
     #[must_use]
-    pub fn events_sorted(&self) -> Vec<CampaignEvent> {
+    fn events_sorted(&self) -> Vec<CampaignEvent> {
         let mut events = self.lock().events.clone();
-        events.sort_by(CampaignEvent::cmp_key);
-        events
-    }
-
-    /// Removes and returns all events in canonical order, like
-    /// `FaultFunnel::drain_into`.
-    #[must_use]
-    pub fn drain_events(&self) -> Vec<CampaignEvent> {
-        let mut events = std::mem::take(&mut self.lock().events);
         events.sort_by(CampaignEvent::cmp_key);
         events
     }
@@ -758,7 +748,7 @@ impl FlightRecorder {
 
     /// The retained events in canonical content order (non-draining).
     #[must_use]
-    pub fn events_sorted(&self) -> Vec<CampaignEvent> {
+    fn events_sorted(&self) -> Vec<CampaignEvent> {
         let mut events = self.ring.clone();
         events.sort_by(CampaignEvent::cmp_key);
         events
@@ -817,19 +807,17 @@ mod tests {
             reverse.event(e.clone());
         }
         assert_eq!(forward.trace_jsonl(), reverse.trace_jsonl());
-        let drained = forward.drain_events();
-        assert_eq!(drained[0].kind, EventKind::SessionAcquired);
-        assert_eq!(forward.event_count(), 0, "drain empties the log");
+        assert_eq!(forward.events_sorted()[0].kind, EventKind::SessionAcquired);
     }
 
     #[test]
-    fn kind_ties_break_by_rank_like_fault_rank() {
+    fn kind_ties_break_by_declaration_rank() {
         let r = Recorder::new();
         r.event(CampaignEvent::new(EventKind::Backoff, 1.0).route(0));
         r.event(CampaignEvent::new(EventKind::Retry, 1.0).route(0));
-        let drained = r.drain_events();
-        assert_eq!(drained[0].kind, EventKind::Retry);
-        assert_eq!(drained[1].kind, EventKind::Backoff);
+        let sorted = r.events_sorted();
+        assert_eq!(sorted[0].kind, EventKind::Retry);
+        assert_eq!(sorted[1].kind, EventKind::Backoff);
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub struct PlacedAsset {
 impl PlacedAsset {
     /// Fraction of the sampled bits that could be realized as routes.
     #[must_use]
-    pub fn placed_fraction(&self) -> f64 {
+    #[cfg(test)]
+    fn placed_fraction(&self) -> f64 {
         if self.targets_ps.is_empty() {
             return 0.0;
         }

@@ -48,7 +48,8 @@ impl AuditScenario {
 
     /// A realistic aged-cloud scenario (Experiment 2 conditions).
     #[must_use]
-    pub fn aged_cloud() -> Self {
+    #[cfg(test)]
+    fn aged_cloud() -> Self {
         Self {
             exposure_hours: 200.0,
             temperature: Celsius::new(70.0),
@@ -126,35 +127,6 @@ impl DesignAuditReport {
             return 0.0;
         }
         self.exposed_count() as f64 / self.nets.len() as f64
-    }
-
-    /// Renders a terminal report.
-    #[must_use]
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "pentimento audit of '{}' ({} sensitive nets, {:.0} h exposure, floor {} ps)",
-            self.design_name,
-            self.nets.len(),
-            self.scenario.exposure_hours,
-            self.scenario.sensing_floor_ps
-        );
-        let _ = writeln!(
-            out,
-            "{:<28} {:>10} {:>14} {:>10}",
-            "net", "route ps", "imprint ps", "verdict"
-        );
-        for n in &self.nets {
-            let _ = writeln!(
-                out,
-                "{:<28} {:>10.0} {:>14.3} {:>10}",
-                n.net_name, n.route_ps, n.expected_imprint_ps, n.exposure
-            );
-        }
-        let _ = writeln!(out, "vulnerability: {:.1}%", self.vulnerability() * 100.0);
-        out
     }
 }
 
@@ -308,15 +280,5 @@ mod tests {
         let mut bad = AuditScenario::conservative();
         bad.exposure_hours = 0.0;
         assert!(audit_design(&design, &[0], bad).is_err());
-    }
-
-    #[test]
-    fn render_mentions_every_net() {
-        let (design, nets) = audited_design();
-        let report = audit_design(&design, &nets, AuditScenario::conservative()).unwrap();
-        let text = report.render();
-        assert!(text.contains("burn[0]"));
-        assert!(text.contains("vulnerability"));
-        assert!(text.contains("EXPOSED"));
     }
 }

@@ -101,7 +101,7 @@ impl RetryPolicy {
     /// campaign's `draw`-th backoff overall: exponential growth, capped,
     /// with jitter in `[0.5, 1.5)` of the nominal value.
     #[must_use]
-    pub fn backoff_s(&self, attempt: u32, draw: u64) -> f64 {
+    fn backoff_s(&self, attempt: u32, draw: u64) -> f64 {
         let exponent = attempt.saturating_sub(1).min(32);
         let nominal = self.base_backoff_s * f64::from(1u32 << exponent.min(20));
         let jitter = 0.5 + uniform01(self.jitter_seed, draw);

@@ -24,7 +24,7 @@ pub enum Verdict {
 impl Verdict {
     /// Wraps a hard decision.
     #[must_use]
-    pub fn from_level(level: LogicLevel) -> Self {
+    fn from_level(level: LogicLevel) -> Self {
         match level {
             LogicLevel::Zero => Self::Zero,
             LogicLevel::One => Self::One,
@@ -49,7 +49,8 @@ impl Verdict {
 
     /// Whether this verdict names `truth` (an abstention never does).
     #[must_use]
-    pub fn agrees_with(self, truth: LogicLevel) -> bool {
+    #[cfg(test)]
+    fn agrees_with(self, truth: LogicLevel) -> bool {
         self.level() == Some(truth)
     }
 }

@@ -29,8 +29,8 @@ impl RouteSeries {
     /// # Panics
     ///
     /// Panics if `hours` and `raw_delta_ps` differ in length or are empty.
-    /// Fallible callers (campaign runners fed by faulty sensors) should
-    /// use [`try_from_raw`](Self::try_from_raw) instead.
+    /// Fallible callers (campaign runners fed by faulty sensors) use the
+    /// crate-internal `try_from_raw` instead.
     #[must_use]
     pub fn from_raw(
         route_index: usize,
@@ -54,7 +54,7 @@ impl RouteSeries {
     ///
     /// Returns [`crate::PentimentoError::InvalidConfig`] for mismatched
     /// lengths or an empty series.
-    pub fn try_from_raw(
+    fn try_from_raw(
         route_index: usize,
         target_ps: f64,
         burn_value: LogicLevel,
@@ -228,22 +228,6 @@ impl RouteSeries {
     /// re-centering on the first kept point (what the Threat Model 2
     /// attacker sees: nothing before they get the board).
     ///
-    /// # Panics
-    ///
-    /// Panics when `from_hour` is later than every measurement, i.e. the
-    /// window is empty. Fallible callers — a campaign whose attacker
-    /// acquires the board after the last recorded phase — should use
-    /// [`try_window_from`](Self::try_window_from) instead.
-    #[must_use]
-    pub fn window_from(&self, from_hour: f64) -> Self {
-        match self.try_window_from(from_hour) {
-            Ok(series) => series,
-            Err(e) => panic!("window_from({from_hour}): {e}"),
-        }
-    }
-
-    /// Non-panicking [`window_from`](Self::window_from).
-    ///
     /// # Errors
     ///
     /// Returns [`crate::PentimentoError::InvalidConfig`] when `from_hour`
@@ -309,7 +293,7 @@ mod tests {
             vec![0.0, 100.0, 200.0, 201.0, 202.0],
             vec![0.0, -5.0, -10.0, -9.5, -9.0],
         );
-        let w = s.window_from(200.0);
+        let w = s.try_window_from(200.0).expect("window is non-empty");
         assert_eq!(w.hours, vec![200.0, 201.0, 202.0]);
         assert_eq!(w.delta_ps, vec![0.0, 0.5, 1.0]);
         assert_eq!(w.route_index, 3);
@@ -421,12 +405,5 @@ mod tests {
         let w = s.try_window_from(1.0).expect("window exists");
         assert_eq!(w.hours, vec![1.0, 2.0]);
         assert_eq!(w.delta_ps, vec![0.0, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "window_from")]
-    fn window_from_documents_its_panic() {
-        let s = series(&[0.0, 1.0, 2.0]);
-        let _ = s.window_from(10.0);
     }
 }

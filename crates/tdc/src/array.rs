@@ -109,28 +109,6 @@ impl TdcArray {
         result
     }
 
-    /// Adopts per-sensor θ_init values calibrated elsewhere (a sibling
-    /// board of the same type — the Threat Model 2 bootstrap).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TdcError::InvalidConfig`] when the count mismatches or a
-    /// value is not finite; no sensor is changed then.
-    pub fn set_theta_inits(&mut self, thetas: &[f64]) -> Result<(), TdcError> {
-        if thetas.len() != self.sensors.len() {
-            return Err(TdcError::InvalidConfig(
-                "theta_init count must match sensor count",
-            ));
-        }
-        if !thetas.iter().all(|t| t.is_finite()) {
-            return Err(TdcError::InvalidConfig("theta_init must be finite"));
-        }
-        for (sensor, &theta) in self.sensors.iter_mut().zip(thetas) {
-            sensor.set_theta_init_ps(theta);
-        }
-        Ok(())
-    }
-
     /// Batched read: measures the whole bank in one call, fanned across
     /// worker threads, averaging `repeats` reads per sensor — the
     /// averaging trick the attack drivers use to push the noise floor
@@ -296,34 +274,6 @@ mod tests {
         let single = spread(1);
         let averaged = spread(8);
         assert!(averaged < 0.6 * single, "{averaged} vs {single}");
-    }
-
-    #[test]
-    fn borrowed_thetas_transfer() {
-        let reference = FpgaDevice::zcu102_new(83);
-        let mut ref_array =
-            TdcArray::place(&reference, routes(&reference, 3), TdcConfig::lab()).expect("places");
-        let thetas = ref_array
-            .calibrate_all_streamed(&reference, 83)
-            .expect("calibrates");
-
-        let victim = FpgaDevice::zcu102_new(84);
-        let mut array =
-            TdcArray::place(&victim, routes(&victim, 3), TdcConfig::lab()).expect("places");
-        array.set_theta_inits(&thetas).expect("counts match");
-        assert!(array.set_theta_inits(&thetas[..2]).is_err());
-        // A non-finite θ_init is refused whole, before any sensor adopts it.
-        let before = array.clone();
-        for bad in [f64::NAN, f64::INFINITY] {
-            assert_eq!(
-                array.set_theta_inits(&[thetas[0], thetas[1], bad]),
-                Err(TdcError::InvalidConfig("theta_init must be finite"))
-            );
-            assert_eq!(array, before);
-        }
-        // Readings may need retuning on a different die, but the bank must
-        // at least be measurable without a fresh calibration.
-        assert!(array.measure_deltas_streamed(&victim, 1, 84, 0).is_ok());
     }
 
     #[test]

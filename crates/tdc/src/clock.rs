@@ -62,12 +62,6 @@ impl ClockGenerator {
         self.period_ps
     }
 
-    /// The phase quantum, in picoseconds.
-    #[must_use]
-    pub fn step_ps(&self) -> f64 {
-        self.step_ps
-    }
-
     /// Programs the phase to the setting nearest `theta_ps` and returns
     /// the θ actually realized.
     ///
@@ -76,7 +70,8 @@ impl ClockGenerator {
     /// Returns [`TdcError::InvalidConfig`] when the request is outside
     /// `[0, period)` — the capture edge must land within one period of
     /// the launch edge.
-    pub fn program_phase(&mut self, theta_ps: f64) -> Result<f64, TdcError> {
+    #[cfg(test)]
+    fn program_phase(&mut self, theta_ps: f64) -> Result<f64, TdcError> {
         if !theta_ps.is_finite() || theta_ps < 0.0 || theta_ps >= self.period_ps {
             return Err(TdcError::InvalidConfig(
                 "theta must lie within one clock period",
@@ -90,14 +85,6 @@ impl ClockGenerator {
     #[must_use]
     pub fn theta_ps(&self) -> f64 {
         self.setting as f64 * self.step_ps
-    }
-
-    /// Steps the phase by `steps` quanta (negative = earlier capture),
-    /// saturating at the period bounds, and returns the realized θ.
-    pub fn nudge(&mut self, steps: i64) -> f64 {
-        let max_setting = ((self.period_ps - self.step_ps) / self.step_ps).floor() as i64;
-        self.setting = (self.setting + steps).clamp(0, max_setting);
-        self.theta_ps()
     }
 
     /// Quantizes an arbitrary θ request to this generator's grid without
@@ -129,17 +116,8 @@ mod tests {
     #[test]
     fn paper_preset_resolves_half_a_carry_bit() {
         let clk = ClockGenerator::ultrascale_plus();
-        assert!(clk.step_ps() <= fpga_fabric::CARRY_ELEMENT_PS / 2.0 + 1e-9);
+        assert!(clk.step_ps <= fpga_fabric::CARRY_ELEMENT_PS / 2.0 + 1e-9);
         assert!(clk.period_ps() >= 10_000.0 + 64.0 * fpga_fabric::CARRY_ELEMENT_PS);
-    }
-
-    #[test]
-    fn nudging_saturates_at_bounds() {
-        let mut clk = ClockGenerator::new(14.0, 1.4).unwrap();
-        assert_eq!(clk.nudge(-5), 0.0);
-        let max = clk.nudge(1_000);
-        assert!(max < 14.0);
-        assert!(max >= 14.0 - 2.0 * 1.4);
     }
 
     #[test]

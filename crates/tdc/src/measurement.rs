@@ -105,16 +105,6 @@ impl Trace {
         Some((mean, t.valid as f64 / t.samples as f64))
     }
 
-    /// The fraction of this trace's samples (worst polarity) that carried
-    /// timing information.
-    #[must_use]
-    pub fn valid_fraction(&self) -> f64 {
-        TransitionKind::ALL
-            .into_iter()
-            .map(|kind| self.quorum_distance(kind).map_or(0.0, |(_, frac)| frac))
-            .fold(1.0, f64::min)
-    }
-
     /// This trace's Δps estimate: `(rising − falling distance) ×
     /// 2.8 ps/bit`.
     ///
@@ -362,7 +352,6 @@ mod tests {
         let (dist, frac) = t.quorum_distance(TransitionKind::Rising).unwrap();
         assert!((dist - 30.0).abs() < 1e-9);
         assert!((frac - 4.0 / 6.0).abs() < 1e-9);
-        assert!((t.valid_fraction() - 4.0 / 6.0).abs() < 1e-9);
     }
 
     #[test]

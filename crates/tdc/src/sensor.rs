@@ -235,7 +235,7 @@ impl TdcSensor {
     ///
     /// As [`capture_sample`](Self::capture_sample), for a NaN `theta_ps`.
     #[must_use]
-    pub fn capture_trace<R: Rng + ?Sized>(
+    fn capture_trace<R: Rng + ?Sized>(
         &self,
         device: &FpgaDevice,
         theta_ps: f64,
@@ -698,7 +698,7 @@ mod tests {
             }
         }
 
-        /// A whole trace from the public `capture_trace`, both polarities
+        /// A whole trace from `capture_trace`, both polarities
         /// after fault corruption, summarises exactly as the `Vec<bool>`
         /// scan corrupted by the `Vec<bool>` fault reference, and leaves
         /// the RNG in the same state. Chains run on both sides of the

@@ -5,26 +5,12 @@
 //! Run with: `cargo run --release --example tenant_data_recovery`
 
 use bti_physics::LogicLevel;
-use cloud::{fingerprint_device, Provider, ProviderConfig, TenantId};
+use cloud::{Provider, ProviderConfig, TenantId};
 use pentimento::threat_model2::{self, ThreatModel2Config};
-use pentimento::MeasurementMode;
+use pentimento::{DeviceFingerprint, MeasurementMode, RouteGroupSpec, Skeleton};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut provider = Provider::new(ProviderConfig::aws_f1_like(6, 31415));
-
-    // The attacker pre-fingerprints the fleet in a short reconnaissance
-    // rental (Assumption 2 infrastructure; Tian et al.-style).
-    println!("reconnaissance: fingerprinting the region's devices...");
-    let recon = provider.rent_all(TenantId::new("attacker"))?;
-    let mut prints = Vec::new();
-    for session in &recon {
-        let fp = fingerprint_device(provider.device(session)?);
-        println!("  {} -> {}", session.device_id(), fp);
-        prints.push((session.device_id(), fp));
-    }
-    for session in recon {
-        provider.release(session)?;
-    }
 
     // The victim computes 200 h with a 64-bit secret on long routes, then
     // leaves; the attacker flash-rents the freed device and watches
@@ -40,6 +26,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         measurement_repeats: 8,
         victim_hold_and_recover_hours: 0,
     };
+
+    // The attacker pre-fingerprints the fleet in a short reconnaissance
+    // rental (Assumption 2 infrastructure; Tian et al.-style): the silicon
+    // delays of the attack's own skeleton routes identify each die.
+    println!("reconnaissance: fingerprinting the region's devices...");
+    let specs: Vec<RouteGroupSpec> = config
+        .route_lengths_ps
+        .iter()
+        .map(|&target_ps| RouteGroupSpec {
+            target_ps,
+            count: config.routes_per_length,
+        })
+        .collect();
+    let recon = provider.rent_all(TenantId::new("attacker"))?;
+    for session in &recon {
+        let device = provider.device(session)?;
+        let skeleton = Skeleton::place(device, &specs)?;
+        let digest = DeviceFingerprint::capture(device, &skeleton).digest();
+        println!("  {} -> fp-{digest:016x}", session.device_id());
+    }
+    for session in recon {
+        provider.release(session)?;
+    }
+
     println!("\nvictim computes 200 h (unobserved), releases; provider scrubs;");
     println!("attacker flash-rents the freed board and measures 25 h of recovery...");
     let outcome = threat_model2::run(&mut provider, &config)?;
@@ -63,6 +73,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "long-route Type B data should be mostly recoverable"
     );
     println!("\nthe provider's scrub removed every digital bit — and it did not matter.");
-    let _ = prints;
     Ok(())
 }

@@ -81,23 +81,21 @@ echo "== attack_accuracy trace smoke (observability artifacts + overhead) =="
 # JSON, leave the CSV artifact byte-identical to the untraced run, and
 # (on real hardware) stay within the < 5 % instrumentation overhead
 # budget. The binary is built first and timed directly, so the gate
-# measures tracing and not a cargo rebuild. Wall-clock timing is too
-# noisy to gate on hosts with < 4 hardware threads, so there the
-# overhead is printed but not enforced.
+# measures tracing and not a cargo rebuild. One pair of ~55 ms runs reads
+# anywhere from -18 % to +13 %, so the gate times 5 alternating
+# untraced/traced pairs and takes the median per-pair overhead.
+# Wall-clock timing is too noisy to gate on hosts with < 4 hardware
+# threads, so there the overhead is printed but not enforced.
 cargo build --release -q -p bench --bin attack_accuracy
 attack_accuracy="${CARGO_TARGET_DIR:-target}/release/attack_accuracy"
-t0=$(date +%s%N)
 "$attack_accuracy" --smoke
-t1=$(date +%s%N)
 # The checked-in CSV is the smoke output: a sensing change that moves
 # any bit of it must fail here, not only traced-vs-untraced below.
 git diff --exit-code -- results/attack_accuracy.csv \
     || { echo "FAIL: attack_accuracy.csv differs from the checked-in copy"; exit 1; }
 cp results/attack_accuracy.csv /tmp/ci_untraced_attack_accuracy.csv
-t2=$(date +%s%N)
 "$attack_accuracy" --smoke \
     --trace /tmp/ci_trace.jsonl --metrics /tmp/ci_metrics.json
-t3=$(date +%s%N)
 cmp results/attack_accuracy.csv /tmp/ci_untraced_attack_accuracy.csv \
     || { echo "FAIL: tracing changed attack_accuracy.csv"; exit 1; }
 test -s /tmp/ci_trace.jsonl || { echo "FAIL: empty trace"; exit 1; }
@@ -106,10 +104,18 @@ test -s /tmp/ci_trace.jsonl || { echo "FAIL: empty trace"; exit 1; }
 # cross-checks the metrics snapshot against the trace.
 cargo run --release -q -p bench --bin obs_report -- \
     validate /tmp/ci_trace.jsonl /tmp/ci_metrics.json
-untraced_s=$(awk "BEGIN{print ($t1-$t0)/1e9}")
-traced_s=$(awk "BEGIN{print ($t3-$t2)/1e9}")
-overhead=$(awk "BEGIN{print ($traced_s-$untraced_s)/$untraced_s*100}")
-echo "untraced ${untraced_s}s, traced ${traced_s}s, overhead ${overhead}%"
+overheads=""
+for pair in 1 2 3 4 5; do
+    t0=$(date +%s%N)
+    "$attack_accuracy" --smoke >/dev/null
+    t1=$(date +%s%N)
+    "$attack_accuracy" --smoke --trace /tmp/ci_overhead_trace.jsonl \
+        --metrics /tmp/ci_overhead_metrics.json >/dev/null
+    t2=$(date +%s%N)
+    overheads="$overheads $(awk "BEGIN{print (($t2-$t1)-($t1-$t0))/($t1-$t0)*100}")"
+done
+overhead=$(printf '%s\n' $overheads | sort -g | sed -n 3p)
+echo "overhead per pair (%):${overheads}; median ${overhead}%"
 hw_threads=$(nproc 2>/dev/null || echo 1)
 if [ "$hw_threads" -ge 4 ]; then
     awk "BEGIN{exit !($overhead < 5.0)}" \
@@ -171,10 +177,9 @@ cmp results/BENCH_chaos.json /tmp/ci_first_BENCH_chaos.json \
 
 echo "== fleet_scaling smoke (sharded scheduler, 2 worker lanes) =="
 # Drives the full 64-campaign fleet through the sharded lane/barrier
-# scheduler at pool widths 1 and 2, racing a broker flash-attack for the
-# device pool first. Exits non-zero if any width's outcomes, trace, or
-# quarantine ledger diverge from the serial reference, or if the broker
-# resolution is interleaving-dependent. The drained telemetry must
+# scheduler at pool widths 1 and 2. Exits non-zero if any width's
+# outcomes, trace, or quarantine ledger diverge from the serial
+# reference. The drained telemetry must
 # validate through the strict obs-analyze parser (scheduler_tick /
 # commit_batch events ride the tick axis, content-sorted).
 cargo run --release -q -p bench --bin fleet_scaling -- --smoke --threads 2 \
