@@ -1,17 +1,17 @@
-//! Scaling sweep for the sharded parallel fleet scheduler.
+//! Width sweep for the fleet supervisor.
 //!
-//! Runs one ≥64-campaign fleet over a sharded device pool at increasing
-//! rayon lane widths and proves the scheduler's headline claim,
-//! **serial ≡ sharded-parallel**: outcomes, telemetry traces, and
-//! quarantine ledgers are byte-identical at every width swept (width 1
-//! *is* the serial scheduler: lanes run inline in slot order).
+//! Runs one ≥64-campaign fleet at increasing rayon pool widths and
+//! proves the supervisor's headline claim: outcomes, telemetry traces,
+//! and quarantine ledgers are byte-identical at every width swept. The
+//! supervisor ticks its slots serially; the pool width reaches only the
+//! campaigns' own per-route fan-out.
 //!
 //! Throughput (campaigns/sec) and p99 supervisor-tick latency are
 //! reported per width; they are the one deliberately nondeterministic
 //! output and are informational.
 //!
 //! Flags: `--smoke` trims the width sweep for CI (the fleet stays at
-//! full size); `--threads N` caps the widest lane pool (default 4);
+//! full size); `--threads N` caps the widest pool (default 4);
 //! `--trace/--metrics PATH` drain one run's telemetry into artifacts.
 //!
 //! Artifact: `BENCH_fleet.json`. `identical` is gated by this bin's exit
@@ -192,7 +192,7 @@ struct Row {
     arena_bytes_per_device: usize,
 }
 
-/// Runs the sharded fleet at each width and folds each width into a
+/// Runs the fleet at each width and folds each width into a
 /// [`Row`]. Deterministic apart from the two wall-clock timing fields.
 fn compute_sweep(widths: &[usize], plan: &ChaosPlan) -> Vec<Row> {
     let mut rows: Vec<Row> = Vec::new();
@@ -242,7 +242,7 @@ fn main() {
     let sink = ObsSink::from_args();
     let sink_recorder = sink.as_ref().map(ObsSink::recorder);
     println!(
-        "Fleet scaling: {FLEET_SIZE} campaigns over a sharded device pool, widths {widths:?}, \
+        "Fleet scaling: {FLEET_SIZE} campaigns, widths {widths:?}, \
          {hardware_threads} hardware thread(s)"
     );
 
@@ -287,7 +287,7 @@ fn main() {
     );
     // The SoA aging arena is append-only, so the completion-time read is
     // each campaign's peak; the figure must be nonzero and width-invariant
-    // (arena growth is per-campaign work, untouched by lane scheduling).
+    // (arena growth is per-campaign work, untouched by the pool width).
     report.check(
         "peak arena bytes-per-device is nonzero and identical across widths",
         rows.first().is_some_and(|first| {

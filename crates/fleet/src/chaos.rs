@@ -236,12 +236,12 @@ impl ChaosState {
 /// streams as [`ChaosState`], but owning only the `(seed, index)` draw
 /// position for a single campaign.
 ///
-/// This is what makes the sharded scheduler possible: every worker lane
-/// owns its slot's cursor outright, so lanes draw chaos concurrently
-/// without sharing mutable state — and because the streams were already
-/// keyed by `(seed, campaign, action)`, a fleet of cursors makes
-/// *exactly* the draws one central [`ChaosState`] would have made, in
-/// the same per-campaign order (the equivalence the tests below pin).
+/// Every supervisor slot owns its campaign's cursor, so a campaign's
+/// draws never depend on the order slots are served in — and because
+/// the streams are keyed by `(seed, campaign, action)`, a fleet of
+/// cursors makes *exactly* the draws one central [`ChaosState`] would
+/// have made, in the same per-campaign order (the equivalence the tests
+/// below pin).
 #[derive(Debug, Clone)]
 pub struct ChaosCursor {
     seed: u64,
@@ -425,7 +425,7 @@ mod tests {
         let mut cursors: Vec<ChaosCursor> =
             (0..3).map(|index| ChaosCursor::new(&plan, index)).collect();
 
-        // Interleave every kind of draw across campaigns; the sharded
+        // Interleave every kind of draw across campaigns; the per-campaign
         // cursors must agree with the central state on every single one.
         for hour in 0..40 {
             for campaign in 0..3 {

@@ -20,11 +20,10 @@
 //!   per-campaign session weather, all replayable draw-for-draw.
 //! * [`breaker`] — per-device circuit breakers
 //!   (closed → open → half-open) and the append-only quarantine ledger.
-//! * [`supervisor`] — the sharded lane/barrier control loop tying the
-//!   layers together with restart and deadline budgets: worker lanes
-//!   advance every slot in parallel off per-slot
-//!   [`chaos::ChaosCursor`]s, and a serial barrier merges effects and
-//!   lands one batched checkpoint commit per tick in slot-index order.
+//! * [`supervisor`] — the serial control loop tying the layers together
+//!   with restart and deadline budgets: each tick advances every slot in
+//!   slot-index order off its own [`chaos::ChaosCursor`], then lands one
+//!   batched checkpoint commit.
 //!
 //! The headline invariant, enforced end to end by `bench`'s
 //! `chaos_suite`: **every supervised campaign either completes with an

@@ -210,7 +210,7 @@ impl CheckpointStore {
     }
 
     /// Durably commits one checkpoint per campaign as a single batch —
-    /// the sharded scheduler's once-per-tick commit point, replacing N
+    /// the supervisor's once-per-tick commit point, replacing N
     /// interleaved per-campaign `commit` calls.
     ///
     /// The batch runs in three phases over all items: first every

@@ -1,43 +1,39 @@
-//! The crash-safe **sharded** fleet supervisor.
+//! The crash-safe fleet supervisor.
 //!
 //! A [`Supervisor`] drives N concurrent [`Campaign`]s to completion
-//! under injected process-level chaos, deterministically. Since PR 7 the
-//! scheduler is a **lane/barrier design**: each tick, every unresolved
-//! slot is advanced by a worker lane (the vendored rayon fan-out hands
-//! slots to the lanes one at a time), and the lanes' effects are
-//! merged at a serial barrier in slot-index order. Determinism survives
-//! the parallelism because every source of scheduling state is
-//! per-slot:
+//! under injected process-level chaos, deterministically. Each tick is
+//! one serial pass over the unresolved slots in slot-index order,
+//! followed by one batched checkpoint commit. Every source of scheduling
+//! state is per-slot:
 //!
-//! * chaos draws come from the slot's own [`ChaosCursor`] — the same
-//!   counter-based `(seed, campaign, action)` streams the serial
-//!   scheduler consulted, so the draw sequence per campaign is
-//!   bit-identical at every thread width;
+//! * chaos draws come from the slot's own [`ChaosCursor`] — counter-based
+//!   `(seed, campaign, action)` streams, so the draw sequence per
+//!   campaign is a pure function of the plan;
 //! * telemetry rides the shared [`Recorder`], whose trace is
-//!   content-sorted and whose counters merge as sums, so emission order
-//!   cannot leak into artifacts;
-//! * everything order-sensitive — report counter accumulation (float
-//!   summation!), quarantine-ledger appends, checkpoint commits —
-//!   happens at the barrier, in slot-index order.
+//!   content-sorted and whose counters merge as sums;
+//! * report counters (float sums!), quarantine-ledger appends and
+//!   checkpoint commits all happen in slot-index order.
+//!
+//! Campaigns still fan their per-route work out on the rayon pool, so
+//! every fleet artifact is identical at every thread width.
 //!
 //! Per tick and per live slot the supervisor:
 //!
-//! 1. steps the campaign one hour in its lane (or finalizes it when
-//!    complete);
+//! 1. steps the campaign one hour (or finalizes it when complete);
 //! 2. captures a CRC-sealed checkpoint *intent* on the configured
-//!    cadence; the barrier lands all intents as **one batched commit**
-//!    per tick ([`CheckpointStore::commit_batch`]: write + fsync every
-//!    temp, then rename them all) instead of a per-campaign fsync;
+//!    cadence, drawing its chaos sabotage at capture; once every slot
+//!    has ticked, all intents land as **one batched commit**
+//!    ([`CheckpointStore::commit_batch`]: write + fsync every temp, then
+//!    rename them all) instead of a per-campaign fsync;
 //! 3. consults the slot's [`ChaosCursor`] — the campaign may be killed
 //!    (its process image dropped on the floor) and its newest envelope
-//!    may be corrupted or truncated at the barrier;
+//!    may be corrupted or truncated once the batch has landed;
 //! 4. recovers dead campaigns through a per-device [`CircuitBreaker`]
 //!    and a restart budget with deterministic exponential backoff,
 //!    resuming from the newest checkpoint generation that survives full
 //!    validation (rolling back over torn ones). Recovery replays the
 //!    slot's own copy of the spec's campaign to the sealed hour and
-//!    checks the envelope's seals; it only reads the store, so it is
-//!    safe inside a lane.
+//!    checks the envelope's seals.
 //!
 //! Every terminal failure is a typed [`FleetError`] paired with a
 //! [`QuarantineRecord`]; the chaos suite asserts there is no third
@@ -45,13 +41,6 @@
 //! dead slot, a slot unresolved at drain) quarantines that slot with
 //! [`FleetError::SchedulerInvariant`] instead of panicking the fleet —
 //! the supervisor's steady-state paths contain no `expect`/`unwrap`.
-//!
-//! One deliberate divergence from the serial scheduler: commit *intents*
-//! consume their chaos draws in the lane, so a real filesystem failure
-//! at the barrier no longer rewinds the draw the serial code had not yet
-//! made. Chaos-injected damage is unaffected (sabotage applies after a
-//! successful commit in both designs), and the draw sequence is a pure
-//! function of the plan, so width-determinism is preserved.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File};
@@ -63,7 +52,6 @@ use std::time::Instant;
 use obs::{CampaignEvent, EventKind, FlightRecorder, Recorder};
 use obs_analyze::indicators::FLEET_TICK_HISTOGRAM;
 use pentimento::{Campaign, CampaignCheckpoint, CampaignOutcome, PentimentoError};
-use rayon::prelude::*;
 
 use crate::breaker::{
     BreakerConfig, CircuitBreaker, QuarantineLedger, QuarantineReason, QuarantineRecord,
@@ -224,9 +212,8 @@ impl FleetReport {
     }
 }
 
-/// Per-campaign supervision state. Each slot owns everything its lane
-/// mutates — campaign image, chaos cursor, breaker — so lanes never
-/// share mutable state.
+/// Per-campaign supervision state: campaign image, chaos cursor,
+/// breaker and flight ring.
 struct Slot {
     id: String,
     /// The spec's freshly built campaign, kept as the recipe a restore
@@ -252,9 +239,9 @@ struct Slot {
     flight: FlightRecorder,
 }
 
-/// A checkpoint the lane captured for the barrier to land: the batch
-/// commit writes the envelope, then applies any chaos sabotage the
-/// lane's cursor drew against it.
+/// A checkpoint a slot captured during its tick, for the tick's batch
+/// commit to land: the batch writes the envelope, then applies any chaos
+/// sabotage the slot's cursor drew against it.
 struct CommitIntent {
     generation: u64,
     checkpoint: CampaignCheckpoint,
@@ -262,334 +249,6 @@ struct CommitIntent {
     /// `(action, corruption byte offset)` — the offset is meaningful
     /// only for [`ChaosAction::Corrupt`].
     sabotage: Option<(ChaosAction, u64)>,
-}
-
-/// Everything a lane did to its slot in one tick, merged into the
-/// [`FleetReport`] at the barrier in slot-index order (float sums and
-/// ledger appends are order-sensitive; lanes must not race them).
-#[derive(Default)]
-struct LaneEffect {
-    kills: u64,
-    restarts: u64,
-    rollbacks: u64,
-    backoff_seconds: f64,
-    commit: Option<CommitIntent>,
-    quarantine: Option<QuarantineRecord>,
-    /// Every event the lane emitted for this slot, replayed at the
-    /// barrier into the slot's flight ring.
-    events: Vec<CampaignEvent>,
-}
-
-/// The read-only context a worker lane operates under: configuration,
-/// the store (reads only — all writes happen at the barrier), and the
-/// shared recorder (thread-safe; its artifacts are
-/// order-insensitive by construction).
-#[derive(Clone, Copy)]
-struct LaneCtx<'a> {
-    config: &'a FleetConfig,
-    store: &'a CheckpointStore,
-    recorder: Option<&'a Arc<Recorder>>,
-}
-
-impl LaneCtx<'_> {
-    fn emit(&self, kind: EventKind, at: f64, value: f64, detail: &str, effect: &mut LaneEffect) {
-        let event = CampaignEvent::new(kind, at).value(value).detail(detail);
-        if let Some(r) = self.recorder {
-            r.event(event.clone());
-        }
-        effect.events.push(event);
-    }
-
-    fn incr(&self, counter: &'static str) {
-        if let Some(r) = self.recorder {
-            r.incr(counter, 1);
-        }
-    }
-
-    fn quarantine(&self, slot: &Slot, reason: QuarantineReason, effect: &mut LaneEffect) {
-        let record = QuarantineRecord {
-            campaign: slot.id.clone(),
-            device: slot.device,
-            at_tick: slot.ticks,
-            reason,
-            consecutive_failures: slot.breaker.consecutive_failures(),
-        };
-        self.emit(
-            EventKind::Quarantine,
-            slot.ticks as f64,
-            f64::from(slot.device.0),
-            record.reason.tag(),
-            effect,
-        );
-        self.incr("fleet.quarantines");
-        effect.quarantine = Some(record);
-    }
-
-    fn fail(
-        &self,
-        slot: &mut Slot,
-        error: FleetError,
-        reason: QuarantineReason,
-        effect: &mut LaneEffect,
-    ) {
-        self.quarantine(slot, reason, effect);
-        slot.campaign = None;
-        slot.result = Some(CampaignResult::Failed(error));
-    }
-
-    /// A scheduler invariant was violated serving this slot: isolate the
-    /// slot with a typed error instead of panicking the fleet.
-    fn invariant_violation(
-        &self,
-        slot: &mut Slot,
-        invariant: &'static str,
-        effect: &mut LaneEffect,
-    ) {
-        let error = FleetError::SchedulerInvariant {
-            id: slot.id.clone(),
-            invariant,
-        };
-        self.fail(slot, error, QuarantineReason::SchedulerInvariant, effect);
-    }
-
-    /// The breaker just tripped open: emit, quarantine, and fail the
-    /// campaign with the typed circuit error.
-    fn trip(&self, slot: &mut Slot, effect: &mut LaneEffect) {
-        self.emit(
-            EventKind::CircuitOpen,
-            slot.ticks as f64,
-            f64::from(slot.device.0),
-            &slot.id,
-            effect,
-        );
-        self.incr("fleet.circuit_open");
-        let error = FleetError::CircuitOpen {
-            id: slot.id.clone(),
-            device: slot.device,
-            consecutive_failures: slot.breaker.consecutive_failures(),
-        };
-        self.fail(slot, error, QuarantineReason::BreakerTripped, effect);
-    }
-
-    /// Restores `slot`'s campaign from the newest checkpoint generation
-    /// that survives full validation: replays a clone of the slot's
-    /// origin to the envelope's hour, then requires the replayed state
-    /// to reproduce both sealed values. Pure reads — lane-safe.
-    fn restore(&self, slot: &Slot) -> Result<(Campaign, u64, u64), StoreError> {
-        let (envelope, skipped) = self.store.latest_good(&slot.id)?;
-        let mismatch = |reason: String| StoreError::SnapshotMismatch {
-            campaign: slot.id.clone(),
-            generation: envelope.generation,
-            reason,
-        };
-        let mut campaign = slot.origin.clone();
-        // The provider advances its cache-report watermark only while a
-        // recorder is attached: replay into a throwaway one, so the
-        // next live hour reports no catch-up cache delta.
-        let recorder = campaign.recorder().cloned();
-        if recorder.is_some() {
-            campaign.set_recorder(Some(Arc::default()));
-        }
-        while (campaign.hour() as u64) < envelope.hour && !campaign.is_complete() {
-            campaign
-                .step()
-                .map_err(|e| mismatch(format!("replay failed: {e}")))?;
-            self.incr("fleet.replay_hours");
-        }
-        campaign.set_recorder(recorder);
-        if campaign.state_checksum() != envelope.state_checksum {
-            return Err(mismatch(format!(
-                "replayed checksum {:#018x} vs sealed {:#018x}",
-                campaign.state_checksum(),
-                envelope.state_checksum
-            )));
-        }
-        if campaign.manifest_json() != envelope.manifest {
-            return Err(mismatch(
-                "replayed manifest disagrees with the sealed envelope".to_owned(),
-            ));
-        }
-        Ok((campaign, envelope.generation, skipped as u64))
-    }
-
-    /// One recovery attempt for a dead slot: breaker gate, restart
-    /// budget, backoff accounting, then restore-from-store.
-    fn recover_slot(&self, slot: &mut Slot, effect: &mut LaneEffect) {
-        // An open breaker blocks recovery until its cooldown elapses;
-        // when `tick` flips it half-open, fall through as the probe.
-        if !slot.breaker.allows() && !slot.breaker.tick() {
-            return; // still cooling down; try again next tick
-        }
-        if slot.restarts >= self.config.max_restarts {
-            let error = FleetError::RestartBudgetExhausted {
-                id: slot.id.clone(),
-                restarts: slot.restarts,
-                last: slot
-                    .last_error
-                    .clone()
-                    .unwrap_or(PentimentoError::VictimDeviceLost),
-            };
-            self.fail(
-                slot,
-                error,
-                QuarantineReason::RestartBudgetExhausted,
-                effect,
-            );
-            return;
-        }
-        slot.restarts += 1;
-        effect.restarts += 1;
-        self.incr("fleet.restarts");
-        let backoff = (self.config.backoff_base_s
-            * 2f64.powi(slot.restarts.saturating_sub(1).min(30) as i32))
-        .min(self.config.backoff_max_s);
-        effect.backoff_seconds += backoff;
-        self.emit(
-            EventKind::Backoff,
-            slot.ticks as f64,
-            backoff,
-            &slot.id,
-            effect,
-        );
-
-        match self.restore(slot) {
-            Ok((campaign, generation, rollbacks)) => {
-                effect.rollbacks += rollbacks;
-                if rollbacks > 0 {
-                    self.incr("fleet.rollbacks");
-                }
-                self.emit(
-                    EventKind::RecoveryScan,
-                    slot.ticks as f64,
-                    generation as f64,
-                    &slot.id,
-                    effect,
-                );
-                self.incr("fleet.recovery_scans");
-                slot.generation = generation + 1;
-                if slot.breaker.on_success() {
-                    self.emit(
-                        EventKind::CircuitClose,
-                        slot.ticks as f64,
-                        f64::from(slot.device.0),
-                        &slot.id,
-                        effect,
-                    );
-                    self.incr("fleet.circuit_close");
-                }
-                slot.campaign = Some(campaign);
-            }
-            Err(error @ StoreError::NoValidGeneration { .. }) => {
-                // Nothing left to roll back to: terminal, regardless of
-                // budgets.
-                let error = FleetError::Store {
-                    id: slot.id.clone(),
-                    source: error,
-                };
-                self.fail(slot, error, QuarantineReason::StoreUnrecoverable, effect);
-            }
-            Err(source) => {
-                slot.last_error = Some(PentimentoError::CheckpointCorrupt(source.to_string()));
-                if slot.breaker.on_failure() {
-                    self.trip(slot, effect);
-                }
-            }
-        }
-    }
-
-    /// Steps a live slot one hour, capturing a checkpoint intent on the
-    /// cadence and consulting the slot's chaos cursor.
-    fn step_slot(&self, slot: &mut Slot, effect: &mut LaneEffect) {
-        let Some(campaign) = slot.campaign.as_mut() else {
-            self.invariant_violation(
-                slot,
-                "step dispatched to a slot with no live campaign",
-                effect,
-            );
-            return;
-        };
-        if campaign.is_complete() {
-            // `run` on a complete campaign skips straight to finalize.
-            match campaign.run() {
-                Ok(outcome) => {
-                    slot.arena_bytes = campaign.provider().peak_aging_memory_bytes();
-                    slot.breaker.on_success();
-                    slot.result = Some(CampaignResult::Completed(Box::new(outcome)));
-                    slot.campaign = None;
-                }
-                Err(e)
-                    if e.is_transient()
-                        || matches!(e, PentimentoError::RetriesExhausted { .. }) =>
-                {
-                    slot.last_error = Some(e);
-                    slot.campaign = None; // recover and re-finalize
-                    if slot.breaker.on_failure() {
-                        self.trip(slot, effect);
-                    }
-                }
-                Err(e) => {
-                    let error = FleetError::Campaign {
-                        id: slot.id.clone(),
-                        source: e,
-                    };
-                    self.fail(slot, error, QuarantineReason::FatalError, effect);
-                }
-            }
-            return;
-        }
-        match campaign.step() {
-            Ok(_) => {
-                slot.breaker.on_success();
-                let hour = campaign.hour();
-                let cadence = self.config.checkpoint_every_hours.max(1);
-                if hour.is_multiple_of(cadence) || campaign.is_complete() {
-                    effect.commit = Some(Supervisor::capture_intent(
-                        campaign,
-                        slot.generation,
-                        &mut slot.chaos,
-                    ));
-                    slot.generation += 1;
-                }
-                if slot.chaos.kill_now(hour) {
-                    effect.kills += 1;
-                    self.incr("fleet.chaos.kills");
-                    slot.campaign = None; // the process image dies here
-                }
-            }
-            Err(e) if e.is_transient() || matches!(e, PentimentoError::RetriesExhausted { .. }) => {
-                slot.last_error = Some(e);
-                slot.campaign = None;
-                if slot.breaker.on_failure() {
-                    self.trip(slot, effect);
-                }
-            }
-            Err(e) => {
-                let error = FleetError::Campaign {
-                    id: slot.id.clone(),
-                    source: e,
-                };
-                self.fail(slot, error, QuarantineReason::FatalError, effect);
-            }
-        }
-    }
-
-    /// Advances one unresolved slot by one tick; the lane entry point.
-    fn tick_slot(&self, slot: &mut Slot) -> LaneEffect {
-        let mut effect = LaneEffect::default();
-        slot.ticks += 1;
-        if slot.ticks > self.config.deadline_ticks {
-            let error = FleetError::DeadlineExceeded {
-                id: slot.id.clone(),
-                ticks: slot.ticks as usize,
-            };
-            self.fail(slot, error, QuarantineReason::DeadlineExceeded, &mut effect);
-        } else if slot.campaign.is_none() {
-            self.recover_slot(slot, &mut effect);
-        } else {
-            self.step_slot(slot, &mut effect);
-        }
-        effect
-    }
 }
 
 /// The fleet supervisor. See the module docs for the control loop.
@@ -656,19 +315,29 @@ impl Supervisor {
             .unwrap_or_else(|| self.store.root().join("flight"))
     }
 
-    fn lane_ctx(&self) -> LaneCtx<'_> {
-        LaneCtx {
-            config: &self.config,
-            store: &self.store,
-            recorder: self.recorder.as_ref(),
-        }
-    }
-
-    /// Barrier-side event emission to the shared recorder.
+    /// Emits a fleet-level event to the shared recorder.
     fn emit(&self, kind: EventKind, at: f64, value: f64, detail: &str) {
         if let Some(r) = &self.recorder {
             r.event(CampaignEvent::new(kind, at).value(value).detail(detail));
         }
+    }
+
+    /// Emits an event about one slot to the shared recorder and into the
+    /// slot's flight ring.
+    fn record(&self, flight: &mut FlightRecorder, event: CampaignEvent) {
+        if let Some(r) = &self.recorder {
+            r.event(event.clone());
+        }
+        flight.push(event);
+    }
+
+    /// [`record`](Self::record)s a slot event stamped with the slot's
+    /// tick and detailed with its id.
+    fn slot_event(&self, slot: &mut Slot, kind: EventKind, value: f64) {
+        let event = CampaignEvent::new(kind, slot.ticks as f64)
+            .value(value)
+            .detail(&slot.id);
+        self.record(&mut slot.flight, event);
     }
 
     fn incr(&self, counter: &'static str) {
@@ -678,9 +347,8 @@ impl Supervisor {
     }
 
     /// Captures a commit intent: the sealed checkpoint plus whatever
-    /// sabotage the slot's chaos cursor drew against it. Draw order per
-    /// campaign (truncate → corrupt → offset) matches the serial
-    /// scheduler exactly.
+    /// sabotage the slot's chaos cursor drew against it, drawn in the
+    /// order truncate → corrupt → offset.
     fn capture_intent(
         campaign: &Campaign,
         generation: u64,
@@ -704,7 +372,7 @@ impl Supervisor {
 
     /// Lands everything that follows a successful envelope commit:
     /// chaos sabotage against the fresh envelope, and generation
-    /// pruning. Barrier-side (store writes).
+    /// pruning.
     fn commit_aftermath(
         &mut self,
         id: &str,
@@ -740,10 +408,7 @@ impl Supervisor {
         let event = CampaignEvent::new(EventKind::Quarantine, slot.ticks as f64)
             .value(f64::from(slot.device.0))
             .detail(record.reason.tag());
-        if let Some(r) = &self.recorder {
-            r.event(event.clone());
-        }
-        slot.flight.push(event);
+        self.record(&mut slot.flight, event);
         self.incr("fleet.quarantines");
         report.quarantine.push(record);
     }
@@ -759,6 +424,241 @@ impl Supervisor {
         self.dump_flight(slot);
         slot.campaign = None;
         slot.result = Some(CampaignResult::Failed(error));
+    }
+
+    /// A scheduler invariant was violated serving this slot: isolate the
+    /// slot with a typed error instead of panicking the fleet.
+    fn invariant_violation(
+        &mut self,
+        slot: &mut Slot,
+        invariant: &'static str,
+        report: &mut FleetReport,
+    ) {
+        let error = FleetError::SchedulerInvariant {
+            id: slot.id.clone(),
+            invariant,
+        };
+        self.fail(slot, error, QuarantineReason::SchedulerInvariant, report);
+    }
+
+    /// The breaker just tripped open: emit, quarantine, and fail the
+    /// campaign with the typed circuit error.
+    fn trip(&mut self, slot: &mut Slot, report: &mut FleetReport) {
+        self.slot_event(slot, EventKind::CircuitOpen, f64::from(slot.device.0));
+        self.incr("fleet.circuit_open");
+        let error = FleetError::CircuitOpen {
+            id: slot.id.clone(),
+            device: slot.device,
+            consecutive_failures: slot.breaker.consecutive_failures(),
+        };
+        self.fail(slot, error, QuarantineReason::BreakerTripped, report);
+    }
+
+    /// Restores `slot`'s campaign from the newest checkpoint generation
+    /// that survives full validation: replays a clone of the slot's
+    /// origin to the envelope's hour, then requires the replayed state
+    /// to reproduce both sealed values. Reads the store only.
+    fn restore(&self, slot: &Slot) -> Result<(Campaign, u64, u64), StoreError> {
+        let (envelope, skipped) = self.store.latest_good(&slot.id)?;
+        let mismatch = |reason: String| StoreError::SnapshotMismatch {
+            campaign: slot.id.clone(),
+            generation: envelope.generation,
+            reason,
+        };
+        let mut campaign = slot.origin.clone();
+        // The provider advances its cache-report watermark only while a
+        // recorder is attached: replay into a throwaway one, so the
+        // next live hour reports no catch-up cache delta.
+        let recorder = campaign.recorder().cloned();
+        if recorder.is_some() {
+            campaign.set_recorder(Some(Arc::default()));
+        }
+        while (campaign.hour() as u64) < envelope.hour && !campaign.is_complete() {
+            campaign
+                .step()
+                .map_err(|e| mismatch(format!("replay failed: {e}")))?;
+            self.incr("fleet.replay_hours");
+        }
+        campaign.set_recorder(recorder);
+        if campaign.state_checksum() != envelope.state_checksum {
+            return Err(mismatch(format!(
+                "replayed checksum {:#018x} vs sealed {:#018x}",
+                campaign.state_checksum(),
+                envelope.state_checksum
+            )));
+        }
+        if campaign.manifest_json() != envelope.manifest {
+            return Err(mismatch(
+                "replayed manifest disagrees with the sealed envelope".to_owned(),
+            ));
+        }
+        Ok((campaign, envelope.generation, skipped as u64))
+    }
+
+    /// One recovery attempt for a dead slot: breaker gate, restart
+    /// budget, backoff accounting, then restore-from-store.
+    fn recover_slot(&mut self, slot: &mut Slot, report: &mut FleetReport) {
+        // An open breaker blocks recovery until its cooldown elapses;
+        // when `tick` flips it half-open, fall through as the probe.
+        if !slot.breaker.allows() && !slot.breaker.tick() {
+            return; // still cooling down; try again next tick
+        }
+        if slot.restarts >= self.config.max_restarts {
+            let error = FleetError::RestartBudgetExhausted {
+                id: slot.id.clone(),
+                restarts: slot.restarts,
+                last: slot
+                    .last_error
+                    .clone()
+                    .unwrap_or(PentimentoError::VictimDeviceLost),
+            };
+            self.fail(
+                slot,
+                error,
+                QuarantineReason::RestartBudgetExhausted,
+                report,
+            );
+            return;
+        }
+        slot.restarts += 1;
+        report.restarts += 1;
+        self.incr("fleet.restarts");
+        let backoff = (self.config.backoff_base_s
+            * 2f64.powi(slot.restarts.saturating_sub(1).min(30) as i32))
+        .min(self.config.backoff_max_s);
+        report.backoff_seconds += backoff;
+        self.slot_event(slot, EventKind::Backoff, backoff);
+
+        match self.restore(slot) {
+            Ok((campaign, generation, rollbacks)) => {
+                report.rollbacks += rollbacks;
+                if rollbacks > 0 {
+                    self.incr("fleet.rollbacks");
+                }
+                self.slot_event(slot, EventKind::RecoveryScan, generation as f64);
+                self.incr("fleet.recovery_scans");
+                slot.generation = generation + 1;
+                if slot.breaker.on_success() {
+                    self.slot_event(slot, EventKind::CircuitClose, f64::from(slot.device.0));
+                    self.incr("fleet.circuit_close");
+                }
+                slot.campaign = Some(campaign);
+            }
+            Err(error @ StoreError::NoValidGeneration { .. }) => {
+                // Nothing left to roll back to: terminal, regardless of
+                // budgets.
+                let error = FleetError::Store {
+                    id: slot.id.clone(),
+                    source: error,
+                };
+                self.fail(slot, error, QuarantineReason::StoreUnrecoverable, report);
+            }
+            Err(source) => {
+                slot.last_error = Some(PentimentoError::CheckpointCorrupt(source.to_string()));
+                if slot.breaker.on_failure() {
+                    self.trip(slot, report);
+                }
+            }
+        }
+    }
+
+    /// Steps a live slot one hour, consulting the slot's chaos cursor;
+    /// returns the checkpoint intent captured on the cadence, if any.
+    fn step_slot(&mut self, slot: &mut Slot, report: &mut FleetReport) -> Option<CommitIntent> {
+        let Some(campaign) = slot.campaign.as_mut() else {
+            self.invariant_violation(
+                slot,
+                "step dispatched to a slot with no live campaign",
+                report,
+            );
+            return None;
+        };
+        if campaign.is_complete() {
+            // `run` on a complete campaign skips straight to finalize.
+            match campaign.run() {
+                Ok(outcome) => {
+                    slot.arena_bytes = campaign.provider().peak_aging_memory_bytes();
+                    slot.breaker.on_success();
+                    slot.result = Some(CampaignResult::Completed(Box::new(outcome)));
+                    slot.campaign = None;
+                }
+                Err(e)
+                    if e.is_transient()
+                        || matches!(e, PentimentoError::RetriesExhausted { .. }) =>
+                {
+                    slot.last_error = Some(e);
+                    slot.campaign = None; // recover and re-finalize
+                    if slot.breaker.on_failure() {
+                        self.trip(slot, report);
+                    }
+                }
+                Err(e) => {
+                    let error = FleetError::Campaign {
+                        id: slot.id.clone(),
+                        source: e,
+                    };
+                    self.fail(slot, error, QuarantineReason::FatalError, report);
+                }
+            }
+            return None;
+        }
+        match campaign.step() {
+            Ok(_) => {
+                slot.breaker.on_success();
+                let hour = campaign.hour();
+                let cadence = self.config.checkpoint_every_hours.max(1);
+                let mut intent = None;
+                if hour.is_multiple_of(cadence) || campaign.is_complete() {
+                    intent = Some(Self::capture_intent(
+                        campaign,
+                        slot.generation,
+                        &mut slot.chaos,
+                    ));
+                    slot.generation += 1;
+                }
+                if slot.chaos.kill_now(hour) {
+                    report.kills_injected += 1;
+                    self.incr("fleet.chaos.kills");
+                    slot.campaign = None; // the process image dies here
+                }
+                intent
+            }
+            Err(e) if e.is_transient() || matches!(e, PentimentoError::RetriesExhausted { .. }) => {
+                slot.last_error = Some(e);
+                slot.campaign = None;
+                if slot.breaker.on_failure() {
+                    self.trip(slot, report);
+                }
+                None
+            }
+            Err(e) => {
+                let error = FleetError::Campaign {
+                    id: slot.id.clone(),
+                    source: e,
+                };
+                self.fail(slot, error, QuarantineReason::FatalError, report);
+                None
+            }
+        }
+    }
+
+    /// Advances one unresolved slot by one tick; returns the checkpoint
+    /// intent it captured for the tick's batch commit, if any.
+    fn tick_slot(&mut self, slot: &mut Slot, report: &mut FleetReport) -> Option<CommitIntent> {
+        slot.ticks += 1;
+        if slot.ticks > self.config.deadline_ticks {
+            let error = FleetError::DeadlineExceeded {
+                id: slot.id.clone(),
+                ticks: slot.ticks as usize,
+            };
+            self.fail(slot, error, QuarantineReason::DeadlineExceeded, report);
+            None
+        } else if slot.campaign.is_none() {
+            self.recover_slot(slot, report);
+            None
+        } else {
+            self.step_slot(slot, report)
+        }
     }
 
     /// Seals the slot's flight ring to `<flight dir>/<id>.jsonl` with
@@ -856,8 +756,7 @@ impl Supervisor {
             let started = if survivors.contains(&slot.id) {
                 // Resume the survivor by replaying the spec's campaign
                 // to its newest good generation.
-                self.lane_ctx()
-                    .restore(&slot)
+                self.restore(&slot)
                     .map(|(campaign, generation, rollbacks)| {
                         report.rollbacks += rollbacks;
                         self.emit(EventKind::RecoveryScan, 0.0, generation as f64, &slot.id);
@@ -891,8 +790,8 @@ impl Supervisor {
             slots.push(slot);
         }
 
-        // The sharded tick loop: lanes advance every unresolved slot in
-        // parallel, then the barrier merges effects in slot-index order.
+        // The tick loop: every unresolved slot advances in slot-index
+        // order, then the tick's checkpoint intents land as one batch.
         while slots.iter().any(|slot| slot.result.is_none()) {
             report.ticks += 1;
             let live = slots.iter().filter(|slot| slot.result.is_none()).count();
@@ -905,42 +804,19 @@ impl Supervisor {
             self.incr("fleet.scheduler_ticks");
             let tick_started = Instant::now();
 
-            // Lane phase: read-only context, per-slot mutable state.
-            let effects: Vec<Option<LaneEffect>> = {
-                let ctx = self.lane_ctx();
-                slots
-                    .par_iter_mut()
-                    .map(|slot| slot.result.is_none().then(|| ctx.tick_slot(slot)))
-                    .collect()
-            };
-
-            // Barrier phase 1: merge accounting, events, and
-            // quarantines in slot-index order, and collect the tick's
-            // commit batch. Lane events replay into the slot's flight
-            // ring here, in a width-invariant order; a lane quarantine
-            // seals the flight dump once its own event is in the ring.
             let mut intents: Vec<(usize, CommitIntent)> = Vec::new();
-            for (index, effect) in effects.into_iter().enumerate() {
-                let Some(mut effect) = effect else { continue };
-                report.kills_injected += effect.kills;
-                report.restarts += effect.restarts;
-                report.rollbacks += effect.rollbacks;
-                report.backoff_seconds += effect.backoff_seconds;
-                for event in effect.events.drain(..) {
-                    slots[index].flight.push(event);
+            for (index, slot) in slots.iter_mut().enumerate() {
+                if slot.result.is_some() {
+                    continue;
                 }
-                if let Some(record) = effect.quarantine.take() {
-                    report.quarantine.push(record);
-                    self.dump_flight(&slots[index]);
-                }
-                if let Some(intent) = effect.commit.take() {
+                if let Some(intent) = self.tick_slot(slot, &mut report) {
                     intents.push((index, intent));
                 }
             }
 
-            // Barrier phase 2: land the whole batch — one two-phase
-            // write+fsync/rename pass — then apply sabotage and pruning
-            // per campaign, still in slot-index order.
+            // Land the whole batch — one two-phase write+fsync/rename
+            // pass — then apply sabotage and pruning per campaign, still
+            // in slot-index order.
             if !intents.is_empty() {
                 self.emit(
                     EventKind::CommitBatch,
@@ -1061,19 +937,13 @@ mod tests {
     #[test]
     fn step_on_a_poisoned_slot_quarantines_typed_instead_of_panicking() {
         let scratch = Scratch::new();
-        let store = CheckpointStore::open(&scratch.0).unwrap();
-        let config = FleetConfig::default();
-        let ctx = LaneCtx {
-            config: &config,
-            store: &store,
-            recorder: None,
-        };
+        let mut supervisor = Supervisor::new(&scratch.0, FleetConfig::default()).unwrap();
+        let mut report = FleetReport::default();
         let mut slot = poisoned_slot("c0");
-        let mut effect = LaneEffect::default();
 
-        // The pre-PR-7 scheduler panicked here ("step_slot requires a
-        // live campaign"); the sharded one must isolate the slot.
-        ctx.step_slot(&mut slot, &mut effect);
+        // A step dispatched to a dead slot must isolate the slot, not
+        // panic the fleet.
+        supervisor.step_slot(&mut slot, &mut report);
 
         assert!(matches!(
             slot.result,
@@ -1081,9 +951,11 @@ mod tests {
                 FleetError::SchedulerInvariant { .. }
             ))
         ));
-        let record = effect.quarantine.expect("quarantined");
+        let record = report.quarantine.records().first().expect("quarantined");
         assert_eq!(record.reason, QuarantineReason::SchedulerInvariant);
         assert_eq!(record.campaign, "c0");
+        // The quarantine seals the slot's flight dump in the same call.
+        assert!(supervisor.flight_dumps().contains_key("c0"));
     }
 
     #[test]
@@ -1092,8 +964,7 @@ mod tests {
         let mut supervisor = Supervisor::new(&scratch.0, FleetConfig::default()).unwrap();
         let mut report = FleetReport::default();
 
-        // The pre-PR-7 drain panicked ("loop exits only when every slot
-        // resolved"); the sharded one must resolve it typed.
+        // An unresolved slot at drain must resolve typed, not panic.
         supervisor.drain_slots(vec![poisoned_slot("c9")], &mut report);
 
         assert_eq!(report.failed(), 1);

@@ -47,7 +47,7 @@ use std::time::Instant;
 ///   `quarantine`, `recovery_scan`) may now appear in `event_kinds`;
 ///   version-2 parsers would reject them as unknown, so their arrival is
 ///   a schema bump even though the object shape is unchanged.
-/// * **4** — the sharded-scheduler kinds (`scheduler_tick`,
+/// * **4** — the fleet-scheduler kinds (`scheduler_tick`,
 ///   `commit_batch`) may now appear in `event_kinds`; same reasoning as
 ///   the version-3 bump.
 /// * **5** — the observability-loop kinds (`alert_raised`,
@@ -114,9 +114,9 @@ pub enum EventKind {
     Quarantine,
     /// The fleet supervisor scanned its checkpoint store on startup.
     RecoveryScan,
-    /// The sharded fleet scheduler started a tick (value = live slots).
+    /// The fleet supervisor started a tick (value = live slots).
     SchedulerTick,
-    /// The scheduler barrier landed a batched checkpoint commit
+    /// The fleet supervisor landed a tick's batched checkpoint commit
     /// (value = checkpoints in the batch).
     CommitBatch,
     /// A flight-recorder ring buffer was sealed to a post-mortem

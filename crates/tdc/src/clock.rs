@@ -13,15 +13,13 @@ use serde::{Deserialize, Serialize};
 
 use crate::TdcError;
 
-/// A launch/capture clock pair with programmable, quantized phase offset.
+/// A launch/capture clock pair with a quantized phase offset.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ClockGenerator {
     /// Clock period of both domains, in picoseconds.
     period_ps: f64,
     /// Phase-shift quantum, in picoseconds.
     step_ps: f64,
-    /// Current programmed phase setting, in steps.
-    setting: i64,
 }
 
 impl ClockGenerator {
@@ -41,11 +39,7 @@ impl ClockGenerator {
                 "phase step must be positive and no larger than the period",
             ));
         }
-        Ok(Self {
-            period_ps,
-            step_ps,
-            setting: 0,
-        })
+        Ok(Self { period_ps, step_ps })
     }
 
     /// The paper's sensor configuration: a 100 MHz measurement clock
@@ -56,39 +50,8 @@ impl ClockGenerator {
         Self::new(10_000.0 * 2.0, 1.4).expect("built-in configuration is valid")
     }
 
-    /// The clock period, in picoseconds.
-    #[must_use]
-    pub fn period_ps(&self) -> f64 {
-        self.period_ps
-    }
-
-    /// Programs the phase to the setting nearest `theta_ps` and returns
-    /// the θ actually realized.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TdcError::InvalidConfig`] when the request is outside
-    /// `[0, period)` — the capture edge must land within one period of
-    /// the launch edge.
-    #[cfg(test)]
-    fn program_phase(&mut self, theta_ps: f64) -> Result<f64, TdcError> {
-        if !theta_ps.is_finite() || theta_ps < 0.0 || theta_ps >= self.period_ps {
-            return Err(TdcError::InvalidConfig(
-                "theta must lie within one clock period",
-            ));
-        }
-        self.setting = (theta_ps / self.step_ps).round() as i64;
-        Ok(self.theta_ps())
-    }
-
-    /// The currently realized phase offset, in picoseconds.
-    #[must_use]
-    pub fn theta_ps(&self) -> f64 {
-        self.setting as f64 * self.step_ps
-    }
-
-    /// Quantizes an arbitrary θ request to this generator's grid without
-    /// programming it.
+    /// Quantizes an arbitrary θ request to the nearest setting on this
+    /// generator's phase grid — the θ the sensor actually realizes.
     #[must_use]
     pub fn quantize(&self, theta_ps: f64) -> f64 {
         (theta_ps / self.step_ps).round() * self.step_ps
@@ -107,26 +70,18 @@ mod tests {
 
     #[test]
     fn programming_quantizes_to_the_grid() {
-        let mut clk = ClockGenerator::new(20_000.0, 1.4).unwrap();
-        let realized = clk.program_phase(5_000.3).unwrap();
+        let clk = ClockGenerator::new(20_000.0, 1.4).unwrap();
+        let realized = clk.quantize(5_000.3);
         assert!((realized - 5_000.3).abs() <= 0.7, "realized {realized}");
         assert!((realized / 1.4 - (realized / 1.4).round()).abs() < 1e-9);
+        assert_eq!(realized, 3_572.0 * 1.4);
     }
 
     #[test]
     fn paper_preset_resolves_half_a_carry_bit() {
         let clk = ClockGenerator::ultrascale_plus();
         assert!(clk.step_ps <= fpga_fabric::CARRY_ELEMENT_PS / 2.0 + 1e-9);
-        assert!(clk.period_ps() >= 10_000.0 + 64.0 * fpga_fabric::CARRY_ELEMENT_PS);
-    }
-
-    #[test]
-    fn out_of_period_requests_rejected() {
-        let mut clk = ClockGenerator::new(100.0, 1.0).unwrap();
-        assert!(clk.program_phase(-1.0).is_err());
-        assert!(clk.program_phase(100.0).is_err());
-        assert!(clk.program_phase(f64::NAN).is_err());
-        assert!(clk.program_phase(99.0).is_ok());
+        assert!(clk.period_ps >= 10_000.0 + 64.0 * fpga_fabric::CARRY_ELEMENT_PS);
     }
 
     #[test]
@@ -138,9 +93,9 @@ mod tests {
 
     #[test]
     fn quantize_matches_program() {
-        let mut clk = ClockGenerator::new(1_000.0, 2.8).unwrap();
-        let q = clk.quantize(333.0);
-        let p = clk.program_phase(333.0).unwrap();
-        assert_eq!(q, p);
+        let clk = ClockGenerator::new(1_000.0, 2.8).unwrap();
+        // 333 / 2.8 = 118.93 rounds to setting 119.
+        assert_eq!(clk.quantize(333.0), 119.0 * 2.8);
+        assert_eq!(clk.quantize(0.0), 0.0);
     }
 }

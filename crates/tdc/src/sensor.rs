@@ -107,12 +107,6 @@ impl TdcSensor {
         self.theta_init_ps
     }
 
-    /// The sensor's programmable clock generator.
-    #[must_use]
-    pub fn clock(&self) -> &ClockGenerator {
-        &self.clock
-    }
-
     /// Adopts a θ_init obtained elsewhere — e.g. calibrated on a different
     /// board of the same type, which is how the Threat Model 2 attacker
     /// starts without ever measuring the victim device pre-burn

@@ -175,10 +175,10 @@ cargo run --release -q -p bench --bin chaos_suite -- --smoke --threads 1
 cmp results/BENCH_chaos.json /tmp/ci_first_BENCH_chaos.json \
     || { echo "FAIL: --threads 1 rerun changed BENCH_chaos.json"; exit 1; }
 
-echo "== fleet_scaling smoke (sharded scheduler, 2 worker lanes) =="
-# Drives the full 64-campaign fleet through the sharded lane/barrier
-# scheduler at pool widths 1 and 2. Exits non-zero if any width's
-# outcomes, trace, or quarantine ledger diverge from the serial
+echo "== fleet_scaling smoke (serial fleet tick, pool widths 1 and 2) =="
+# Drives the full 64-campaign fleet through the serial supervisor tick
+# at pool widths 1 and 2. Exits non-zero if any width's outcomes,
+# trace, or quarantine ledger diverge from the width-1
 # reference. The drained telemetry must
 # validate through the strict obs-analyze parser (scheduler_tick /
 # commit_batch events ride the tick axis, content-sorted).

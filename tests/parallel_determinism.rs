@@ -5,12 +5,18 @@
 //! byte-identical at every worker-pool width — and a checkpoint taken
 //! under one width must resume bit-identically under another.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use bti_physics::{Hours, LogicLevel};
 use cloud::{FaultKind, FaultPlan, Provider, ProviderConfig};
+use fleet::{CampaignSpec, ChaosPlan, FleetConfig, FleetError, Supervisor};
 use pentimento::threat_model1::{self, ThreatModel1Config};
 use pentimento::threat_model2::{self, ThreatModel2Config};
 use pentimento::{
     Campaign, CampaignConfig, LabExperiment, LabExperimentConfig, MeasurementMode, Mission,
+    RouteSeries,
 };
 use tdc::SensorFaultPlan;
 
@@ -139,8 +145,6 @@ fn hostile_campaign_is_identical_at_every_pool_width_including_stats() {
 
 #[test]
 fn hostile_campaign_trace_is_identical_at_every_pool_width() {
-    use std::sync::Arc;
-
     // One recorder per width; the campaign, its provider, and the sensor
     // layer all drain into it. Equal result bytes are not enough here —
     // the *telemetry* must be width-invariant too: every event is emitted
@@ -186,8 +190,6 @@ fn hostile_campaign_trace_is_identical_at_every_pool_width() {
 
 #[test]
 fn hostile_campaign_trace_diffs_empty_across_pool_widths() {
-    use std::sync::Arc;
-
     // The determinism contract is byte-identical traces: a repeat run and
     // every wider pool must reproduce width 1's trace byte for byte, and
     // the consumption path (strict parse) must accept it.
@@ -212,215 +214,156 @@ fn hostile_campaign_trace_diffs_empty_across_pool_widths() {
     }
 }
 
-#[test]
-fn supervised_fleet_trace_is_identical_at_every_pool_width() {
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+/// A unique scratch store root, removed on drop.
+struct Scratch(PathBuf);
 
-    use fleet::{CampaignSpec, ChaosPlan, FleetConfig, Supervisor};
-
-    struct Scratch(PathBuf);
-    impl Scratch {
-        fn new() -> Self {
-            static NEXT: AtomicU64 = AtomicU64::new(0);
-            let dir = std::env::temp_dir().join(format!(
-                "parallel-fleet-{}-{}",
-                std::process::id(),
-                NEXT.fetch_add(1, Ordering::Relaxed)
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            Self(dir)
-        }
+impl Scratch {
+    fn new() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "parallel-fleet-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        Self(dir)
     }
-    impl Drop for Scratch {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
+}
 
-    // A supervised fleet under process chaos — kills mid-phase, bit-rot
-    // on every third envelope — with one shared recorder draining both
-    // the supervisor events (tick axis) and the campaign events (hour
-    // axis). The whole bundle must be byte-identical at every width:
-    // outcome bytes, chaos accounting, quarantine ledger, and the trace.
-    let mut plan = ChaosPlan::none();
-    plan.seed = 81;
-    plan.scheduled_kills = vec![(0, 7), (1, 13)];
-    plan.corrupt_rate_per_checkpoint = 0.33;
-    let fleet_campaign = |index: usize| {
-        let config = ThreatModel1Config {
-            route_lengths_ps: vec![5_000.0],
-            routes_per_length: 2,
-            burn_hours: 20,
-            measure_every: 4,
-            mode: MeasurementMode::Oracle,
-            seed: 81 + index as u64,
-            measurement_repeats: 1,
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Everything observable about one supervised fleet run.
+#[derive(Debug, PartialEq)]
+struct FleetObservation {
+    /// Per campaign: its id, then its outcome's series or its error tag.
+    results: Vec<(String, Option<Vec<RouteSeries>>, Option<&'static str>)>,
+    completed: usize,
+    kills: u64,
+    corruptions: u64,
+    restarts: u64,
+    rollbacks: u64,
+    quarantine: String,
+    trace: String,
+    counters: Vec<(String, u64)>,
+}
+
+/// Supervises `campaigns` TM1 campaigns under `plan` on a pool of
+/// exactly `width` threads. Campaign `i` is seeded `seed + i`, burns
+/// `burn_hours` under the plan's session weather, and checkpoints every
+/// 4 h. One shared recorder drains both the supervisor events (tick
+/// axis) and the campaign events (hour axis).
+fn observe_fleet(
+    width: usize,
+    plan: &ChaosPlan,
+    campaigns: usize,
+    seed: u64,
+    burn_hours: usize,
+) -> FleetObservation {
+    at_width(width, || {
+        let scratch = Scratch::new();
+        let recorder = Arc::new(obs::Recorder::new());
+        let config = FleetConfig {
+            checkpoint_every_hours: 4,
+            ..FleetConfig::default()
         };
-        let mut campaign_config = CampaignConfig::default();
-        campaign_config.fault_plan = plan.session_weather(index);
-        Campaign::new(
-            Provider::new(ProviderConfig::aws_f1_like(2, 81 + index as u64)),
-            Mission::ThreatModel1(config),
-            campaign_config,
-        )
-        .expect("campaign builds")
-    };
-    let run = |width: usize| {
-        at_width(width, || {
-            let scratch = Scratch::new();
-            let recorder = Arc::new(obs::Recorder::new());
-            let config = FleetConfig {
-                checkpoint_every_hours: 4,
-                ..FleetConfig::default()
-            };
-            let mut supervisor = Supervisor::new(&scratch.0, config).expect("store opens");
-            supervisor.set_recorder(Some(Arc::clone(&recorder)));
-            let specs = (0..2)
-                .map(|i| {
-                    let mut campaign = fleet_campaign(i);
-                    campaign.set_recorder(Some(Arc::clone(&recorder)));
-                    CampaignSpec {
-                        id: format!("c{i}"),
-                        campaign,
-                    }
-                })
-                .collect();
-            let report = supervisor.run(specs, plan.clone());
-            let digest = report
+        let mut supervisor = Supervisor::new(&scratch.0, config).expect("store opens");
+        supervisor.set_recorder(Some(Arc::clone(&recorder)));
+        let specs = (0..campaigns)
+            .map(|i| {
+                let seed = seed + i as u64;
+                let tm1 = ThreatModel1Config {
+                    route_lengths_ps: vec![5_000.0],
+                    routes_per_length: 2,
+                    burn_hours,
+                    measure_every: 4,
+                    mode: MeasurementMode::Oracle,
+                    seed,
+                    measurement_repeats: 1,
+                };
+                let mut campaign_config = CampaignConfig::default();
+                campaign_config.fault_plan = plan.session_weather(i);
+                let mut campaign = Campaign::new(
+                    Provider::new(ProviderConfig::aws_f1_like(2, seed)),
+                    Mission::ThreatModel1(tm1),
+                    campaign_config,
+                )
+                .expect("campaign builds");
+                campaign.set_recorder(Some(Arc::clone(&recorder)));
+                CampaignSpec {
+                    id: format!("c{i}"),
+                    campaign,
+                }
+            })
+            .collect();
+        let report = supervisor.run(specs, plan.clone());
+        FleetObservation {
+            results: report
                 .results
                 .iter()
                 .map(|(id, result)| match result.outcome() {
                     Some(outcome) => (id.clone(), Some(outcome.series.clone()), None),
-                    None => (id.clone(), None, result.error().map(fleet::FleetError::tag)),
+                    None => (id.clone(), None, result.error().map(FleetError::tag)),
                 })
-                .collect::<Vec<_>>();
-            (
-                digest,
-                report.kills_injected,
-                report.corruptions_injected,
-                report.restarts,
-                report.rollbacks,
-                format!("{:?}", report.quarantine),
-                recorder.trace_jsonl(),
-                recorder.counters(),
-            )
-        })
-    };
-    let serial = run(1);
-    assert!(serial.1 >= 2, "both scheduled kills must fire");
-    assert!(!serial.6.is_empty(), "a supervised fleet must emit events");
+                .collect(),
+            completed: report.completed(),
+            kills: report.kills_injected,
+            corruptions: report.corruptions_injected,
+            restarts: report.restarts,
+            rollbacks: report.rollbacks,
+            quarantine: format!("{:?}", report.quarantine),
+            trace: recorder.trace_jsonl(),
+            counters: recorder.counters(),
+        }
+    })
+}
+
+#[test]
+fn supervised_fleet_trace_is_identical_at_every_pool_width() {
+    // A supervised fleet under process chaos — kills mid-phase, bit-rot
+    // on every third envelope. The whole bundle must be byte-identical
+    // at every width: outcome bytes, chaos accounting, quarantine
+    // ledger, and the trace.
+    let mut plan = ChaosPlan::none();
+    plan.seed = 81;
+    plan.scheduled_kills = vec![(0, 7), (1, 13)];
+    plan.corrupt_rate_per_checkpoint = 0.33;
+    let serial = observe_fleet(1, &plan, 2, 81, 20);
+    assert!(serial.kills >= 2, "both scheduled kills must fire");
+    assert!(
+        !serial.trace.is_empty(),
+        "a supervised fleet must emit events"
+    );
     for width in [2, 4] {
-        let parallel = run(width);
         assert_eq!(
-            serial, parallel,
+            serial,
+            observe_fleet(width, &plan, 2, 81, 20),
             "supervised fleet must be observable-identical at width {width}"
         );
     }
 }
 
 #[test]
-fn sharded_fleet_is_identical_at_every_pool_width() {
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    use fleet::{CampaignSpec, ChaosPlan, FleetConfig, Supervisor};
-
-    struct Scratch(PathBuf);
-    impl Scratch {
-        fn new() -> Self {
-            static NEXT: AtomicU64 = AtomicU64::new(0);
-            let dir = std::env::temp_dir().join(format!(
-                "sharded-fleet-{}-{}",
-                std::process::id(),
-                NEXT.fetch_add(1, Ordering::Relaxed)
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            Self(dir)
-        }
-    }
-    impl Drop for Scratch {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-
-    // A 4-campaign sharded fleet, campaign `i` seeded `83 + i`. Kills land
-    // on campaigns 1 and 2, two different slots: lanes claim slots one at
-    // a time, so at width 2 the killed campaigns and their later resumes
-    // can run on either side of a lane hand-off.
+fn kill_only_fleet_is_identical_at_every_pool_width() {
+    // A 4-campaign fleet, campaign `i` seeded `83 + i`, under kills alone:
+    // campaign 1 dies twice and campaign 2 once, and each resumes by
+    // replay while its neighbours keep stepping. Those campaigns' route
+    // sweeps still fan out on the pool, so the kills, resumes and the
+    // report must not depend on its width.
     let mut plan = ChaosPlan::none();
     plan.seed = 83;
     plan.scheduled_kills = vec![(1, 5), (2, 9), (1, 13)];
-
-    let run = |width: usize| {
-        at_width(width, || {
-            let scratch = Scratch::new();
-            let recorder = Arc::new(obs::Recorder::new());
-            let config = FleetConfig {
-                checkpoint_every_hours: 4,
-                ..FleetConfig::default()
-            };
-            let mut supervisor = Supervisor::new(&scratch.0, config).expect("store opens");
-            supervisor.set_recorder(Some(Arc::clone(&recorder)));
-            let specs = (0..4usize)
-                .map(|i| {
-                    let seed = 83 + i as u64;
-                    let tm1 = ThreatModel1Config {
-                        route_lengths_ps: vec![5_000.0],
-                        routes_per_length: 2,
-                        burn_hours: 16,
-                        measure_every: 4,
-                        mode: MeasurementMode::Oracle,
-                        seed,
-                        measurement_repeats: 1,
-                    };
-                    let mut campaign_config = CampaignConfig::default();
-                    campaign_config.fault_plan = plan.session_weather(i);
-                    let mut campaign = Campaign::new(
-                        Provider::new(ProviderConfig::aws_f1_like(2, seed)),
-                        Mission::ThreatModel1(tm1),
-                        campaign_config,
-                    )
-                    .expect("campaign builds");
-                    campaign.set_recorder(Some(Arc::clone(&recorder)));
-                    CampaignSpec {
-                        id: format!("c{i}"),
-                        campaign,
-                    }
-                })
-                .collect();
-            let report = supervisor.run(specs, plan.clone());
-            let digest = report
-                .results
-                .iter()
-                .map(|(id, result)| match result.outcome() {
-                    Some(outcome) => (id.clone(), Some(outcome.series.clone()), None),
-                    None => (id.clone(), None, result.error().map(fleet::FleetError::tag)),
-                })
-                .collect::<Vec<_>>();
-            (
-                digest,
-                report.completed(),
-                report.kills_injected,
-                report.restarts,
-                report.rollbacks,
-                format!("{:?}", report.quarantine),
-                recorder.trace_jsonl(),
-                recorder.counters(),
-            )
-        })
-    };
-    let serial = run(1);
-    assert_eq!(serial.1, 4, "all campaigns must survive the kills");
-    assert_eq!(serial.2, 3, "all three scheduled kills must fire");
+    let serial = observe_fleet(1, &plan, 4, 83, 16);
+    assert_eq!(serial.completed, 4, "all campaigns must survive the kills");
+    assert_eq!(serial.kills, 3, "all three scheduled kills must fire");
     for width in [2, 4] {
-        let parallel = run(width);
         assert_eq!(
-            serial, parallel,
-            "sharded fleet must be observable-identical at width {width}"
+            serial,
+            observe_fleet(width, &plan, 4, 83, 16),
+            "kill-only fleet must be observable-identical at width {width}"
         );
     }
 }

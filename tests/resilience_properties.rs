@@ -17,12 +17,12 @@
 //!    killing campaigns at arbitrary hours and resuming them from the
 //!    checkpoint store reproduces the unsupervised outcomes bit-for-bit,
 //!    at every worker-pool width.
-//! 4. **Sharded-scheduler width-invariance** (ISSUE 7) — a sharded
-//!    fleet under arbitrary chaos weather (random kill hours crossing
-//!    shard boundaries, random kill/corruption/rent-failure rates) plus
-//!    flash-attack contention produces bit-identical outcomes, traces,
-//!    and quarantine ledgers at widths 1, 2, and 4 — even when the
-//!    chaos makes campaigns fail, the *failures* replay identically.
+//! 4. **Fleet width-invariance** — a supervised fleet under arbitrary
+//!    chaos weather (random kill hours on two campaigns, random
+//!    kill/corruption/rent-failure rates) plus flash-attack contention
+//!    produces bit-identical outcomes, traces, and quarantine ledgers at
+//!    widths 1, 2, and 4 — even when the chaos makes campaigns fail, the
+//!    *failures* replay identically.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -286,12 +286,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Property (4): under *arbitrary* chaos weather — scheduled kills at
-    /// random hours on campaigns in different width-2 shard chunks (so a
-    /// mid-tick kill and its resume cross a shard boundary), plus random
-    /// stochastic kill, envelope-corruption, and rent-failure rates —
-    /// every observable of the sharded scheduler is bit-identical at
-    /// widths 1, 2, and 4: per-campaign outcomes *or typed failures*, the
-    /// full telemetry trace, the counters, and the quarantine ledger.
+    /// random hours on campaigns 1 and 2, plus random stochastic kill,
+    /// envelope-corruption, and rent-failure rates — every observable of
+    /// the supervisor is bit-identical at widths 1, 2, and 4: per-campaign
+    /// outcomes *or typed failures*, the full telemetry trace, the
+    /// counters, and the quarantine ledger.
     #[test]
     fn sharded_fleet_under_random_chaos_is_width_invariant(
         seed in 0u64..20,
@@ -305,8 +304,9 @@ proptest! {
 
         let mut plan = ChaosPlan::none();
         plan.seed = seed ^ 0x5AAD;
-        // Campaigns 1 and 2 sit in different width-2 chunks ([0,1] vs
-        // [2,3]): the kills and their resumes cross the shard boundary.
+        // Campaigns 1 and 2 die at independent random hours, so one
+        // slot's kill or resume can share a tick with the other's step
+        // and checkpoint.
         plan.scheduled_kills = vec![(1, kill_a), (2, kill_b)];
         plan.kill_rate_per_hour = kill_rate;
         plan.corrupt_rate_per_checkpoint = corrupt_rate;
@@ -366,7 +366,7 @@ proptest! {
             prop_assert_eq!(
                 &serial,
                 &parallel,
-                "sharded fleet must be observable-identical at width {}",
+                "fleet must be observable-identical at width {}",
                 width
             );
         }
