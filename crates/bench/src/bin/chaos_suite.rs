@@ -614,11 +614,10 @@ fn main() {
     let json = format!(
         concat!(
             "{{\"workload\":\"fleet_chaos_matrix\",\"smoke\":{},",
-            "\"burn_hours\":{},\"hardware_threads\":{},\"rows\":[{}]}}"
+            "\"burn_hours\":{},\"rows\":[{}]}}"
         ),
         smoke,
         burn_hours,
-        hardware_threads,
         json_rows.join(",")
     );
     if let Ok(path) = save_artifact("BENCH_chaos.json", &json) {

@@ -332,13 +332,9 @@ fn main() {
         })
         .collect();
     let json = format!(
-        concat!(
-            "{{\"workload\":\"fleet_scaling\",\"smoke\":{},\"fleet_size\":{},",
-            "\"hardware_threads\":{},\"rows\":[{}]}}"
-        ),
+        "{{\"workload\":\"fleet_scaling\",\"smoke\":{},\"fleet_size\":{},\"rows\":[{}]}}",
         smoke,
         FLEET_SIZE,
-        hardware_threads,
         json_rows.join(",")
     );
     if let Ok(path) = save_artifact("BENCH_fleet.json", &json) {

@@ -12,7 +12,7 @@
 use std::fs;
 use std::process::ExitCode;
 
-use obs_analyze::indicators::{compute, IndicatorConfig};
+use obs_analyze::indicators::compute;
 use obs_analyze::parse::{
     cross_check, first_order_violation, parse_metrics, parse_trace, MetricsSnapshot,
 };
@@ -100,7 +100,7 @@ fn cmd_indicators(args: &[String]) -> Result<ExitCode, String> {
     let trace_path = trace_path.ok_or_else(|| format!("indicators needs a trace path\n{USAGE}"))?;
     let metrics = metrics_path.as_deref().map(load_metrics).transpose()?;
     let events = load_trace(&trace_path)?;
-    let ind = compute(&events, metrics.as_ref(), &IndicatorConfig::default());
+    let ind = compute(&events, metrics.as_ref());
     if markdown {
         print!("{}", ind.to_markdown());
     } else {

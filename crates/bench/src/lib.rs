@@ -268,11 +268,7 @@ impl ObsSink {
             }
             match obs_analyze::parse_trace(&trace) {
                 Ok(events) => {
-                    let ind = obs_analyze::compute_indicators(
-                        &events,
-                        None,
-                        &obs_analyze::IndicatorConfig::default(),
-                    );
+                    let ind = obs_analyze::compute_indicators(&events, None);
                     let mut ind_path = path.as_os_str().to_owned();
                     ind_path.push(".indicators.json");
                     let ind_path = PathBuf::from(ind_path);

@@ -32,12 +32,6 @@ pub enum CloudError {
     UnknownDevice(DeviceId),
     /// The AFI is sealed and its internals are not available to renters.
     AfiSealed(AfiId),
-    /// A provider (or fleet) configuration was rejected before any device
-    /// was built — zero-sized pools, inverted age ranges, and the like.
-    /// Construction-time validation, surfaced as a typed error by
-    /// [`Provider::try_new`](crate::Provider::try_new) instead of the
-    /// legacy constructor's panic.
-    InvalidConfig(String),
 }
 
 impl CloudError {
@@ -82,7 +76,6 @@ impl fmt::Display for CloudError {
                     "AFI {id} is sealed; design internals are not exposed to renters"
                 )
             }
-            Self::InvalidConfig(msg) => write!(f, "invalid provider configuration: {msg}"),
         }
     }
 }
@@ -111,14 +104,5 @@ mod tests {
     fn error_is_send_sync() {
         fn assert_traits<T: Error + Send + Sync + 'static>() {}
         assert_traits::<CloudError>();
-    }
-
-    #[test]
-    fn invalid_config_is_fatal_and_displays_the_reason() {
-        let e = CloudError::InvalidConfig("fleet must contain devices".to_owned());
-        assert!(!e.is_transient(), "bad configuration never clears on retry");
-        let msg = e.to_string();
-        assert!(msg.contains("invalid provider configuration"), "{msg:?}");
-        assert!(msg.contains("fleet must contain devices"), "{msg:?}");
     }
 }

@@ -27,35 +27,34 @@ impl fmt::Display for DeviceId {
     }
 }
 
-/// Fleet configuration.
+/// Minimum prior service age of fleet devices, in hours (two years).
+const MIN_DEVICE_AGE_HOURS: f64 = 2.0 * 365.0 * 24.0;
+/// Maximum prior service age of fleet devices, in hours (four years).
+const MAX_DEVICE_AGE_HOURS: f64 = 4.0 * 365.0 * 24.0;
+/// Power budget enforced by the platform DRC, in watts (AWS F1: 85).
+const POWER_LIMIT_WATTS: f64 = 85.0;
+
+/// Fleet configuration. Every region is AWS-F1-like: devices aged two to
+/// four years and an 85 W power limit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProviderConfig {
     /// Number of devices in the region.
     pub pool_size: u32,
     /// Base RNG seed: device silicon and ages derive from it.
     pub seed: u64,
-    /// Minimum prior service age of fleet devices, in hours.
-    pub min_device_age_hours: f64,
-    /// Maximum prior service age of fleet devices, in hours.
-    pub max_device_age_hours: f64,
-    /// Power budget enforced by the platform DRC, in watts (AWS: 85).
-    pub power_limit_watts: f64,
     /// Launch-rate control (Section 8.2 mitigation): how long a returned
     /// device is quarantined before it can be rented again.
     pub quarantine: Hours,
 }
 
 impl ProviderConfig {
-    /// An AWS-F1-like region: devices aged two to four years, 85 W limit,
-    /// no quarantine (the vulnerable default the paper attacks).
+    /// An AWS-F1-like region with no quarantine (the vulnerable default
+    /// the paper attacks).
     #[must_use]
     pub fn aws_f1_like(pool_size: u32, seed: u64) -> Self {
         Self {
             pool_size,
             seed,
-            min_device_age_hours: 2.0 * 365.0 * 24.0,
-            max_device_age_hours: 4.0 * 365.0 * 24.0,
-            power_limit_watts: 85.0,
             quarantine: Hours::ZERO,
         }
     }
@@ -127,45 +126,17 @@ impl Provider {
     ///
     /// # Panics
     ///
-    /// Panics if `pool_size` is zero or the age range is inverted. Code
-    /// that takes configuration from the outside (the fleet supervisor,
-    /// sweep bins) should prefer [`Provider::try_new`], which surfaces
-    /// the same validation as [`CloudError::InvalidConfig`].
+    /// Panics if `pool_size` is zero.
     #[must_use]
     pub fn new(config: ProviderConfig) -> Self {
-        match Self::try_new(config) {
-            Ok(provider) => provider,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Provider::new`]: validates `config` and returns
-    /// [`CloudError::InvalidConfig`] instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidConfig` when `pool_size` is zero or the device age range
-    /// is inverted.
-    pub fn try_new(config: ProviderConfig) -> Result<Self, CloudError> {
-        if config.pool_size == 0 {
-            return Err(CloudError::InvalidConfig(
-                "fleet must contain devices".to_owned(),
-            ));
-        }
-        if config.min_device_age_hours > config.max_device_age_hours {
-            return Err(CloudError::InvalidConfig(format!(
-                "device age range inverted ({} > {})",
-                config.min_device_age_hours, config.max_device_age_hours
-            )));
-        }
+        assert!(
+            config.pool_size > 0,
+            "invalid provider configuration: fleet must contain devices"
+        );
         let mut rng = StdRng::seed_from_u64(config.seed);
         let slots = (0..config.pool_size)
             .map(|i| {
-                let age = if config.max_device_age_hours > config.min_device_age_hours {
-                    rng.gen_range(config.min_device_age_hours..config.max_device_age_hours)
-                } else {
-                    config.min_device_age_hours
-                };
+                let age = rng.gen_range(MIN_DEVICE_AGE_HOURS..MAX_DEVICE_AGE_HOURS);
                 let seed = config
                     .seed
                     .wrapping_mul(0x9E37_79B9)
@@ -179,7 +150,7 @@ impl Provider {
                 )
             })
             .collect();
-        Ok(Self {
+        Self {
             config,
             slots,
             marketplace: Marketplace::new(),
@@ -191,7 +162,7 @@ impl Provider {
             pending_rent_faults: Vec::new(),
             recorder: None,
             cache_seen: CacheStats::default(),
-        })
+        }
     }
 
     /// Attaches (or detaches) a telemetry recorder. Pure observability:
@@ -463,8 +434,7 @@ impl Provider {
     /// what stops ring-oscillator sensors), [`CloudError::SessionRevoked`]
     /// for a stale session, or a fabric error from loading.
     pub fn load_design(&mut self, session: &Session, design: Design) -> Result<(), CloudError> {
-        let limit = self.config.power_limit_watts;
-        let violations = check_design(&design, limit);
+        let violations = check_design(&design, POWER_LIMIT_WATTS);
         if !violations.is_empty() {
             return Err(CloudError::DesignRejected(violations));
         }
@@ -1087,35 +1057,8 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_invalid_configs_with_typed_errors() {
-        let empty = ProviderConfig::aws_f1_like(0, 1);
-        match Provider::try_new(empty) {
-            Err(CloudError::InvalidConfig(msg)) => {
-                assert!(msg.contains("devices"), "{msg:?}");
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-        let mut inverted = ProviderConfig::aws_f1_like(2, 1);
-        inverted.min_device_age_hours = 100.0;
-        inverted.max_device_age_hours = 50.0;
-        match Provider::try_new(inverted) {
-            Err(CloudError::InvalidConfig(msg)) => {
-                assert!(msg.contains("inverted"), "{msg:?}");
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn try_new_builds_the_same_fleet_as_new() {
-        let config = ProviderConfig::aws_f1_like(3, 77);
-        let a = Provider::new(config.clone());
-        let b = Provider::try_new(config).expect("valid config");
-        for i in 0..3 {
-            assert_eq!(
-                a.device_by_id(DeviceId(i)).unwrap().service_age(),
-                b.device_by_id(DeviceId(i)).unwrap().service_age()
-            );
-        }
+    #[should_panic(expected = "fleet must contain devices")]
+    fn an_empty_pool_is_rejected() {
+        let _ = Provider::new(ProviderConfig::aws_f1_like(0, 1));
     }
 }

@@ -14,28 +14,16 @@
 
 use cloud::DeviceId;
 
-/// Tuning for every breaker a supervisor creates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive failures that trip the breaker open.
-    pub failure_threshold: u32,
-    /// Supervisor ticks an open breaker waits before admitting a probe.
-    pub cooldown_ticks: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        Self {
-            failure_threshold: 3,
-            cooldown_ticks: 4,
-        }
-    }
-}
+/// Consecutive failures that trip a breaker open.
+const FAILURE_THRESHOLD: u32 = 3;
+/// Supervisor ticks an open breaker waits before admitting a probe.
+const COOLDOWN_TICKS: u32 = 4;
 
 /// The breaker's position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BreakerState {
     /// Healthy: requests flow.
+    #[default]
     Closed,
     /// Tripped: requests are refused until the cooldown elapses.
     Open,
@@ -44,9 +32,8 @@ pub enum BreakerState {
 }
 
 /// One `(campaign, device)` breaker.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CircuitBreaker {
-    config: BreakerConfig,
     state: BreakerState,
     consecutive_failures: u32,
     cooldown_remaining: u32,
@@ -55,13 +42,8 @@ pub struct CircuitBreaker {
 impl CircuitBreaker {
     /// A closed breaker with zero recorded failures.
     #[must_use]
-    pub fn new(config: BreakerConfig) -> Self {
-        Self {
-            config,
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            cooldown_remaining: 0,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Current position.
@@ -100,16 +82,16 @@ impl CircuitBreaker {
         self.consecutive_failures += 1;
         match self.state {
             BreakerState::Closed => {
-                if self.consecutive_failures >= self.config.failure_threshold {
+                if self.consecutive_failures >= FAILURE_THRESHOLD {
                     self.state = BreakerState::Open;
-                    self.cooldown_remaining = self.config.cooldown_ticks;
+                    self.cooldown_remaining = COOLDOWN_TICKS;
                     return true;
                 }
                 false
             }
             BreakerState::HalfOpen => {
                 self.state = BreakerState::Open;
-                self.cooldown_remaining = self.config.cooldown_ticks;
+                self.cooldown_remaining = COOLDOWN_TICKS;
                 true
             }
             BreakerState::Open => false,
@@ -227,12 +209,20 @@ impl QuarantineLedger {
 mod tests {
     use super::*;
 
+    /// Fails a fresh breaker until it trips open.
+    fn tripped() -> CircuitBreaker {
+        let mut breaker = CircuitBreaker::new();
+        for _ in 1..FAILURE_THRESHOLD {
+            assert!(!breaker.on_failure());
+        }
+        assert!(breaker.on_failure());
+        breaker
+    }
+
     #[test]
     fn breaker_trips_at_the_threshold_and_only_then() {
-        let mut breaker = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 3,
-            cooldown_ticks: 2,
-        });
+        assert_eq!(FAILURE_THRESHOLD, 3);
+        let mut breaker = CircuitBreaker::new();
         assert!(breaker.allows());
         assert!(!breaker.on_failure());
         assert!(!breaker.on_failure());
@@ -248,13 +238,12 @@ mod tests {
 
     #[test]
     fn cooldown_admits_one_probe_and_success_closes() {
-        let mut breaker = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 1,
-            cooldown_ticks: 2,
-        });
-        assert!(breaker.on_failure());
-        assert!(!breaker.tick(), "cooldown still running");
-        assert!(!breaker.allows());
+        assert_eq!(COOLDOWN_TICKS, 4);
+        let mut breaker = tripped();
+        for _ in 1..COOLDOWN_TICKS {
+            assert!(!breaker.tick(), "cooldown still running");
+            assert!(!breaker.allows());
+        }
         assert!(breaker.tick(), "cooldown elapsed: half-open");
         assert_eq!(breaker.state(), BreakerState::HalfOpen);
         assert!(breaker.allows());
@@ -265,21 +254,23 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens_with_a_fresh_cooldown() {
-        let mut breaker = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 1,
-            cooldown_ticks: 1,
-        });
-        assert!(breaker.on_failure());
-        assert!(breaker.tick());
+        let mut breaker = tripped();
+        for _ in 0..COOLDOWN_TICKS {
+            breaker.tick();
+        }
+        assert_eq!(breaker.state(), BreakerState::HalfOpen);
         assert!(breaker.on_failure(), "failed probe re-trips");
         assert_eq!(breaker.state(), BreakerState::Open);
+        for _ in 1..COOLDOWN_TICKS {
+            assert!(!breaker.tick(), "the cooldown starts over");
+        }
         assert!(breaker.tick(), "and cools down again");
         assert_eq!(breaker.state(), BreakerState::HalfOpen);
     }
 
     #[test]
     fn closed_breaker_success_does_not_claim_a_close_transition() {
-        let mut breaker = CircuitBreaker::new(BreakerConfig::default());
+        let mut breaker = CircuitBreaker::new();
         assert!(!breaker.on_success(), "no circuit_close without a trip");
     }
 

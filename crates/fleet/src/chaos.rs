@@ -120,128 +120,14 @@ impl ChaosPlan {
     }
 }
 
-/// Replayable draw state: per-`(campaign, action)` counters over the
-/// plan's streams. The supervisor owns exactly one per run; consulting
-/// it is the only source of chaos randomness.
-#[derive(Debug, Clone)]
-pub struct ChaosState {
-    plan: ChaosPlan,
-    /// Draw counters, keyed by campaign index and action. Dense vectors
-    /// (not a hash map) so state clones are cheap and iteration order
-    /// can never leak into behaviour.
-    counters: Vec<[u64; 3]>,
-    /// Scheduled kills not yet fired.
-    pending_kills: Vec<(usize, usize)>,
-}
-
-impl ChaosState {
-    /// Fresh draw state over `plan` for a fleet of `campaigns` members.
-    #[must_use]
-    pub fn new(plan: ChaosPlan, campaigns: usize) -> Self {
-        let mut pending_kills = plan.scheduled_kills.clone();
-        // Deterministic firing order regardless of how the plan listed them.
-        pending_kills.sort_unstable();
-        Self {
-            plan,
-            counters: vec![[0; 3]; campaigns],
-            pending_kills,
-        }
-    }
-
-    /// The plan this state draws from.
-    #[must_use]
-    pub fn plan(&self) -> &ChaosPlan {
-        &self.plan
-    }
-
-    fn stream_seed(&self, campaign: usize, action: ChaosAction) -> u64 {
-        self.plan
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((campaign as u64) << 8)
-            ^ action.salt()
-    }
-
-    fn draw(&mut self, campaign: usize, action: ChaosAction, rate: f64) -> bool {
-        let slot = match action {
-            ChaosAction::Kill => 0,
-            ChaosAction::Corrupt => 1,
-            ChaosAction::Truncate => 2,
-        };
-        let counter = self.counters[campaign][slot];
-        self.counters[campaign][slot] += 1;
-        rate > 0.0 && uniform01(self.stream_seed(campaign, action), counter) < rate
-    }
-
-    /// Draws consumed so far for `(campaign, action)` — checkpointable
-    /// position, and the regression tests' replay witness.
-    #[must_use]
-    pub fn draws_consumed(&self, campaign: usize, action: ChaosAction) -> u64 {
-        let slot = match action {
-            ChaosAction::Kill => 0,
-            ChaosAction::Corrupt => 1,
-            ChaosAction::Truncate => 2,
-        };
-        self.counters[campaign][slot]
-    }
-
-    /// Whether campaign `index` is killed after completing `hour`.
-    /// Scheduled kills fire exactly once and do not consume a random
-    /// draw; the random stream advances one draw per call either way.
-    pub fn kill_now(&mut self, index: usize, hour: usize) -> bool {
-        let drawn = self.draw(index, ChaosAction::Kill, self.plan.kill_rate_per_hour);
-        if let Some(at) = self
-            .pending_kills
-            .iter()
-            .position(|&(campaign, at_hour)| campaign == index && at_hour == hour)
-        {
-            self.pending_kills.remove(at);
-            return true;
-        }
-        drawn
-    }
-
-    /// Whether the checkpoint just committed for campaign `index` gets
-    /// corrupted, and how. Truncation is consulted first so a plan with
-    /// both rates still makes one deterministic choice per commit.
-    pub fn corrupt_commit(&mut self, index: usize) -> Option<ChaosAction> {
-        if self.draw(
-            index,
-            ChaosAction::Truncate,
-            self.plan.truncate_rate_per_checkpoint,
-        ) {
-            return Some(ChaosAction::Truncate);
-        }
-        if self.draw(
-            index,
-            ChaosAction::Corrupt,
-            self.plan.corrupt_rate_per_checkpoint,
-        ) {
-            return Some(ChaosAction::Corrupt);
-        }
-        None
-    }
-
-    /// A deterministic byte offset for a corruption injected into
-    /// campaign `index` (the store reduces it modulo the file length).
-    pub fn corruption_offset(&mut self, index: usize) -> u64 {
-        let counter = self.counters[index][1];
-        self.counters[index][1] += 1;
-        // Re-hash the corrupt stream at a shifted counter to pick bytes.
-        (uniform01(self.stream_seed(index, ChaosAction::Corrupt), counter) * 4096.0) as u64
-    }
-}
-
-/// One campaign's slice of a chaos schedule: the same counter-based
-/// streams as [`ChaosState`], but owning only the `(seed, index)` draw
-/// position for a single campaign.
+/// One campaign's replayable draw state over a chaos schedule: per-action
+/// counters over the plan's `(seed, campaign, action)` streams, plus the
+/// campaign's scheduled kills not yet fired.
 ///
-/// Every supervisor slot owns its campaign's cursor, so a campaign's
-/// draws never depend on the order slots are served in — and because
-/// the streams are keyed by `(seed, campaign, action)`, a fleet of
-/// cursors makes *exactly* the draws one central [`ChaosState`] would
-/// have made, in the same per-campaign order (the equivalence the tests
-/// below pin).
+/// Every supervisor slot owns its campaign's cursor, and consulting it
+/// is the slot's only source of chaos randomness. Because the streams
+/// are keyed by campaign, a campaign's draws never depend on the order
+/// slots are served in.
 #[derive(Debug, Clone)]
 pub struct ChaosCursor {
     seed: u64,
@@ -294,8 +180,8 @@ impl ChaosCursor {
         rate > 0.0 && uniform01(self.stream_seed(action), counter) < rate
     }
 
-    /// Draws consumed so far for `action` — mirrors
-    /// [`ChaosState::draws_consumed`] for this cursor's campaign.
+    /// Draws consumed so far for `action` — the replay witness the
+    /// tests compare.
     #[must_use]
     pub fn draws_consumed(&self, action: ChaosAction) -> u64 {
         match action {
@@ -305,9 +191,9 @@ impl ChaosCursor {
         }
     }
 
-    /// Whether this campaign is killed after completing `hour`. Same
-    /// contract as [`ChaosState::kill_now`]: the random stream advances
-    /// one draw per call; scheduled kills fire exactly once on top.
+    /// Whether this campaign is killed after completing `hour`. The
+    /// random stream advances one draw per call either way; scheduled
+    /// kills fire exactly once, on top of it.
     pub fn kill_now(&mut self, hour: usize) -> bool {
         let drawn = self.draw(ChaosAction::Kill, self.kill_rate);
         if let Some(at) = self.pending_kill_hours.iter().position(|&h| h == hour) {
@@ -318,8 +204,8 @@ impl ChaosCursor {
     }
 
     /// Whether the checkpoint just committed for this campaign gets
-    /// corrupted, and how — truncation consulted first, exactly as
-    /// [`ChaosState::corrupt_commit`].
+    /// corrupted, and how. Truncation is consulted first so a plan with
+    /// both rates still makes one deterministic choice per commit.
     pub fn corrupt_commit(&mut self) -> Option<ChaosAction> {
         if self.draw(ChaosAction::Truncate, self.truncate_rate) {
             return Some(ChaosAction::Truncate);
@@ -330,11 +216,12 @@ impl ChaosCursor {
         None
     }
 
-    /// A deterministic byte offset for an injected corruption — mirrors
-    /// [`ChaosState::corruption_offset`].
+    /// A deterministic byte offset for an injected corruption (the store
+    /// reduces it modulo the file length).
     pub fn corruption_offset(&mut self) -> u64 {
         let counter = self.counters[1];
         self.counters[1] += 1;
+        // Re-hash the corrupt stream at a shifted counter to pick bytes.
         (uniform01(self.stream_seed(ChaosAction::Corrupt), counter) * 4096.0) as u64
     }
 }
@@ -355,14 +242,21 @@ mod tests {
         }
     }
 
+    /// One cursor per campaign of a `campaigns`-member fleet.
+    fn cursors(plan: &ChaosPlan, campaigns: usize) -> Vec<ChaosCursor> {
+        (0..campaigns)
+            .map(|index| ChaosCursor::new(plan, index))
+            .collect()
+    }
+
     #[test]
     fn identical_plans_replay_identical_chaos() {
-        let mut a = ChaosState::new(hostile_plan(), 3);
-        let mut b = ChaosState::new(hostile_plan(), 3);
+        let mut a = cursors(&hostile_plan(), 3);
+        let mut b = cursors(&hostile_plan(), 3);
         for hour in 0..50 {
             for campaign in 0..3 {
-                assert_eq!(a.kill_now(campaign, hour), b.kill_now(campaign, hour));
-                assert_eq!(a.corrupt_commit(campaign), b.corrupt_commit(campaign));
+                assert_eq!(a[campaign].kill_now(hour), b[campaign].kill_now(hour));
+                assert_eq!(a[campaign].corrupt_commit(), b[campaign].corrupt_commit());
             }
         }
         for campaign in 0..3 {
@@ -372,27 +266,11 @@ mod tests {
                 ChaosAction::Truncate,
             ] {
                 assert_eq!(
-                    a.draws_consumed(campaign, action),
-                    b.draws_consumed(campaign, action)
+                    a[campaign].draws_consumed(action),
+                    b[campaign].draws_consumed(action)
                 );
             }
         }
-    }
-
-    #[test]
-    fn scheduled_kills_fire_exactly_once_each() {
-        let mut plan = ChaosPlan::none();
-        plan.scheduled_kills = vec![(0, 3), (1, 6)];
-        let mut state = ChaosState::new(plan, 2);
-        let mut fired = Vec::new();
-        for hour in 0..10 {
-            for campaign in 0..2 {
-                if state.kill_now(campaign, hour) {
-                    fired.push((campaign, hour));
-                }
-            }
-        }
-        assert_eq!(fired, vec![(0, 3), (1, 6)]);
     }
 
     #[test]
@@ -400,68 +278,22 @@ mod tests {
         let mut plan = ChaosPlan::none();
         plan.seed = 7;
         plan.kill_rate_per_hour = 0.5;
-        let mut state = ChaosState::new(plan, 2);
-        let a: Vec<bool> = (0..64).map(|h| state.kill_now(0, h)).collect();
-        let b: Vec<bool> = (0..64).map(|h| state.kill_now(1, h)).collect();
+        let mut fleet = cursors(&plan, 2);
+        let a: Vec<bool> = (0..64).map(|h| fleet[0].kill_now(h)).collect();
+        let b: Vec<bool> = (0..64).map(|h| fleet[1].kill_now(h)).collect();
         assert_ne!(a, b, "two campaigns must not share a kill stream");
     }
 
     #[test]
     fn benign_plan_draws_nothing_but_still_advances_counters() {
-        let mut state = ChaosState::new(ChaosPlan::none(), 1);
+        let mut cursor = ChaosCursor::new(&ChaosPlan::none(), 0);
         assert!(ChaosPlan::none().is_benign());
         assert!(!hostile_plan().is_benign());
         for hour in 0..20 {
-            assert!(!state.kill_now(0, hour));
-            assert!(state.corrupt_commit(0).is_none());
+            assert!(!cursor.kill_now(hour));
+            assert!(cursor.corrupt_commit().is_none());
         }
-        assert_eq!(state.draws_consumed(0, ChaosAction::Kill), 20);
-    }
-
-    #[test]
-    fn cursors_replay_the_central_state_draw_for_draw() {
-        let plan = hostile_plan();
-        let mut state = ChaosState::new(plan.clone(), 3);
-        let mut cursors: Vec<ChaosCursor> =
-            (0..3).map(|index| ChaosCursor::new(&plan, index)).collect();
-
-        // Interleave every kind of draw across campaigns; the per-campaign
-        // cursors must agree with the central state on every single one.
-        for hour in 0..40 {
-            for campaign in 0..3 {
-                assert_eq!(
-                    state.kill_now(campaign, hour),
-                    cursors[campaign].kill_now(hour),
-                    "kill draw diverged at campaign {campaign} hour {hour}"
-                );
-                let central = state.corrupt_commit(campaign);
-                assert_eq!(
-                    central,
-                    cursors[campaign].corrupt_commit(),
-                    "commit sabotage diverged at campaign {campaign} hour {hour}"
-                );
-                if central == Some(ChaosAction::Corrupt) {
-                    assert_eq!(
-                        state.corruption_offset(campaign),
-                        cursors[campaign].corruption_offset(),
-                        "corruption offset diverged at campaign {campaign} hour {hour}"
-                    );
-                }
-            }
-        }
-        for campaign in 0..3 {
-            for action in [
-                ChaosAction::Kill,
-                ChaosAction::Corrupt,
-                ChaosAction::Truncate,
-            ] {
-                assert_eq!(
-                    state.draws_consumed(campaign, action),
-                    cursors[campaign].draws_consumed(action),
-                    "counter drift at campaign {campaign} for {action:?}"
-                );
-            }
-        }
+        assert_eq!(cursor.draws_consumed(ChaosAction::Kill), 20);
     }
 
     #[test]

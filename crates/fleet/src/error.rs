@@ -130,7 +130,7 @@ pub enum FleetError {
     RestartBudgetExhausted {
         /// The campaign that failed.
         id: String,
-        /// Restarts consumed (equals the configured budget).
+        /// Restarts consumed (equals the restart budget).
         restarts: u32,
         /// The error that triggered the final restart attempt.
         last: PentimentoError,

@@ -41,10 +41,9 @@ pub mod store;
 pub mod supervisor;
 
 pub use breaker::{
-    BreakerConfig, BreakerState, CircuitBreaker, QuarantineLedger, QuarantineReason,
-    QuarantineRecord,
+    BreakerState, CircuitBreaker, QuarantineLedger, QuarantineReason, QuarantineRecord,
 };
-pub use chaos::{ChaosAction, ChaosCursor, ChaosPlan, ChaosState};
+pub use chaos::{ChaosAction, ChaosCursor, ChaosPlan};
 pub use error::{FleetError, StoreError};
 pub use store::{CheckpointStore, Envelope};
 pub use supervisor::{CampaignResult, CampaignSpec, FleetConfig, FleetReport, Supervisor};
@@ -220,6 +219,32 @@ mod tests {
         assert_eq!(
             report.quarantine.records()[0].reason,
             QuarantineReason::StoreUnrecoverable
+        );
+    }
+
+    #[test]
+    fn kills_past_the_restart_budget_quarantine_the_campaign() {
+        let scratch = Scratch::new();
+        let budget = supervisor::MAX_RESTARTS;
+        assert_eq!(budget, 6);
+        // Recovery rolls back to generation 0 (hour 0), so each kill at a
+        // later hour costs one more restart: one kill past the budget.
+        let mut plan = ChaosPlan::none();
+        plan.scheduled_kills = (1..=budget as usize + 1).map(|hour| (0, hour)).collect();
+        let mut supervisor = Supervisor::new(&scratch.0, FleetConfig::default()).unwrap();
+        let report = supervisor.run(specs(1, &plan), plan.clone());
+
+        assert_eq!(report.failed(), 1);
+        assert_eq!(report.restarts, u64::from(budget));
+        assert!(report.failures_all_quarantined());
+        let error = report.results[0].1.error().expect("typed failure");
+        assert!(
+            matches!(error, FleetError::RestartBudgetExhausted { restarts, .. } if *restarts == budget),
+            "{error}"
+        );
+        assert_eq!(
+            report.quarantine.records()[0].reason,
+            QuarantineReason::RestartBudgetExhausted
         );
     }
 

@@ -53,12 +53,25 @@ use obs::{CampaignEvent, EventKind, FlightRecorder, Recorder};
 use obs_analyze::indicators::FLEET_TICK_HISTOGRAM;
 use pentimento::{Campaign, CampaignCheckpoint, CampaignOutcome, PentimentoError};
 
-use crate::breaker::{
-    BreakerConfig, CircuitBreaker, QuarantineLedger, QuarantineReason, QuarantineRecord,
-};
+use crate::breaker::{CircuitBreaker, QuarantineLedger, QuarantineReason, QuarantineRecord};
 use crate::chaos::{ChaosAction, ChaosCursor, ChaosPlan};
 use crate::error::{FleetError, StoreError};
 use crate::store::CheckpointStore;
+
+/// Supervisor-level restarts per campaign before
+/// [`FleetError::RestartBudgetExhausted`].
+pub(crate) const MAX_RESTARTS: u32 = 6;
+/// Supervisor ticks per campaign before [`FleetError::DeadlineExceeded`]
+/// — the live-lock backstop.
+const DEADLINE_TICKS: u64 = 10_000;
+/// First-restart backoff, in accounted (never slept) seconds.
+const BACKOFF_BASE_S: f64 = 1.0;
+/// Ceiling on any single restart backoff, in seconds.
+const BACKOFF_MAX_S: f64 = 60.0;
+/// Events retained in each slot's [`FlightRecorder`] ring. The last N
+/// events a campaign emitted are sealed to `flight/<id>.jsonl` when it
+/// is quarantined.
+const FLIGHT_RECORDER_CAPACITY: usize = 64;
 
 /// Supervisor tuning.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,26 +79,10 @@ pub struct FleetConfig {
     /// Commit a checkpoint generation every this many completed
     /// attack-window hours (clamped to at least 1).
     pub checkpoint_every_hours: usize,
-    /// Supervisor-level restarts per campaign before
-    /// [`FleetError::RestartBudgetExhausted`].
-    pub max_restarts: u32,
-    /// Supervisor ticks per campaign before
-    /// [`FleetError::DeadlineExceeded`] — the live-lock backstop.
-    pub deadline_ticks: u64,
     /// Checkpoint generations retained per campaign (older ones are
     /// pruned from the store; clamped to at least 1 — the store itself
     /// refuses `retain = 0` with [`StoreError::InvalidRetention`]).
     pub retain_generations: usize,
-    /// Per-device circuit breaker tuning.
-    pub breaker: BreakerConfig,
-    /// First-restart backoff, in accounted (never slept) seconds.
-    pub backoff_base_s: f64,
-    /// Ceiling on any single restart backoff, in seconds.
-    pub backoff_max_s: f64,
-    /// Events retained in each slot's [`FlightRecorder`] ring (clamped
-    /// to at least 1). The last N events a campaign emitted are sealed
-    /// to `flight/<id>.jsonl` when it is quarantined.
-    pub flight_recorder_capacity: usize,
     /// Directory flight dumps are sealed into; `None` uses
     /// `<store root>/flight`.
     pub flight_dir: Option<PathBuf>,
@@ -95,13 +92,7 @@ impl Default for FleetConfig {
     fn default() -> Self {
         Self {
             checkpoint_every_hours: 8,
-            max_restarts: 6,
-            deadline_ticks: 10_000,
             retain_generations: 3,
-            breaker: BreakerConfig::default(),
-            backoff_base_s: 1.0,
-            backoff_max_s: 60.0,
-            flight_recorder_capacity: 64,
             flight_dir: None,
         }
     }
@@ -503,7 +494,7 @@ impl Supervisor {
         if !slot.breaker.allows() && !slot.breaker.tick() {
             return; // still cooling down; try again next tick
         }
-        if slot.restarts >= self.config.max_restarts {
+        if slot.restarts >= MAX_RESTARTS {
             let error = FleetError::RestartBudgetExhausted {
                 id: slot.id.clone(),
                 restarts: slot.restarts,
@@ -523,9 +514,8 @@ impl Supervisor {
         slot.restarts += 1;
         report.restarts += 1;
         self.incr("fleet.restarts");
-        let backoff = (self.config.backoff_base_s
-            * 2f64.powi(slot.restarts.saturating_sub(1).min(30) as i32))
-        .min(self.config.backoff_max_s);
+        let backoff = (BACKOFF_BASE_S * 2f64.powi(slot.restarts.saturating_sub(1).min(30) as i32))
+            .min(BACKOFF_MAX_S);
         report.backoff_seconds += backoff;
         self.slot_event(slot, EventKind::Backoff, backoff);
 
@@ -646,7 +636,7 @@ impl Supervisor {
     /// intent it captured for the tick's batch commit, if any.
     fn tick_slot(&mut self, slot: &mut Slot, report: &mut FleetReport) -> Option<CommitIntent> {
         slot.ticks += 1;
-        if slot.ticks > self.config.deadline_ticks {
+        if slot.ticks > DEADLINE_TICKS {
             let error = FleetError::DeadlineExceeded {
                 id: slot.id.clone(),
                 ticks: slot.ticks as usize,
@@ -745,13 +735,13 @@ impl Supervisor {
                 generation: 0,
                 restarts: 0,
                 ticks: 0,
-                breaker: CircuitBreaker::new(self.config.breaker),
+                breaker: CircuitBreaker::new(),
                 device,
                 chaos: ChaosCursor::new(&chaos, index),
                 result: None,
                 last_error: None,
                 arena_bytes: 0,
-                flight: FlightRecorder::new(self.config.flight_recorder_capacity),
+                flight: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
             };
             let started = if survivors.contains(&slot.id) {
                 // Resume the survivor by replaying the spec's campaign
@@ -924,7 +914,7 @@ mod tests {
             generation: 0,
             restarts: 0,
             ticks: 0,
-            breaker: CircuitBreaker::new(BreakerConfig::default()),
+            breaker: CircuitBreaker::new(),
             device: cloud::DeviceId(0),
             chaos: ChaosCursor::new(&ChaosPlan::none(), 0),
             result: None,

@@ -20,7 +20,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use obs::{CampaignEvent, EventKind, Recorder};
-use obs_analyze::indicators::{compute, IndicatorConfig};
+use obs_analyze::indicators::compute;
 use obs_analyze::parse::{parse_metrics, parse_trace};
 
 fn main() {
@@ -144,7 +144,7 @@ fn main() {
     // report, exactly as the golden test will.
     let events = parse_trace(&trace).expect("fixture trace parses");
     let snapshot = parse_metrics(&metrics).expect("fixture metrics parse");
-    let report = compute(&events, Some(&snapshot), &IndicatorConfig::default()).to_markdown();
+    let report = compute(&events, Some(&snapshot)).to_markdown();
     fs::write(dir.join("mini_trace.indicators.md"), &report).expect("write golden report");
 
     println!("regenerated fixtures in {}", dir.display());

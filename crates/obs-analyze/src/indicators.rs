@@ -24,24 +24,11 @@ use crate::parse::MetricsSnapshot;
 /// Schema version of the indicator report JSON.
 pub const INDICATORS_SCHEMA_VERSION: u32 = 1;
 
-/// Tunables for indicator derivation.
-#[derive(Debug, Clone)]
-pub struct IndicatorConfig {
-    /// A `(phase, route)` cell whose summed retry count exceeds this is
-    /// flagged as a retry storm.
-    pub retry_storm_threshold: f64,
-}
-
-impl Default for IndicatorConfig {
-    fn default() -> Self {
-        // A healthy campaign retries a handful of times per route per
-        // phase at most; five in one cell means the backoff loop is
-        // spinning against a persistent failure.
-        Self {
-            retry_storm_threshold: 5.0,
-        }
-    }
-}
+/// A `(phase, route)` cell whose summed retry count exceeds this is
+/// flagged as a retry storm. A healthy campaign retries a handful of
+/// times per route per phase at most; five in one cell means the backoff
+/// loop is spinning against a persistent failure.
+pub const RETRY_STORM_THRESHOLD: f64 = 5.0;
 
 /// One `(phase, route)` retry-accumulation cell.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -82,10 +69,8 @@ pub struct Indicators {
     pub retry_total: f64,
     /// Retries accumulated per `(phase, route)` cell.
     pub retry_cells: BTreeMap<RetryCellKey, f64>,
-    /// Cells exceeding [`IndicatorConfig::retry_storm_threshold`].
+    /// Cells exceeding [`RETRY_STORM_THRESHOLD`].
     pub retry_storms: Vec<(RetryCellKey, f64)>,
-    /// The threshold the storms were judged against.
-    pub retry_storm_threshold: f64,
     /// Number of `Backoff` events.
     pub backoff_events: u64,
     /// Summed simulated backoff seconds.
@@ -155,14 +140,10 @@ fn spans_from_metrics(metrics: &MetricsSnapshot) -> BTreeMap<String, SpanStats> 
 /// canonical content key, so attribution matches the Recorder's total
 /// order, then folds each event through one accumulator.
 #[must_use]
-pub fn compute(
-    events: &[CampaignEvent],
-    metrics: Option<&MetricsSnapshot>,
-    config: &IndicatorConfig,
-) -> Indicators {
+pub fn compute(events: &[CampaignEvent], metrics: Option<&MetricsSnapshot>) -> Indicators {
     let mut sorted: Vec<&CampaignEvent> = events.iter().collect();
     sorted.sort_by(|a, b| a.cmp_key(b));
-    let mut acc = Accumulator::new(config);
+    let mut acc = Accumulator::new();
     for event in sorted {
         acc.accumulate(event);
     }
@@ -174,7 +155,6 @@ pub fn compute(
 /// content order, which [`compute`] guarantees by sorting first, so
 /// every floating-point sum is accumulated in one fixed order.
 struct Accumulator {
-    retry_storm_threshold: f64,
     events: u64,
     kind_counts: BTreeMap<EventKind, u64>,
     routes: BTreeSet<u64>,
@@ -192,9 +172,8 @@ struct Accumulator {
 }
 
 impl Accumulator {
-    fn new(config: &IndicatorConfig) -> Self {
+    fn new() -> Self {
         Self {
-            retry_storm_threshold: config.retry_storm_threshold,
             events: 0,
             // Every kind listed, zeros included.
             kind_counts: EventKind::ALL.into_iter().map(|k| (k, 0)).collect(),
@@ -258,7 +237,7 @@ impl Accumulator {
         let retry_storms: Vec<(RetryCellKey, f64)> = self
             .retry_cells
             .iter()
-            .filter(|&(_, &total)| total > self.retry_storm_threshold)
+            .filter(|&(_, &total)| total > RETRY_STORM_THRESHOLD)
             .map(|(key, &total)| (key.clone(), total))
             .collect();
         let cache_traffic = self.cache_hits + self.cache_misses;
@@ -270,7 +249,6 @@ impl Accumulator {
             retry_total: self.retry_total,
             retry_cells: self.retry_cells,
             retry_storms,
-            retry_storm_threshold: self.retry_storm_threshold,
             backoff_events: self.backoff_events,
             backoff_seconds_total: self.backoff_seconds_total,
             cache_hits: self.cache_hits,
@@ -319,7 +297,7 @@ impl Indicators {
             "}},\"routes_observed\":{},\"retry\":{{\"total\":{},\"storm_threshold\":{},\"storms\":[",
             self.routes_observed,
             json_f64(self.retry_total),
-            json_f64(self.retry_storm_threshold),
+            json_f64(RETRY_STORM_THRESHOLD),
         );
         for (n, (key, total)) in self.retry_storms.iter().enumerate() {
             if n > 0 {
@@ -405,7 +383,7 @@ impl Indicators {
         let _ = writeln!(
             out,
             "- storm threshold: > {} retries per (phase, route)",
-            json_f64(self.retry_storm_threshold)
+            json_f64(RETRY_STORM_THRESHOLD)
         );
         if self.retry_storms.is_empty() {
             out.push_str("- storms: none\n");
@@ -511,7 +489,7 @@ mod tests {
 
     #[test]
     fn indicators_are_computed_and_storms_flagged() {
-        let ind = compute(&sample_events(), None, &IndicatorConfig::default());
+        let ind = compute(&sample_events(), None);
         assert_eq!(ind.events, 11);
         assert_eq!(ind.routes_observed, 2);
         assert_eq!(ind.retry_total, 8.0);
@@ -536,9 +514,8 @@ mod tests {
         let forward = sample_events();
         let mut reversed = sample_events();
         reversed.reverse();
-        let config = IndicatorConfig::default();
-        let a = compute(&forward, None, &config);
-        let b = compute(&reversed, None, &config);
+        let a = compute(&forward, None);
+        let b = compute(&reversed, None);
         assert_eq!(a, b);
         assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.to_markdown(), b.to_markdown());
@@ -546,7 +523,7 @@ mod tests {
 
     #[test]
     fn empty_trace_yields_empty_but_valid_reports() {
-        let ind = compute(&[], None, &IndicatorConfig::default());
+        let ind = compute(&[], None);
         assert_eq!(ind.events, 0);
         assert_eq!(ind.cache_hit_ratio, None);
         assert_eq!(ind.abstain_rate_per_route, None);
@@ -567,14 +544,14 @@ mod tests {
         }
         r.observe("not_a_span", 1.0);
         let metrics = crate::parse::parse_metrics(&r.metrics_json()).expect("parses");
-        let ind = compute(&[], Some(&metrics), &IndicatorConfig::default());
+        let ind = compute(&[], Some(&metrics));
         assert_eq!(ind.spans.len(), 1);
         let s = &ind.spans["measure_batch"];
         assert!(!ind.spans.contains_key("not_a_span"));
         assert_eq!(s.count, 4);
         assert!(s.p50 <= s.p90 && s.p90 <= s.p99);
         assert!(s.p99 <= 0.5);
-        let without = compute(&[], None, &IndicatorConfig::default());
+        let without = compute(&[], None);
         assert!(without.spans.is_empty());
     }
 
@@ -585,7 +562,7 @@ mod tests {
             r.observe(FLEET_TICK_HISTOGRAM, v);
         }
         let metrics = crate::parse::parse_metrics(&r.metrics_json()).expect("parses");
-        let ind = compute(&[], Some(&metrics), &IndicatorConfig::default());
+        let ind = compute(&[], Some(&metrics));
         let s = &ind.spans[FLEET_TICK_HISTOGRAM];
         assert_eq!(s.count, 4);
         assert_eq!(s.seconds_total, 46.0, "stats carry the source unit (ms)");

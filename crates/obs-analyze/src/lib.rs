@@ -28,7 +28,7 @@ pub mod indicators;
 pub mod json;
 pub mod parse;
 
-pub use indicators::{compute as compute_indicators, IndicatorConfig, Indicators};
+pub use indicators::{compute as compute_indicators, Indicators};
 pub use json::{JsonError, Value};
 pub use parse::{
     cross_check, first_order_violation, parse_metrics, parse_trace, parse_trace_line,

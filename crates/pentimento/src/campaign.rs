@@ -6,13 +6,13 @@
 //! victim's board back, classify from the recovery slope). The
 //! threat-model entry points [`crate::threat_model1::run`] and
 //! [`crate::threat_model2::run`] are benign campaigns: no injected
-//! faults, default retry policy. A real multi-hundred-hour campaign
+//! faults, default retry budget. A real multi-hundred-hour campaign
 //! also meets preempted sessions, capacity blips, spurious scrubs, and
 //! sensor dropouts, so the runner:
 //!
 //! * classifies every failure as **transient or fatal**
 //!   ([`PentimentoError::is_transient`]) and retries transients under an
-//!   exponential-backoff [`RetryPolicy`] with deterministic jitter;
+//!   exponential backoff with deterministic jitter;
 //! * survives **preemption** by re-renting until a physical
 //!   [`DeviceFingerprint`] (per-route silicon delays, process variation)
 //!   confirms the same board came back, squatting on impostors so the
@@ -65,48 +65,34 @@ use crate::threat_model1::ThreatModel1Config;
 use crate::threat_model2::ThreatModel2Config;
 use crate::{MeasurementMode, PentimentoError, RouteGroupSpec, RouteSeries, Skeleton};
 
-/// Retry budget and backoff shape for transient failures.
+/// First-retry wait, in seconds.
+const BASE_BACKOFF_S: f64 = 0.5;
+/// Ceiling on any single wait, in seconds.
+const MAX_BACKOFF_S: f64 = 64.0;
+/// Seed of the backoff jitter stream.
+const JITTER_SEED: u64 = 0x00C0_FFEE;
+/// Per-route delay slack for fingerprint matching, in ps. Aging moves a
+/// route by well under a picosecond over a campaign; distinct silicon
+/// differs by tens to hundreds.
+const FINGERPRINT_TOLERANCE_PS: f64 = 10.0;
+/// Minimum fraction of usable samples per trace for the robust
+/// aggregation path (engaged only under hostile sensor faults).
+const ROBUST_MIN_QUORUM: f64 = 0.5;
+
+/// The wait before retry number `attempt` (1-based), for the campaign's
+/// `draw`-th backoff overall: exponential growth, capped, with jitter in
+/// `[0.5, 1.5)` of the nominal value.
 ///
-/// Backoff is exponential with multiplicative jitter drawn
-/// deterministically from `jitter_seed` and a per-campaign draw counter,
-/// so replaying a campaign replays its waits. The accumulated wait is
-/// *simulated wall-clock* bookkeeping ([`CampaignStats::backoff_seconds`])
-/// — it never advances provider hours.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Attempts per operation before the error escalates to
-    /// [`PentimentoError::RetriesExhausted`].
-    pub max_attempts: u32,
-    /// First-retry wait, in seconds.
-    pub base_backoff_s: f64,
-    /// Ceiling on any single wait, in seconds.
-    pub max_backoff_s: f64,
-    /// Seed of the jitter stream.
-    pub jitter_seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 6,
-            base_backoff_s: 0.5,
-            max_backoff_s: 64.0,
-            jitter_seed: 0x00C0_FFEE,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The wait before retry number `attempt` (1-based), for the
-    /// campaign's `draw`-th backoff overall: exponential growth, capped,
-    /// with jitter in `[0.5, 1.5)` of the nominal value.
-    #[must_use]
-    fn backoff_s(&self, attempt: u32, draw: u64) -> f64 {
-        let exponent = attempt.saturating_sub(1).min(32);
-        let nominal = self.base_backoff_s * f64::from(1u32 << exponent.min(20));
-        let jitter = 0.5 + uniform01(self.jitter_seed, draw);
-        (nominal * jitter).min(self.max_backoff_s)
-    }
+/// The jitter is drawn deterministically from [`JITTER_SEED`] and the
+/// draw counter, so replaying a campaign replays its waits. The
+/// accumulated wait is *simulated wall-clock* bookkeeping
+/// ([`CampaignStats::backoff_seconds`]) — it never advances provider
+/// hours.
+fn backoff_s(attempt: u32, draw: u64) -> f64 {
+    let exponent = attempt.saturating_sub(1).min(32);
+    let nominal = BASE_BACKOFF_S * f64::from(1u32 << exponent.min(20));
+    let jitter = 0.5 + uniform01(JITTER_SEED, draw);
+    (nominal * jitter).min(MAX_BACKOFF_S)
 }
 
 /// SplitMix64-derived uniform draw in `[0, 1)` — deterministic jitter.
@@ -223,8 +209,9 @@ impl Mission {
 /// Hostile-environment knobs and recovery tuning for one campaign.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignConfig {
-    /// Retry budget and backoff shape.
-    pub retry: RetryPolicy,
+    /// Attempts per operation before a transient error escalates to
+    /// [`PentimentoError::RetriesExhausted`].
+    pub max_attempts: u32,
     /// Cloud-level fault plan, armed when the attack window opens.
     /// Scheduled fault times are interpreted as **hours into the attack
     /// window** and rebased onto provider time at arming.
@@ -232,23 +219,14 @@ pub struct CampaignConfig {
     /// Sensor-level fault plan, installed on every placed sensor when the
     /// attack window opens (calibration stays clean).
     pub sensor_faults: SensorFaultPlan,
-    /// Per-route delay slack for fingerprint matching, in ps. Aging moves
-    /// a route by well under a picosecond over a campaign; distinct
-    /// silicon differs by tens to hundreds.
-    pub fingerprint_tolerance_ps: f64,
-    /// Minimum fraction of usable samples per trace for the robust
-    /// aggregation path (engaged only under hostile sensor faults).
-    pub robust_min_quorum: f64,
 }
 
 impl Default for CampaignConfig {
     fn default() -> Self {
         Self {
-            retry: RetryPolicy::default(),
+            max_attempts: 6,
             fault_plan: FaultPlan::none(),
             sensor_faults: SensorFaultPlan::none(),
-            fingerprint_tolerance_ps: 10.0,
-            robust_min_quorum: 0.5,
         }
     }
 }
@@ -452,7 +430,7 @@ impl Campaign {
     /// # Errors
     ///
     /// Propagates setup failures; transient rent failures are retried
-    /// under the policy and escalate to
+    /// under the budget and escalate to
     /// [`PentimentoError::RetriesExhausted`].
     pub fn new(
         provider: Provider,
@@ -619,7 +597,7 @@ impl Campaign {
         // the fingerprint captured here guards all later reacquisitions.
         let mut impostors: Vec<Session> = Vec::new();
         let mut reacquired = None;
-        for _ in 0..self.config.retry.max_attempts {
+        for _ in 0..self.config.max_attempts {
             let session = self.rent_with_retries(&attacker)?;
             if session.device_id() == victim_device {
                 reacquired = Some(session);
@@ -1126,14 +1104,14 @@ impl Campaign {
         let tenant = TenantId::new("attacker");
         let mut impostors: Vec<Session> = Vec::new();
         let mut outcome: Result<Session, PentimentoError> = Err(PentimentoError::VictimDeviceLost);
-        for attempt in 1..=self.config.retry.max_attempts {
+        for attempt in 1..=self.config.max_attempts {
             match self.provider.rent(tenant.clone()) {
                 Ok(session) => {
                     let device = self.provider.device(&session)?;
                     if self.run.fingerprint.matches(
                         device,
                         &self.run.skeleton,
-                        self.config.fingerprint_tolerance_ps,
+                        FINGERPRINT_TOLERANCE_PS,
                     ) {
                         outcome = Ok(session);
                         break;
@@ -1165,7 +1143,7 @@ impl Campaign {
             }
             Err(e) if e.is_transient() => Err(PentimentoError::RetriesExhausted {
                 operation: "reacquire device",
-                attempts: self.config.retry.max_attempts,
+                attempts: self.config.max_attempts,
                 last: Box::new(e),
             }),
             Err(e) => Err(e),
@@ -1185,7 +1163,7 @@ impl Campaign {
 
     fn rent_with_retries(&mut self, tenant: &TenantId) -> Result<Session, PentimentoError> {
         let mut last = PentimentoError::Cloud(CloudError::CapacityExhausted);
-        for attempt in 1..=self.config.retry.max_attempts {
+        for attempt in 1..=self.config.max_attempts {
             match self.provider.rent(tenant.clone()) {
                 Ok(session) => return Ok(session),
                 Err(e) if e.is_transient() => {
@@ -1198,13 +1176,13 @@ impl Campaign {
         }
         Err(PentimentoError::RetriesExhausted {
             operation: "rent",
-            attempts: self.config.retry.max_attempts,
+            attempts: self.config.max_attempts,
             last: Box::new(last),
         })
     }
 
     fn note_backoff(&mut self, attempt: u32) {
-        let wait = self.config.retry.backoff_s(attempt, self.backoff_draws);
+        let wait = backoff_s(attempt, self.backoff_draws);
         self.backoff_draws += 1;
         self.stats.backoff_seconds += wait;
         if let Some(r) = self.obs() {
@@ -1267,8 +1245,7 @@ impl Campaign {
                 // the plain estimator is the attacker's optimum.
                 let robust = self.armed && !self.config.sensor_faults.is_benign();
                 let master = self.mission.seed();
-                let quorum = self.config.robust_min_quorum;
-                let retry = self.config.retry;
+                let max_attempts = self.config.max_attempts;
                 let device = self.provider.device(&session)?;
                 let span = self.obs().map(|r| r.span("tdc.measure_batch"));
                 let points: Vec<Result<RoutePoint, PentimentoError>> = self
@@ -1278,7 +1255,14 @@ impl Campaign {
                     .enumerate()
                     .map(|(i, sensor)| {
                         measure_route(
-                            device, sensor, i, phase, master, repeats, robust, quorum, &retry,
+                            device,
+                            sensor,
+                            i,
+                            phase,
+                            master,
+                            repeats,
+                            robust,
+                            max_attempts,
                         )
                     })
                     .collect();
@@ -1379,8 +1363,7 @@ fn measure_route(
     master_seed: u64,
     repeats: usize,
     robust: bool,
-    quorum: f64,
-    retry: &RetryPolicy,
+    max_attempts: u32,
 ) -> Result<RoutePoint, PentimentoError> {
     let mut rng = StdRng::seed_from_u64(stream_seed(
         master_seed,
@@ -1400,9 +1383,9 @@ fn measure_route(
     let mut acc = 0.0;
     for _ in 0..repeats {
         let mut sample = None;
-        for attempt in 1..=retry.max_attempts {
+        for attempt in 1..=max_attempts {
             let result = if robust {
-                sensor.measure_robust_at(delay, quorum, &mut rng)
+                sensor.measure_robust_at(delay, ROBUST_MIN_QUORUM, &mut rng)
             } else {
                 sensor.measure_at(delay, &mut rng)
             };
@@ -1420,7 +1403,7 @@ fn measure_route(
                     // the wait bookkeeping cannot depend on scheduling.
                     let draw = stream_seed(route as u64, phase, u64::from(point.retries));
                     point.retries += 1;
-                    point.backoff_s += retry.backoff_s(attempt, draw);
+                    point.backoff_s += backoff_s(attempt, draw);
                 }
                 Err(e) => return Err(e.into()),
             }
@@ -1697,7 +1680,7 @@ mod tests {
     fn exhausted_reacquisition_budget_is_a_typed_fatal_error() {
         let provider = Provider::new(ProviderConfig::aws_f1_like(1, 1));
         let mut config = CampaignConfig::default();
-        config.retry.max_attempts = 3;
+        config.max_attempts = 3;
         // Preempt early, then make every rent fail: recovery cannot win.
         config.fault_plan =
             FaultPlan::none().with_scheduled(Hours::new(2.0), FaultKind::Preemption);
@@ -1737,9 +1720,9 @@ mod tests {
         let b = provider.device_by_id(DeviceId(1)).unwrap();
         let skeleton = Skeleton::place(a, &specs).unwrap();
         let fp = DeviceFingerprint::capture(a, &skeleton);
-        assert!(fp.matches(a, &skeleton, 10.0));
+        assert!(fp.matches(a, &skeleton, FINGERPRINT_TOLERANCE_PS));
         assert!(
-            !fp.matches(b, &skeleton, 10.0),
+            !fp.matches(b, &skeleton, FINGERPRINT_TOLERANCE_PS),
             "distinct silicon must differ"
         );
         assert_ne!(
@@ -1750,16 +1733,15 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_capped_and_growing() {
-        let policy = RetryPolicy::default();
-        assert_eq!(policy.backoff_s(1, 0), policy.backoff_s(1, 0));
+        assert_eq!(backoff_s(1, 0), backoff_s(1, 0));
         // Jitter keeps every wait within [0.5, 1.5) of nominal.
         for attempt in 1..=6 {
-            let wait = policy.backoff_s(attempt, u64::from(attempt));
-            let nominal = policy.base_backoff_s * f64::from(1u32 << (attempt - 1));
-            assert!(wait >= 0.5 * nominal.min(policy.max_backoff_s));
-            assert!(wait <= policy.max_backoff_s);
+            let wait = backoff_s(attempt, u64::from(attempt));
+            let nominal = BASE_BACKOFF_S * f64::from(1u32 << (attempt - 1));
+            assert!(wait >= 0.5 * nominal.min(MAX_BACKOFF_S));
+            assert!(wait <= MAX_BACKOFF_S);
         }
         // Deep attempts saturate at the cap instead of overflowing.
-        assert_eq!(policy.backoff_s(40, 1), policy.max_backoff_s);
+        assert_eq!(backoff_s(40, 1), MAX_BACKOFF_S);
     }
 }

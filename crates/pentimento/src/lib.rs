@@ -73,7 +73,7 @@ pub mod threat_model2;
 
 pub use campaign::{
     Campaign, CampaignCheckpoint, CampaignConfig, CampaignOutcome, CampaignStats,
-    DeviceFingerprint, Mission, RetryPolicy,
+    DeviceFingerprint, Mission,
 };
 pub use classify::{
     BitClassifier, Classification, DriftSlopeClassifier, MatchedFilterClassifier,

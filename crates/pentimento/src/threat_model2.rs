@@ -107,11 +107,10 @@ pub struct ThreatModel2Outcome {
 ///
 /// * no board is rentable once the victim leaves (a quarantined fleet
 ///   withholds the returned board): [`PentimentoError::RetriesExhausted`]
-///   for operation `"rent"`, after the default [`RetryPolicy`] budget;
+///   for operation `"rent"`, after the default
+///   [`CampaignConfig::max_attempts`] budget;
 /// * every attempt rents some other board:
 ///   [`PentimentoError::VictimDeviceLost`].
-///
-/// [`RetryPolicy`]: crate::campaign::RetryPolicy
 pub fn run(
     provider: &mut Provider,
     config: &ThreatModel2Config,
@@ -135,7 +134,6 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RetryPolicy;
     use bti_physics::Hours;
     use cloud::{CloudError, ProviderConfig};
 
@@ -234,7 +232,7 @@ mod tests {
                 ref last,
             } => {
                 assert_eq!(operation, "rent");
-                assert_eq!(attempts, RetryPolicy::default().max_attempts);
+                assert_eq!(attempts, CampaignConfig::default().max_attempts);
                 assert!(
                     matches!(
                         **last,

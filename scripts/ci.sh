@@ -151,7 +151,7 @@ echo "== chaos_suite smoke (crash-safe fleet supervision) =="
 # combined supervisor + campaign trace must validate through the strict
 # obs-analyze parser (fleet events ride the tick axis, content-sorted).
 # A second fresh run at --threads 1 must reproduce BENCH_chaos.json
-# byte-identically.
+# byte-identically, and both must equal the checked-in copy.
 rm -rf /tmp/ci_chaos_flight
 cargo run --release -q -p bench --bin chaos_suite -- --smoke \
     --flight-dir /tmp/ci_chaos_flight \
@@ -174,6 +174,10 @@ cp results/BENCH_chaos.json /tmp/ci_first_BENCH_chaos.json
 cargo run --release -q -p bench --bin chaos_suite -- --smoke --threads 1
 cmp results/BENCH_chaos.json /tmp/ci_first_BENCH_chaos.json \
     || { echo "FAIL: --threads 1 rerun changed BENCH_chaos.json"; exit 1; }
+# BENCH_chaos.json holds only verdicts and counts (no timings, no host
+# facts), so it must also match the checked-in copy byte for byte.
+git diff --exit-code -- results/BENCH_chaos.json \
+    || { echo "FAIL: BENCH_chaos.json differs from the checked-in copy"; exit 1; }
 
 echo "== fleet_scaling smoke (serial fleet tick, pool widths 1 and 2) =="
 # Drives the full 64-campaign fleet through the serial supervisor tick

@@ -9,7 +9,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use obs_analyze::indicators::{compute, IndicatorConfig};
+use obs_analyze::indicators::compute;
 use obs_analyze::parse::{cross_check, first_order_violation, parse_metrics, parse_trace};
 
 fn fixture(name: &str) -> String {
@@ -41,7 +41,7 @@ fn mini_trace_fixture_round_trips_and_validates() {
 fn indicator_markdown_report_is_byte_identical_to_golden() {
     let events = parse_trace(&fixture("mini_trace.jsonl")).expect("parses");
     let metrics = parse_metrics(&fixture("mini_metrics.json")).expect("parses");
-    let report = compute(&events, Some(&metrics), &IndicatorConfig::default());
+    let report = compute(&events, Some(&metrics));
     assert_eq!(
         report.to_markdown(),
         fixture("mini_trace.indicators.md"),
@@ -50,6 +50,6 @@ fn indicator_markdown_report_is_byte_identical_to_golden() {
     );
     // The JSON rendering is deterministic too (golden-free: two computes
     // must agree byte-for-byte).
-    let again = compute(&events, Some(&metrics), &IndicatorConfig::default());
+    let again = compute(&events, Some(&metrics));
     assert_eq!(report.to_json(), again.to_json());
 }

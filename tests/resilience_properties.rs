@@ -65,7 +65,7 @@ fn tm2_config(seed: u64) -> ThreatModel2Config {
 /// below can consume ("sufficient" in the property statement).
 fn generous_config(fault_plan: FaultPlan) -> CampaignConfig {
     let mut config = CampaignConfig::default();
-    config.retry.max_attempts = 12;
+    config.max_attempts = 12;
     config.fault_plan = fault_plan;
     config
 }
