@@ -120,12 +120,11 @@ pub fn class_mean_at_hour(
     Ok(mean(&v))
 }
 
-/// Writes an artifact into `results/` (created on demand), returning its
-/// path.
+/// Writes an artifact into `results/` under the current directory
+/// (created on demand), returning its path. Run the bins from the
+/// repository root to refresh the checked-in artifacts.
 pub fn save_artifact(name: &str, contents: &str) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results");
+    let dir = PathBuf::from("results");
     fs::create_dir_all(&dir)?;
     let path = dir.join(name);
     fs::write(&path, contents)?;

@@ -182,8 +182,8 @@ impl ChaosCursor {
 
     /// Draws consumed so far for `action` — the replay witness the
     /// tests compare.
-    #[must_use]
-    pub fn draws_consumed(&self, action: ChaosAction) -> u64 {
+    #[cfg(test)]
+    fn draws_consumed(&self, action: ChaosAction) -> u64 {
         match action {
             ChaosAction::Kill => self.counters[0],
             ChaosAction::Corrupt => self.counters[1],

@@ -303,17 +303,17 @@ impl DeviceFingerprint {
         }
     }
 
-    /// Whether `device` carries this fingerprint, to within
-    /// `tolerance_ps` on every route.
+    /// Whether `device` carries this fingerprint: every route's delay
+    /// within `FINGERPRINT_TOLERANCE_PS` (10 ps) of the captured one.
     #[must_use]
-    pub fn matches(&self, device: &FpgaDevice, skeleton: &Skeleton, tolerance_ps: f64) -> bool {
+    pub fn matches(&self, device: &FpgaDevice, skeleton: &Skeleton) -> bool {
         let observed = Self::capture(device, skeleton);
         observed.route_rise_ps.len() == self.route_rise_ps.len()
             && observed
                 .route_rise_ps
                 .iter()
                 .zip(&self.route_rise_ps)
-                .all(|(a, b)| (a - b).abs() <= tolerance_ps)
+                .all(|(a, b)| (a - b).abs() <= FINGERPRINT_TOLERANCE_PS)
     }
 
     /// A compact digest (FNV-1a over 25 ps-quantized delays) for
@@ -383,9 +383,9 @@ pub struct Campaign {
 /// A point-in-time snapshot of a campaign plus two integrity seals.
 ///
 /// The snapshot is clone-based (the simulation lives in memory). It is
-/// sealed twice: a dense FNV-1a checksum over the serialized state
-/// ([`Campaign::state_checksum`]) that any single-field mutation
-/// invalidates, and a human-readable JSON manifest
+/// sealed twice: a dense FNV-1a checksum folded over a fixed list of
+/// state fields ([`Campaign::state_checksum`]) that any single-field
+/// mutation invalidates, and a human-readable JSON manifest
 /// ([`Campaign::manifest_json`]) summarizing the headline fields.
 /// [`Campaign::resume`] recomputes both and rejects any checkpoint whose
 /// seals no longer describe its state with
@@ -923,10 +923,11 @@ impl Campaign {
         )
     }
 
-    /// A checksum over the serialized campaign state: every field that
-    /// determines future behaviour — measurements, truth, RNG stream
-    /// position, fault-draw counters, provider clock — folded through
-    /// FNV-1a in a fixed canonical order.
+    /// A checksum over the campaign state: every field that determines
+    /// future behaviour — measurements, truth, RNG stream position,
+    /// fault-draw counters, provider clock — folded through FNV-1a in a
+    /// fixed canonical order. Nothing is serialized; the fold reads the
+    /// fields in place.
     ///
     /// Unlike [`manifest_json`](Self::manifest_json) (a human-readable
     /// summary of a handful of headline fields), the checksum covers the
@@ -1108,11 +1109,7 @@ impl Campaign {
             match self.provider.rent(tenant.clone()) {
                 Ok(session) => {
                     let device = self.provider.device(&session)?;
-                    if self.run.fingerprint.matches(
-                        device,
-                        &self.run.skeleton,
-                        FINGERPRINT_TOLERANCE_PS,
-                    ) {
+                    if self.run.fingerprint.matches(device, &self.run.skeleton) {
                         outcome = Ok(session);
                         break;
                     }
@@ -1720,11 +1717,8 @@ mod tests {
         let b = provider.device_by_id(DeviceId(1)).unwrap();
         let skeleton = Skeleton::place(a, &specs).unwrap();
         let fp = DeviceFingerprint::capture(a, &skeleton);
-        assert!(fp.matches(a, &skeleton, FINGERPRINT_TOLERANCE_PS));
-        assert!(
-            !fp.matches(b, &skeleton, FINGERPRINT_TOLERANCE_PS),
-            "distinct silicon must differ"
-        );
+        assert!(fp.matches(a, &skeleton));
+        assert!(!fp.matches(b, &skeleton), "distinct silicon must differ");
         assert_ne!(
             fp.digest(),
             DeviceFingerprint::capture(b, &skeleton).digest()

@@ -282,6 +282,7 @@ fn select_median(values: &mut [f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A trace of 64-element samples at these distances.
     fn trace_of(theta: f64, rising: &[usize], falling: &[usize]) -> Trace {
@@ -392,5 +393,52 @@ mod tests {
         assert!((robust.delta_ps - plain.delta_ps).abs() < 1e-9);
         assert!((robust.rise_delay_ps - plain.rise_delay_ps).abs() < 1e-9);
         assert_eq!(robust.trace_count, plain.trace_count);
+    }
+
+    /// The sort-based oracle for [`select_median`]: sort a copy, average
+    /// the middle.
+    fn median_sorted(values: &[f64]) -> f64 {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let mid = sorted.len() / 2;
+        if sorted.len().is_multiple_of(2) {
+            (sorted[mid - 1] + sorted[mid]) / 2.0
+        } else {
+            sorted[mid]
+        }
+    }
+
+    proptest! {
+        /// Selection median vs. sort median, both parities, bit-exact.
+        #[test]
+        fn select_median_matches_sort_median(
+            values in proptest::collection::vec(-1_000.0f64..1_000.0, 2..200),
+        ) {
+            for values in [&values[..], &values[1..]] {
+                let mut scratch = values.to_vec();
+                prop_assert_eq!(
+                    select_median(&mut scratch).to_bits(),
+                    median_sorted(values).to_bits()
+                );
+            }
+        }
+
+        /// MAD rejection is invariant under a common shift of every
+        /// trace's Δps, and it drops exactly the burst-wrecked one.
+        #[test]
+        fn mad_inlier_mask_is_shift_invariant(
+            shift in -500.0f64..500.0,
+            spike_at in 0usize..10,
+            spike in 25.0f64..80.0,
+            k in 3.0f64..5.0,
+        ) {
+            let mut values: Vec<f64> = (0..10).map(|i| f64::from(i) * 0.5).collect();
+            values[spike_at] += spike;
+            let shifted: Vec<f64> = values.iter().map(|v| v + shift).collect();
+            let mask = mad_inlier_mask(&values, k);
+            prop_assert_eq!(&mask, &mad_inlier_mask(&shifted, k));
+            prop_assert_eq!(mask.iter().filter(|&&kept| !kept).count(), 1);
+            prop_assert!(!mask[spike_at], "the spiked trace must be rejected");
+        }
     }
 }

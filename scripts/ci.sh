@@ -26,6 +26,12 @@ echo "== fig2_inverter + lut_comparison (single-resource aging shape checks) =="
 cargo run --release -q -p bench --bin fig2_inverter
 cargo run --release -q -p bench --bin lut_comparison
 
+echo "== ablations + ro_baseline (shape checks) =="
+# Both bins exit non-zero when a shape check fails; neither writes an
+# artifact.
+cargo run --release -q -p bench --bin ablations
+cargo run --release -q -p bench --bin ro_baseline
+
 echo "== fig3_traces (raw capture words, byte identity) =="
 # The one bin that prints raw capture words (through
 # TdcSensor::capture_sample): it exits non-zero when a shape check fails,
@@ -54,11 +60,15 @@ for seed in $(seq 0 10); do
 done
 
 echo "== fig6 + fig7 + fig8 + repeatability (paper figures, byte identity) =="
-# fig6 pins the lab burn-in/recovery experiment end to end. The other
+# fig6 pins the lab burn-in/recovery experiment end to end; its stdout
+# must also match the checked-in copy, which pins the smoothed
+# recovery-crossing check (the smoother's only consumer). The other
 # bins reach the attack protocol only through threat_model1::run /
 # threat_model2::run, so their checked-in CSVs pin those entry points
 # end to end: any bit they move must fail here.
-cargo run --release -q -p bench --bin fig6
+cargo run --release -q -p bench --bin fig6 > /tmp/ci_fig6.txt
+cmp results/fig6.txt /tmp/ci_fig6.txt \
+    || { echo "FAIL: fig6 stdout differs from results/fig6.txt"; exit 1; }
 cargo run --release -q -p bench --bin fig7
 cargo run --release -q -p bench --bin fig8
 cargo run --release -q -p bench --bin repeatability

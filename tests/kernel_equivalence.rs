@@ -2,7 +2,7 @@
 //! the optimized kernels must be interchangeable with their reference
 //! implementations everywhere the simulator uses them.
 //!
-//! Three families, three contracts:
+//! Two families, two contracts:
 //!
 //! 1. **Closed-form phase advance** — `AgingArena::advance_slot` over a
 //!    random piecewise-constant phase schedule tracks hour-by-hour
@@ -12,23 +12,20 @@
 //!    be bit-identical to a single `TrapBin::advance` call of the same
 //!    duration, which is what the device layer's kernel cache relies
 //!    on).
-//! 2. **Banded local regression** — `smooth` (Gaussian kernel truncated
-//!    at +-8 sigma) matches the dense `smooth_dense` reference to
-//!    <= 1e-9 relative on random sorted grids, including bandwidths so
-//!    wide that every boundary window is narrower than 8 sigma (the
-//!    truncation never fires) and so narrow that almost every window
-//!    truncates on both sides.
-//! 3. **Selection median** — `median_in_place` is *bit-identical* to
-//!    the sort-based `median_sorted` on NaN-free input, both parities.
+//! 2. **Smoother locality** — the dense local-linear smoother, re-run on
+//!    only the samples within +-8 bandwidths of a point, reproduces that
+//!    point's value to <= 1e-9 relative on random sorted grids: weights
+//!    beyond the band are at most `exp(-32)` of the peak, so a banded
+//!    evaluation would change nothing measurable.
 //!
-//! A fourth family: the structure-of-arrays [`AgingArena`] batched
+//! A third family: the structure-of-arrays [`AgingArena`] batched
 //! sweep (`advance_phase_all`) must be *bit-identical* to stepping every
 //! wire's bins one at a time through `TrapBin::advance`, across random
 //! wire counts, mixed duties, saturating occupancies and interleaved
 //! relax phases.
 
 use bti_physics::{AgingArena, BtiModel, Celsius, DecayCache, DutyCycle, Hours, Polarity, TrapBin};
-use pentimento::analysis::{median_in_place, KernelEstimator, KernelRegression};
+use pentimento::analysis::smooth_local_linear;
 use proptest::prelude::*;
 
 /// Duty cycles biased toward the paper's static-burn endpoints but
@@ -96,21 +93,6 @@ fn oracle_step(
 /// Normalized threshold-voltage shift of one polarity's bins.
 fn level(bins: &[TrapBin]) -> f64 {
     bins.iter().map(|b| b.weight * b.occupancy).sum()
-}
-
-/// The sort-based median oracle: sort a copy, average the middle.
-fn median_sorted(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let mid = sorted.len() / 2;
-    if sorted.len().is_multiple_of(2) {
-        (sorted[mid - 1] + sorted[mid]) / 2.0
-    } else {
-        sorted[mid]
-    }
 }
 
 /// Max relative disagreement between two occupancy levels.
@@ -215,25 +197,24 @@ proptest! {
         }
     }
 
-    /// (2) Banded smoother equivalence on random sorted grids. Small
-    /// bandwidths make nearly every window truncate at +-8 sigma;
-    /// large ones keep every window (including the boundary windows,
-    /// which are narrower than 8 sigma) dense — both must agree with
-    /// the O(n^2) reference.
+    /// (2) Smoother locality on random sorted grids. Small bandwidths
+    /// make nearly every band truncate at +-8 sigma; large ones keep
+    /// every band (including the boundary bands, which are narrower
+    /// than 8 sigma) whole — both must agree with the dense smoother.
     #[test]
     fn banded_smoother_matches_dense(
         (x, y) in (20usize..120).prop_flat_map(sorted_series),
         bandwidth in prop_oneof![0.1f64..1.0, 20.0f64..200.0],
-        estimator in prop_oneof![
-            Just(KernelEstimator::LocallyConstant),
-            Just(KernelEstimator::LocallyLinear),
-        ],
     ) {
-        let fit = KernelRegression::fit(&x, &y, bandwidth, estimator).expect("valid series");
-        let dense = fit.smooth_dense();
-        let banded = fit.smooth();
-        prop_assert_eq!(dense.len(), banded.len());
-        for (i, (&d, &b)) in dense.iter().zip(&banded).enumerate() {
+        let dense = smooth_local_linear(&x, &y, bandwidth).expect("valid series");
+        prop_assert_eq!(dense.len(), x.len());
+        let radius = 8.0 * bandwidth;
+        for (i, &d) in dense.iter().enumerate() {
+            let lo = x.partition_point(|&h| h < x[i] - radius);
+            let hi = x.partition_point(|&h| h <= x[i] + radius);
+            let band = smooth_local_linear(&x[lo..hi], &y[lo..hi], bandwidth)
+                .expect("band holds x[i]");
+            let b = band[i - lo];
             prop_assert!(
                 rel_err(d, b) <= 1e-9,
                 "index {i}: dense {d} vs banded {b} (bw {bandwidth})"
@@ -241,25 +222,7 @@ proptest! {
         }
     }
 
-    /// (3) Selection median vs. sort median, both parities, bit-exact.
-    #[test]
-    fn selection_median_matches_sort_median(
-        values in proptest::collection::vec(-1_000.0f64..1_000.0, 1..200),
-    ) {
-        let mut scratch = values.clone();
-        prop_assert_eq!(
-            median_in_place(&mut scratch).to_bits(),
-            median_sorted(&values).to_bits()
-        );
-        // Force the opposite parity too.
-        let mut trimmed = values[1..].to_vec();
-        prop_assert_eq!(
-            median_in_place(&mut trimmed).to_bits(),
-            median_sorted(&values[1..]).to_bits()
-        );
-    }
-
-    /// (4) Whole-device arena sweep: across random populations, mixed
+    /// (3) Whole-device arena sweep: across random populations, mixed
     /// duties (including the saturating 0/1 endpoints that park
     /// occupancies on the clamp boundary), zero-length phases and
     /// interleaved relax phases, the batched `advance_phase_all` must

@@ -133,10 +133,12 @@ fn classifiers_are_consistent_between_modes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `try_window_from` never panics: any cut point either yields a
-    /// well-formed sub-series (every kept hour >= the cut) or the typed
-    /// `InvalidConfig` error — and it errs exactly when the cut lies
-    /// beyond the last measurement.
+    /// Windowing a series at any cut point is total: with every phase
+    /// before the cut dropped (a Threat Model 2 attacker sees nothing
+    /// before they get the board), `from_observations` either yields the
+    /// hours at or after the cut, re-centered on the first of them, or
+    /// the typed `InvalidConfig` error — exactly when fewer than two
+    /// measurements remain.
     #[test]
     fn window_from_is_total_over_cut_points(
         n in 1usize..12,
@@ -144,51 +146,28 @@ proptest! {
         cut in -5.0f64..200.0,
     ) {
         use pentimento::RouteSeries;
-        let hours: Vec<f64> = (0..n).map(|i| i as f64 * step).collect();
-        let deltas: Vec<f64> = hours.iter().map(|h| h * 0.01).collect();
-        let series = RouteSeries::from_raw(0, 5_000.0, LogicLevel::One, hours.clone(), deltas);
-        match series.try_window_from(cut) {
+        let observations: Vec<(f64, Option<f64>)> = (0..n)
+            .map(|i| {
+                let h = i as f64 * step;
+                (h, (h >= cut).then_some(h * 0.01))
+            })
+            .collect();
+        let kept: Vec<f64> = observations
+            .iter()
+            .filter_map(|&(h, reading)| reading.map(|_| h))
+            .collect();
+        match RouteSeries::from_observations(0, 5_000.0, LogicLevel::One, &observations) {
             Ok(window) => {
-                prop_assert!(!window.hours.is_empty());
-                prop_assert!(window.hours.iter().all(|&h| h >= cut));
-                prop_assert_eq!(
-                    window.hours.len(),
-                    hours.iter().filter(|&&h| h >= cut).count()
-                );
+                prop_assert_eq!(&window.hours, &kept);
+                prop_assert_eq!(window.delta_ps[0], 0.0);
             }
             Err(e) => {
                 prop_assert!(
-                    hours.iter().all(|&h| h < cut),
-                    "typed error only for empty windows, got {e} with cut {cut}"
+                    kept.len() < 2,
+                    "typed error only for windows under two points, got {e} with cut {cut}"
                 );
             }
         }
-    }
-
-    /// MAD outlier rejection is invariant under vertical shifts: adding a
-    /// constant to every sample must reject exactly the same hours,
-    /// because residuals are taken against a slope-and-intercept fit.
-    #[test]
-    fn mad_filter_is_shift_invariant(
-        shift in -500.0f64..500.0,
-        spike_at in 0usize..10,
-        spike in 25.0f64..80.0,
-        k in 2.0f64..4.0,
-    ) {
-        use pentimento::RouteSeries;
-        let hours: Vec<f64> = (0..10).map(|i| i as f64 * 3.0).collect();
-        let mut deltas: Vec<f64> = hours.iter().map(|h| 1.0 + 0.2 * h).collect();
-        deltas[spike_at] += spike;
-        let shifted: Vec<f64> = deltas.iter().map(|d| d + shift).collect();
-        let base = RouteSeries::from_raw(0, 5_000.0, LogicLevel::One, hours.clone(), deltas)
-            .mad_filtered(k);
-        let moved = RouteSeries::from_raw(0, 5_000.0, LogicLevel::One, hours, shifted)
-            .mad_filtered(k);
-        prop_assert_eq!(&base.hours, &moved.hours, "same hours must survive the filter");
-        prop_assert!(
-            !base.hours.contains(&(spike_at as f64 * 3.0)),
-            "the spiked sample must be rejected"
-        );
     }
 
     /// The ROC machinery is total over contaminated statistics: NaN and
@@ -274,28 +253,28 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&auc), "auc out of [0,1]: {auc}");
     }
 
-    /// Silverman's rule yields a strictly positive, finite bandwidth for
-    /// any grid — constant, single-point, empty, or wildly scaled — so
-    /// `fit_auto` can never divide kernel weights by zero.
+    /// The smoother's bandwidth is always positive and finite: every
+    /// other value is a typed error, and any accepted one — far below or
+    /// far above the sample spacing, on a spread or a collapsed grid —
+    /// smooths every sample to a finite value.
     #[test]
     fn silverman_bandwidth_is_always_positive_and_finite(
-        mut x in proptest::collection::vec(-1e9f64..1e9, 0..64),
+        mut x in proptest::collection::vec(-1e3f64..1e3, 1..64),
+        y_scale in -1e3f64..1e3,
+        bandwidth in prop_oneof![1e-9f64..1e-3, 1.0f64..1e6],
         collapse in any::<bool>(),
     ) {
-        use pentimento::analysis::silverman_bandwidth;
+        use pentimento::analysis::smooth_local_linear;
         if collapse {
-            // Degenerate variant: every sample identical.
-            let v = x.first().copied().unwrap_or(0.0);
-            for s in &mut x { *s = v; }
+            // Degenerate variant: every sample at one hour.
+            let v = x[0];
+            x.fill(v);
         }
-        let h = silverman_bandwidth(&x);
-        prop_assert!(h.is_finite(), "bandwidth must be finite: {h}");
-        prop_assert!(h >= 1e-9, "bandwidth must clear the floor: {h}");
-        if collapse {
-            // Not exactly the floor: a constant grid at large magnitude
-            // keeps a ~|v|·ε rounding residue in its computed σ. The
-            // contract is only that the bandwidth stays tiny but usable.
-            prop_assert!(h < 1e-6, "constant grid bandwidth stays near the floor: {h}");
+        let y: Vec<f64> = x.iter().map(|h| y_scale * (h / 1e3).sin()).collect();
+        let smooth = smooth_local_linear(&x, &y, bandwidth).expect("valid bandwidth");
+        prop_assert!(smooth.iter().all(|v| v.is_finite()), "non-finite smooth: {smooth:?}");
+        for bad in [0.0, -bandwidth, f64::NAN, f64::INFINITY] {
+            prop_assert!(smooth_local_linear(&x, &y, bad).is_err(), "bandwidth {bad} accepted");
         }
     }
 }
