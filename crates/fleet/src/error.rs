@@ -150,12 +150,12 @@ pub enum FleetError {
         /// The underlying store error.
         source: StoreError,
     },
-    /// The per-device circuit breaker opened: repeated failures on this
-    /// device tripped it, and the device was quarantined.
+    /// The campaign failed three times in a row (transient errors or
+    /// failed restores) and was quarantined.
     CircuitOpen {
-        /// The campaign that tripped the breaker.
+        /// The campaign that tripped.
         id: String,
-        /// The quarantined device.
+        /// The device the campaign was bound to.
         device: DeviceId,
         /// Consecutive failures at the moment of the trip.
         consecutive_failures: u32,
@@ -228,8 +228,8 @@ impl fmt::Display for FleetError {
                 consecutive_failures,
             } => write!(
                 f,
-                "circuit breaker for {device} opened after {consecutive_failures} \
-                 consecutive failures; campaign {id} quarantined"
+                "campaign {id} on {device} tripped after {consecutive_failures} \
+                 consecutive failures; quarantined"
             ),
             Self::SchedulerInvariant { id, invariant } => write!(
                 f,

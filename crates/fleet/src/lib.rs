@@ -18,12 +18,11 @@
 //! * [`chaos`] — a deterministic chaos schedule over counter-based RNG
 //!   streams: process kills, envelope corruption and truncation, and
 //!   per-campaign session weather, all replayable draw-for-draw.
-//! * [`breaker`] — per-device circuit breakers
-//!   (closed → open → half-open) and the append-only quarantine ledger.
+//! * [`quarantine`] — the append-only quarantine ledger.
 //! * [`supervisor`] — the serial control loop tying the layers together
-//!   with restart and deadline budgets: each tick advances every slot in
-//!   slot-index order off its own [`chaos::ChaosCursor`], then lands one
-//!   batched checkpoint commit.
+//!   with restart and deadline budgets and a consecutive-failure trip:
+//!   each tick advances every slot in slot-index order off its own
+//!   [`chaos::ChaosCursor`], then lands one batched checkpoint commit.
 //!
 //! The headline invariant, enforced end to end by `bench`'s
 //! `chaos_suite`: **every supervised campaign either completes with an
@@ -34,17 +33,15 @@
 
 #![warn(missing_docs)]
 
-pub mod breaker;
 pub mod chaos;
 pub mod error;
+pub mod quarantine;
 pub mod store;
 pub mod supervisor;
 
-pub use breaker::{
-    BreakerState, CircuitBreaker, QuarantineLedger, QuarantineReason, QuarantineRecord,
-};
 pub use chaos::{ChaosAction, ChaosCursor, ChaosPlan};
 pub use error::{FleetError, StoreError};
+pub use quarantine::{QuarantineLedger, QuarantineReason, QuarantineRecord};
 pub use store::{CheckpointStore, Envelope};
 pub use supervisor::{CampaignResult, CampaignSpec, FleetConfig, FleetReport, Supervisor};
 
@@ -91,8 +88,10 @@ mod tests {
             seed,
             measurement_repeats: 1,
         };
-        let mut config = CampaignConfig::default();
-        config.fault_plan = weather.session_weather(index);
+        let config = CampaignConfig {
+            fault_plan: weather.session_weather(index),
+            ..CampaignConfig::default()
+        };
         Campaign::new(
             Provider::new(ProviderConfig::aws_f1_like(2, seed)),
             Mission::ThreatModel1(tm1),
@@ -163,7 +162,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_newest_generation_rolls_back_and_still_finishes_identically() {
+    fn all_corrupt_generations_roll_back_to_no_valid_generation() {
         let scratch = Scratch::new();
         let mut plan = ChaosPlan::none();
         plan.seed = 21;
@@ -172,22 +171,27 @@ mod tests {
         let mut supervisor = Supervisor::new(&scratch.0, FleetConfig::default()).unwrap();
         let report = supervisor.run(specs(1, &plan), plan.clone());
 
-        // Every envelope is corrupt, so the kill at hour 9 must roll all
-        // the way back to... nothing? No: generation 0 was committed and
-        // then corrupted too, so recovery fails typed — OR the roll-back
-        // finds nothing and the campaign is quarantined. Either way the
-        // invariant holds: completed-bit-identical or typed+quarantined.
-        assert!(report.failures_all_quarantined());
-        if report.completed() == 1 {
-            let reference = &reference_outcomes(1, &plan)[0];
-            let outcome = report.results[0].1.outcome().unwrap();
-            assert_eq!(outcome.series, reference.series);
-        } else {
-            assert!(matches!(
-                report.results[0].1.error(),
-                Some(FleetError::Store { .. } | FleetError::CircuitOpen { .. })
-            ));
-        }
+        // The kill at hour 9 leaves generations 0 (hour 0) and 1 (hour
+        // 8), both corrupt: recovery rolls back over each and finds none.
+        let store = CheckpointStore::open(&scratch.0).unwrap();
+        assert_eq!(store.generations("c0"), vec![0, 1]);
+        assert_eq!(report.completed(), 0);
+        assert_eq!(report.corruptions_injected, 2);
+        let error = report.results[0].1.error().expect("typed failure");
+        assert!(
+            matches!(
+                error,
+                FleetError::Store {
+                    source: StoreError::NoValidGeneration { .. },
+                    ..
+                }
+            ),
+            "{error}"
+        );
+        let [record] = report.quarantine.records() else {
+            panic!("one quarantine record: {:?}", report.quarantine);
+        };
+        assert_eq!(record.reason, QuarantineReason::StoreUnrecoverable);
     }
 
     #[test]

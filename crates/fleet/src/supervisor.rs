@@ -28,12 +28,17 @@
 //! 3. consults the slot's [`ChaosCursor`] — the campaign may be killed
 //!    (its process image dropped on the floor) and its newest envelope
 //!    may be corrupted or truncated once the batch has landed;
-//! 4. recovers dead campaigns through a per-device [`CircuitBreaker`]
-//!    and a restart budget with deterministic exponential backoff,
-//!    resuming from the newest checkpoint generation that survives full
-//!    validation (rolling back over torn ones). Recovery replays the
-//!    slot's own copy of the spec's campaign to the sealed hour and
-//!    checks the envelope's seals.
+//! 4. recovers dead campaigns under a restart budget with deterministic
+//!    exponential backoff, resuming from the newest checkpoint generation
+//!    that survives full validation (rolling back over torn ones).
+//!    Recovery replays the slot's own copy of the spec's campaign to the
+//!    sealed hour and checks the envelope's seals.
+//!
+//! Each slot counts its consecutive failures: transient step and
+//! finalize errors, and restore errors other than
+//! [`StoreError::NoValidGeneration`]. A successful step, finalize or
+//! restore resets the count; the third failure in a row trips the slot,
+//! which fails with [`FleetError::CircuitOpen`].
 //!
 //! Every terminal failure is a typed [`FleetError`] paired with a
 //! [`QuarantineRecord`]; the chaos suite asserts there is no third
@@ -53,14 +58,16 @@ use obs::{CampaignEvent, EventKind, FlightRecorder, Recorder};
 use obs_analyze::indicators::FLEET_TICK_HISTOGRAM;
 use pentimento::{Campaign, CampaignCheckpoint, CampaignOutcome, PentimentoError};
 
-use crate::breaker::{CircuitBreaker, QuarantineLedger, QuarantineReason, QuarantineRecord};
 use crate::chaos::{ChaosAction, ChaosCursor, ChaosPlan};
 use crate::error::{FleetError, StoreError};
+use crate::quarantine::{QuarantineLedger, QuarantineReason, QuarantineRecord};
 use crate::store::CheckpointStore;
 
 /// Supervisor-level restarts per campaign before
 /// [`FleetError::RestartBudgetExhausted`].
 pub(crate) const MAX_RESTARTS: u32 = 6;
+/// Consecutive failures that trip a slot with [`FleetError::CircuitOpen`].
+const FAILURE_THRESHOLD: u32 = 3;
 /// Supervisor ticks per campaign before [`FleetError::DeadlineExceeded`]
 /// — the live-lock backstop.
 const DEADLINE_TICKS: u64 = 10_000;
@@ -204,7 +211,7 @@ impl FleetReport {
 }
 
 /// Per-campaign supervision state: campaign image, chaos cursor,
-/// breaker and flight ring.
+/// failure count and flight ring.
 struct Slot {
     id: String,
     /// The spec's freshly built campaign, kept as the recipe a restore
@@ -216,7 +223,9 @@ struct Slot {
     generation: u64,
     restarts: u32,
     ticks: u64,
-    breaker: CircuitBreaker,
+    /// Failures since the last success; [`FAILURE_THRESHOLD`] trips the
+    /// slot.
+    consecutive_failures: u32,
     device: cloud::DeviceId,
     /// This slot's slice of the chaos schedule.
     chaos: ChaosCursor,
@@ -394,7 +403,7 @@ impl Supervisor {
             device: slot.device,
             at_tick: slot.ticks,
             reason,
-            consecutive_failures: slot.breaker.consecutive_failures(),
+            consecutive_failures: slot.consecutive_failures,
         };
         let event = CampaignEvent::new(EventKind::Quarantine, slot.ticks as f64)
             .value(f64::from(slot.device.0))
@@ -432,17 +441,29 @@ impl Supervisor {
         self.fail(slot, error, QuarantineReason::SchedulerInvariant, report);
     }
 
-    /// The breaker just tripped open: emit, quarantine, and fail the
-    /// campaign with the typed circuit error.
+    /// The slot reached [`FAILURE_THRESHOLD`]: emit, quarantine, and
+    /// fail the campaign with the typed circuit error.
     fn trip(&mut self, slot: &mut Slot, report: &mut FleetReport) {
         self.slot_event(slot, EventKind::CircuitOpen, f64::from(slot.device.0));
         self.incr("fleet.circuit_open");
         let error = FleetError::CircuitOpen {
             id: slot.id.clone(),
             device: slot.device,
-            consecutive_failures: slot.breaker.consecutive_failures(),
+            consecutive_failures: slot.consecutive_failures,
         };
         self.fail(slot, error, QuarantineReason::BreakerTripped, report);
+    }
+
+    /// Counts one recoverable failure: the campaign dies awaiting
+    /// recovery, and the [`FAILURE_THRESHOLD`]th failure in a row trips
+    /// the slot.
+    fn count_failure(&mut self, slot: &mut Slot, error: PentimentoError, report: &mut FleetReport) {
+        slot.last_error = Some(error);
+        slot.campaign = None;
+        slot.consecutive_failures += 1;
+        if slot.consecutive_failures >= FAILURE_THRESHOLD {
+            self.trip(slot, report);
+        }
     }
 
     /// Restores `slot`'s campaign from the newest checkpoint generation
@@ -486,14 +507,9 @@ impl Supervisor {
         Ok((campaign, envelope.generation, skipped as u64))
     }
 
-    /// One recovery attempt for a dead slot: breaker gate, restart
-    /// budget, backoff accounting, then restore-from-store.
+    /// One recovery attempt for a dead slot: restart budget, backoff
+    /// accounting, then restore-from-store.
     fn recover_slot(&mut self, slot: &mut Slot, report: &mut FleetReport) {
-        // An open breaker blocks recovery until its cooldown elapses;
-        // when `tick` flips it half-open, fall through as the probe.
-        if !slot.breaker.allows() && !slot.breaker.tick() {
-            return; // still cooling down; try again next tick
-        }
         if slot.restarts >= MAX_RESTARTS {
             let error = FleetError::RestartBudgetExhausted {
                 id: slot.id.clone(),
@@ -528,10 +544,7 @@ impl Supervisor {
                 self.slot_event(slot, EventKind::RecoveryScan, generation as f64);
                 self.incr("fleet.recovery_scans");
                 slot.generation = generation + 1;
-                if slot.breaker.on_success() {
-                    self.slot_event(slot, EventKind::CircuitClose, f64::from(slot.device.0));
-                    self.incr("fleet.circuit_close");
-                }
+                slot.consecutive_failures = 0;
                 slot.campaign = Some(campaign);
             }
             Err(error @ StoreError::NoValidGeneration { .. }) => {
@@ -544,10 +557,8 @@ impl Supervisor {
                 self.fail(slot, error, QuarantineReason::StoreUnrecoverable, report);
             }
             Err(source) => {
-                slot.last_error = Some(PentimentoError::CheckpointCorrupt(source.to_string()));
-                if slot.breaker.on_failure() {
-                    self.trip(slot, report);
-                }
+                let error = PentimentoError::CheckpointCorrupt(source.to_string());
+                self.count_failure(slot, error, report);
             }
         }
     }
@@ -568,7 +579,7 @@ impl Supervisor {
             match campaign.run() {
                 Ok(outcome) => {
                     slot.arena_bytes = campaign.provider().peak_aging_memory_bytes();
-                    slot.breaker.on_success();
+                    slot.consecutive_failures = 0;
                     slot.result = Some(CampaignResult::Completed(Box::new(outcome)));
                     slot.campaign = None;
                 }
@@ -576,11 +587,7 @@ impl Supervisor {
                     if e.is_transient()
                         || matches!(e, PentimentoError::RetriesExhausted { .. }) =>
                 {
-                    slot.last_error = Some(e);
-                    slot.campaign = None; // recover and re-finalize
-                    if slot.breaker.on_failure() {
-                        self.trip(slot, report);
-                    }
+                    self.count_failure(slot, e, report); // recover and re-finalize
                 }
                 Err(e) => {
                     let error = FleetError::Campaign {
@@ -594,7 +601,7 @@ impl Supervisor {
         }
         match campaign.step() {
             Ok(_) => {
-                slot.breaker.on_success();
+                slot.consecutive_failures = 0;
                 let hour = campaign.hour();
                 let cadence = self.config.checkpoint_every_hours.max(1);
                 let mut intent = None;
@@ -614,11 +621,7 @@ impl Supervisor {
                 intent
             }
             Err(e) if e.is_transient() || matches!(e, PentimentoError::RetriesExhausted { .. }) => {
-                slot.last_error = Some(e);
-                slot.campaign = None;
-                if slot.breaker.on_failure() {
-                    self.trip(slot, report);
-                }
+                self.count_failure(slot, e, report);
                 None
             }
             Err(e) => {
@@ -735,7 +738,7 @@ impl Supervisor {
                 generation: 0,
                 restarts: 0,
                 ticks: 0,
-                breaker: CircuitBreaker::new(),
+                consecutive_failures: 0,
                 device,
                 chaos: ChaosCursor::new(&chaos, index),
                 result: None,
@@ -889,32 +892,35 @@ mod tests {
         }
     }
 
-    /// A slot whose invariants are already violated: scheduled as live
-    /// but holding no campaign image.
-    fn poisoned_slot(id: &str) -> Slot {
+    fn small_campaign(seed: u64) -> Campaign {
         let tm1 = ThreatModel1Config {
             route_lengths_ps: vec![600.0],
             routes_per_length: 4,
             burn_hours: 12,
             measure_every: 4,
             mode: MeasurementMode::Oracle,
-            seed: 1,
+            seed,
             measurement_repeats: 1,
         };
-        let origin = Campaign::new(
-            Provider::new(ProviderConfig::aws_f1_like(2, 1)),
+        Campaign::new(
+            Provider::new(ProviderConfig::aws_f1_like(2, seed)),
             Mission::ThreatModel1(tm1),
             CampaignConfig::default(),
         )
-        .expect("campaign builds");
+        .expect("campaign builds")
+    }
+
+    /// A dead slot (no live campaign image) whose recipe is the seed-`seed`
+    /// campaign. Stepping it violates the scheduler's invariants.
+    fn dead_slot(id: &str, seed: u64) -> Slot {
         Slot {
             id: id.to_owned(),
-            origin,
+            origin: small_campaign(seed),
             campaign: None,
             generation: 0,
             restarts: 0,
             ticks: 0,
-            breaker: CircuitBreaker::new(),
+            consecutive_failures: 0,
             device: cloud::DeviceId(0),
             chaos: ChaosCursor::new(&ChaosPlan::none(), 0),
             result: None,
@@ -929,7 +935,7 @@ mod tests {
         let scratch = Scratch::new();
         let mut supervisor = Supervisor::new(&scratch.0, FleetConfig::default()).unwrap();
         let mut report = FleetReport::default();
-        let mut slot = poisoned_slot("c0");
+        let mut slot = dead_slot("c0", 1);
 
         // A step dispatched to a dead slot must isolate the slot, not
         // panic the fleet.
@@ -955,7 +961,7 @@ mod tests {
         let mut report = FleetReport::default();
 
         // An unresolved slot at drain must resolve typed, not panic.
-        supervisor.drain_slots(vec![poisoned_slot("c9")], &mut report);
+        supervisor.drain_slots(vec![dead_slot("c9", 1)], &mut report);
 
         assert_eq!(report.failed(), 1);
         let error = report.results[0].1.error().expect("typed failure");
@@ -966,5 +972,58 @@ mod tests {
             report.quarantine.records()[0].reason,
             QuarantineReason::SchedulerInvariant
         );
+    }
+
+    #[test]
+    fn three_failed_restores_in_a_row_trip_the_slot() {
+        let scratch = Scratch::new();
+        let mut supervisor = Supervisor::new(&scratch.0, FleetConfig::default()).unwrap();
+        let recorder = Arc::new(Recorder::new());
+        supervisor.set_recorder(Some(recorder.clone()));
+        let mut report = FleetReport::default();
+        // The store holds a seed-1 generation under the id, but the slot's
+        // recipe is the seed-2 campaign: no replay reproduces the seals.
+        supervisor
+            .store
+            .commit("c0", 0, &small_campaign(1).checkpoint())
+            .unwrap();
+        let mut slot = dead_slot("c0", 2);
+        assert!(matches!(
+            supervisor.restore(&slot),
+            Err(StoreError::SnapshotMismatch { .. })
+        ));
+
+        for failures in 1..FAILURE_THRESHOLD {
+            supervisor.recover_slot(&mut slot, &mut report);
+            assert!(slot.result.is_none(), "failure {failures} must not trip");
+            assert_eq!(slot.consecutive_failures, failures);
+            assert!(matches!(
+                slot.last_error,
+                Some(PentimentoError::CheckpointCorrupt(_))
+            ));
+        }
+        supervisor.recover_slot(&mut slot, &mut report);
+
+        assert_eq!(report.restarts, 3);
+        assert!(
+            matches!(
+                slot.result,
+                Some(CampaignResult::Failed(FleetError::CircuitOpen {
+                    consecutive_failures: 3,
+                    ..
+                }))
+            ),
+            "{:?}",
+            slot.result
+        );
+        let [record] = report.quarantine.records() else {
+            panic!("one quarantine record: {:?}", report.quarantine);
+        };
+        assert_eq!(record.reason, QuarantineReason::BreakerTripped);
+        assert_eq!(record.consecutive_failures, 3);
+        assert!(supervisor.flight_dumps()["c0"].contains("\"kind\":\"circuit_open\""));
+        let trace = recorder.trace_jsonl();
+        assert_eq!(trace.matches("\"kind\":\"circuit_open\"").count(), 1);
+        assert_eq!(recorder.counter("fleet.circuit_open"), 1);
     }
 }

@@ -5,8 +5,8 @@
 //!   through the real `obs::Recorder` (so ordering and float formatting
 //!   are exactly what production produces), exercising phases, a retry
 //!   storm, backoff, cache traffic, a quorum failure, an abstain, the
-//!   fleet-supervisor kinds (circuit open/close, quarantine, recovery
-//!   scan), and an escaped-quote detail string.
+//!   fleet-supervisor kinds (circuit open, quarantine, recovery scan),
+//!   and an escaped-quote detail string.
 //! * `mini_metrics.json` — the matching metrics snapshot, with two
 //!   deterministic `span_seconds.*` histograms.
 //! * `mini_trace.indicators.md` — the golden Markdown indicator report
@@ -84,9 +84,8 @@ fn main() {
             .detail("measure"),
     );
 
-    // A supervised-fleet interlude: device 2's breaker trips and the
-    // device is quarantined, then a probe succeeds and the breaker
-    // closes again after a recovery scan found one good generation.
+    // A supervised-fleet interlude: device 2's slot trips and is
+    // quarantined, then a recovery scan finds one good generation.
     r.event(
         CampaignEvent::new(EventKind::CircuitOpen, 2.5)
             .value(2.0)
@@ -101,11 +100,6 @@ fn main() {
         CampaignEvent::new(EventKind::RecoveryScan, 2.75)
             .value(1.0)
             .detail("fleet startup"),
-    );
-    r.event(
-        CampaignEvent::new(EventKind::CircuitClose, 2.75)
-            .value(2.0)
-            .detail("device 2"),
     );
 
     // Wrap-up: a checkpoint whose label needs JSON escaping, and one

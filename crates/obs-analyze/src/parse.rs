@@ -85,7 +85,7 @@ fn f64_or_null(v: &Value, m: &Member) -> Result<f64, ParseError> {
 ///
 /// Strictness: the object must contain exactly the five schema keys
 /// (`at`, `kind`, `route`, `value`, `detail`) — any order, no extras, no
-/// omissions — with `kind` one of the 19 wire names and `route` a
+/// omissions — with `kind` one of the 18 wire names and `route` a
 /// non-negative integer or null.
 ///
 /// # Errors
@@ -608,29 +608,28 @@ mod tests {
             .unwrap_err()
             .message
             .contains("unsupported"));
-        // Version 6 retired `alert_raised`, `alert_cleared` and
-        // `health_snapshot`. A version-5 (N−1) artifact that names one
-        // is rejected as an unknown kind rather than silently read; one
-        // without them still parses.
-        let v5_with = |kinds: &str| {
+        // Version 7 retired `circuit_close`. A version-6 (N−1) artifact
+        // that names it is rejected as an unknown kind rather than
+        // silently read; one without it still parses.
+        let v6_with = |kinds: &str| {
             format!(
-                "{{\"schema_version\":5,\"counters\":{{}},\"histograms\":{{}},\"events\":1,\"event_kinds\":{{{kinds}}}}}"
+                "{{\"schema_version\":6,\"counters\":{{}},\"histograms\":{{}},\"events\":1,\"event_kinds\":{{{kinds}}}}}"
             )
         };
-        let err = parse_metrics(&v5_with("\"health_snapshot\":1")).unwrap_err();
+        let err = parse_metrics(&v6_with("\"circuit_close\":1")).unwrap_err();
         assert!(
             err.message
-                .contains("unknown event kind `health_snapshot` in event_kinds"),
+                .contains("unknown event kind `circuit_close` in event_kinds"),
             "{err}"
         );
         assert_eq!(
-            parse_metrics(&v5_with("\"circuit_open\":1"))
-                .expect("v5 without retired kinds accepted")
+            parse_metrics(&v6_with("\"circuit_open\":1"))
+                .expect("v6 without the retired kind accepted")
                 .event_kinds[&EventKind::CircuitOpen],
             1
         );
         let err = parse_trace_line(
-            "{\"at\":1,\"kind\":\"alert_raised\",\"route\":null,\"value\":0,\"detail\":\"\"}",
+            "{\"at\":1,\"kind\":\"circuit_close\",\"route\":null,\"value\":0,\"detail\":\"\"}",
         )
         .unwrap_err();
         assert!(err.message.contains("unknown event kind"), "{err}");
@@ -638,11 +637,11 @@ mod tests {
 
     #[test]
     fn supervisor_event_kinds_parse_in_traces_and_metrics() {
-        // The four fleet-supervisor kinds introduced with metrics schema
-        // version 3 must round-trip through both artifact parsers.
+        // The fleet-supervisor kinds introduced with metrics schema
+        // version 3 and still emitted must round-trip through both
+        // artifact parsers.
         for kind in [
             EventKind::CircuitOpen,
-            EventKind::CircuitClose,
             EventKind::Quarantine,
             EventKind::RecoveryScan,
         ] {

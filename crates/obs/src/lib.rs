@@ -58,10 +58,15 @@ use std::time::Instant;
 ///   dashboard. A version-5 artifact that names one of them in
 ///   `event_kinds` is rejected as an unknown kind, not silently read;
 ///   a version-5 artifact without them still parses.
+/// * **7** — retires `circuit_close` along with the fleet breaker's
+///   cooldown and half-open probe, which no run could reach. A
+///   version-6 artifact that names it in `event_kinds` is rejected as an
+///   unknown kind, not silently read; a version-6 artifact without it
+///   still parses.
 ///
 /// The analysis layer (`obs-analyze`) accepts version N and N−1, so a
 /// schema bump here must keep one generation of old artifacts readable.
-pub const METRICS_SCHEMA_VERSION: u32 = 6;
+pub const METRICS_SCHEMA_VERSION: u32 = 7;
 
 /// Schema version of the JSONL trace line shape (the five-key
 /// `at`/`kind`/`route`/`value`/`detail` object emitted by
@@ -106,10 +111,8 @@ pub enum EventKind {
     CacheHit,
     /// Decay-cache lookups that had to derive a fresh kernel.
     CacheMiss,
-    /// A fleet supervisor's per-device circuit breaker tripped open.
+    /// A fleet supervisor slot failed three times in a row and tripped.
     CircuitOpen,
-    /// A previously open circuit breaker closed after a successful probe.
-    CircuitClose,
     /// A device (or campaign) was quarantined by the fleet supervisor.
     Quarantine,
     /// The fleet supervisor scanned its checkpoint store on startup.
@@ -126,7 +129,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// All kinds, in rank order.
-    pub const ALL: [EventKind; 19] = [
+    pub const ALL: [EventKind; 18] = [
         EventKind::PhaseTransition,
         EventKind::SessionAcquired,
         EventKind::SessionReleased,
@@ -140,7 +143,6 @@ impl EventKind {
         EventKind::CacheHit,
         EventKind::CacheMiss,
         EventKind::CircuitOpen,
-        EventKind::CircuitClose,
         EventKind::Quarantine,
         EventKind::RecoveryScan,
         EventKind::SchedulerTick,
@@ -165,7 +167,6 @@ impl EventKind {
             EventKind::CacheHit => "cache_hit",
             EventKind::CacheMiss => "cache_miss",
             EventKind::CircuitOpen => "circuit_open",
-            EventKind::CircuitClose => "circuit_close",
             EventKind::Quarantine => "quarantine",
             EventKind::RecoveryScan => "recovery_scan",
             EventKind::SchedulerTick => "scheduler_tick",
@@ -175,7 +176,7 @@ impl EventKind {
     }
 }
 
-/// Error returned when a string is not one of the 19 wire names in
+/// Error returned when a string is not one of the 18 wire names in
 /// [`EventKind::as_str`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseEventKindError {

@@ -763,7 +763,7 @@ impl Campaign {
     }
 
     /// The device the victim's secret is imprinted on — the identity a
-    /// fleet supervisor keys its per-device circuit breakers by.
+    /// fleet supervisor names in its quarantine records.
     #[must_use]
     pub fn victim_device(&self) -> DeviceId {
         self.run.victim_device
@@ -1471,9 +1471,10 @@ mod tests {
         assert_eq!(benign.stats.faults_injected, 0);
 
         let provider = Provider::new(ProviderConfig::aws_f1_like(2, 1));
-        let mut config = CampaignConfig::default();
-        config.fault_plan =
-            FaultPlan::none().with_scheduled(Hours::new(25.0), FaultKind::Preemption);
+        let config = CampaignConfig {
+            fault_plan: FaultPlan::none().with_scheduled(Hours::new(25.0), FaultKind::Preemption),
+            ..CampaignConfig::default()
+        };
         let mut campaign =
             Campaign::new(provider, Mission::ThreatModel1(tm1_config()), config).unwrap();
         let outcome = campaign.run().unwrap();
@@ -1502,9 +1503,10 @@ mod tests {
         };
 
         let provider = Provider::new(ProviderConfig::aws_f1_like(2, 1));
-        let mut config = CampaignConfig::default();
-        config.fault_plan =
-            FaultPlan::none().with_scheduled(Hours::new(7.0), FaultKind::SpuriousScrub);
+        let config = CampaignConfig {
+            fault_plan: FaultPlan::none().with_scheduled(Hours::new(7.0), FaultKind::SpuriousScrub),
+            ..CampaignConfig::default()
+        };
         let mut campaign =
             Campaign::new(provider, Mission::ThreatModel1(tm1_config()), config).unwrap();
         let outcome = campaign.run().unwrap();
@@ -1528,9 +1530,10 @@ mod tests {
         };
 
         let provider = Provider::new(ProviderConfig::aws_f1_like(3, 5));
-        let mut config = CampaignConfig::default();
-        config.fault_plan =
-            FaultPlan::none().with_scheduled(Hours::new(10.0), FaultKind::Preemption);
+        let config = CampaignConfig {
+            fault_plan: FaultPlan::none().with_scheduled(Hours::new(10.0), FaultKind::Preemption),
+            ..CampaignConfig::default()
+        };
         let mut campaign =
             Campaign::new(provider, Mission::ThreatModel2(tm2_config()), config).unwrap();
         let outcome = campaign.run().unwrap();
@@ -1544,11 +1547,13 @@ mod tests {
     fn checkpoint_resume_continues_bit_identically() {
         let build = || {
             let provider = Provider::new(ProviderConfig::aws_f1_like(2, 1));
-            let mut config = CampaignConfig::default();
-            // A preemption *after* the checkpoint proves the fault stream
-            // replays across resume.
-            config.fault_plan =
-                FaultPlan::none().with_scheduled(Hours::new(40.0), FaultKind::Preemption);
+            let config = CampaignConfig {
+                // A preemption *after* the checkpoint proves the fault
+                // stream replays across resume.
+                fault_plan: FaultPlan::none()
+                    .with_scheduled(Hours::new(40.0), FaultKind::Preemption),
+                ..CampaignConfig::default()
+            };
             Campaign::new(provider, Mission::ThreatModel1(tm1_config()), config).unwrap()
         };
 
@@ -1676,13 +1681,16 @@ mod tests {
     #[test]
     fn exhausted_reacquisition_budget_is_a_typed_fatal_error() {
         let provider = Provider::new(ProviderConfig::aws_f1_like(1, 1));
-        let mut config = CampaignConfig::default();
-        config.max_attempts = 3;
         // Preempt early, then make every rent fail: recovery cannot win.
-        config.fault_plan =
+        let mut fault_plan =
             FaultPlan::none().with_scheduled(Hours::new(2.0), FaultKind::Preemption);
-        config.fault_plan.seed = 5;
-        config.fault_plan.rent_failure_rate = 1.0;
+        fault_plan.seed = 5;
+        fault_plan.rent_failure_rate = 1.0;
+        let config = CampaignConfig {
+            max_attempts: 3,
+            fault_plan,
+            ..CampaignConfig::default()
+        };
         let mut campaign =
             Campaign::new(provider, Mission::ThreatModel1(tm1_config()), config).unwrap();
         let err = campaign.run().unwrap_err();

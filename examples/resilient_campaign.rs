@@ -27,14 +27,15 @@ fn mission_config() -> ThreatModel1Config {
 }
 
 fn hostile_config() -> CampaignConfig {
-    let mut config = CampaignConfig::default();
-    // Probabilistic hostile weather, plus one preemption we know is
-    // coming at hour 40 — after the checkpoint below, so the resumed
-    // campaign has to survive it too.
-    config.fault_plan =
-        FaultPlan::hostile(SEED, 0.02).with_scheduled(Hours::new(40.0), FaultKind::Preemption);
-    config.sensor_faults = SensorFaultPlan::noisy(SEED, 0.02);
-    config
+    CampaignConfig {
+        // Probabilistic hostile weather, plus one preemption we know is
+        // coming at hour 40 — after the checkpoint below, so the resumed
+        // campaign has to survive it too.
+        fault_plan: FaultPlan::hostile(SEED, 0.02)
+            .with_scheduled(Hours::new(40.0), FaultKind::Preemption),
+        sensor_faults: SensorFaultPlan::noisy(SEED, 0.02),
+        ..CampaignConfig::default()
+    }
 }
 
 fn provider() -> Provider {

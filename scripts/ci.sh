@@ -201,10 +201,13 @@ cargo run --release -q -p bench --bin fleet_scaling -- --smoke --threads 2 \
 cargo run --release -q -p bench --bin obs_report -- \
     validate /tmp/ci_fleet_trace.jsonl /tmp/ci_fleet_metrics.json
 
-echo "== cargo clippy --workspace -- -D warnings =="
+echo "== cargo clippy --workspace --all-targets -- -D warnings (+ perfbench) =="
+# Every target is linted: libs and bins, but also tests, examples and
+# benches. perfbench is a workspace of its own, so it gets its own pass.
 if command -v cargo-clippy >/dev/null 2>&1; then
-    cargo clippy --workspace -- -D warnings \
+    cargo clippy --workspace --all-targets -- -D warnings \
         -W clippy::redundant_clone -W clippy::needless_collect
+    cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 else
     echo "clippy not installed; skipping (install with: rustup component add clippy)"
 fi
@@ -213,9 +216,10 @@ echo "== cargo doc (warning-clean) =="
 # Broken or private intra-doc links are errors, not noise.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "== cargo fmt --check =="
+echo "== cargo fmt --check (+ perfbench) =="
 if command -v cargo-fmt >/dev/null 2>&1; then
     cargo fmt --check
+    cargo fmt --manifest-path perfbench/Cargo.toml --check
 else
     echo "rustfmt not installed; skipping (install with: rustup component add rustfmt)"
 fi

@@ -39,12 +39,14 @@ fn phase_schedule() -> impl Strategy<Value = Vec<(usize, f64)>> {
     proptest::collection::vec((1usize..60, duty_fraction()), 1..4)
 }
 
-/// A random whole-device history: a wire count plus 1–4 phases, each
-/// carrying a duration (zero-length phases exercise the `Δt = 0`
-/// early-return path; long ones saturate occupancies onto the clamp
-/// boundary) and a per-wire assignment — `Some(duty)` driven,
-/// `None` relaxing.
-fn device_history() -> impl Strategy<Value = (usize, Vec<(f64, Vec<Option<f64>>)>)> {
+/// One phase of a device history: its duration and a per-wire
+/// assignment — `Some(duty)` driven, `None` relaxing.
+type HistoryPhase = (f64, Vec<Option<f64>>);
+
+/// A random whole-device history: a wire count plus 1–4 phases
+/// (zero-length phases exercise the `Δt = 0` early-return path; long
+/// ones saturate occupancies onto the clamp boundary).
+fn device_history() -> impl Strategy<Value = (usize, Vec<HistoryPhase>)> {
     (1usize..16).prop_flat_map(|wires| {
         (
             Just(wires),

@@ -23,7 +23,7 @@ fn fixture(name: &str) -> String {
 fn mini_trace_fixture_round_trips_and_validates() {
     let trace = fixture("mini_trace.jsonl");
     let events = parse_trace(&trace).expect("fixture trace parses strictly");
-    assert_eq!(events.len(), 17);
+    assert_eq!(events.len(), 16);
     assert_eq!(
         first_order_violation(&events),
         None,

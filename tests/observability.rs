@@ -25,11 +25,13 @@ fn hostile_observed_campaign(recorder: Option<Arc<Recorder>>) -> Campaign {
         seed: 80,
         measurement_repeats: 2,
     };
-    let mut campaign_config = CampaignConfig::default();
-    campaign_config.fault_plan = FaultPlan::hostile(80, 0.02)
-        .with_scheduled(Hours::new(12.0), FaultKind::Preemption)
-        .with_scheduled(Hours::new(12.0), FaultKind::RentFailure);
-    campaign_config.sensor_faults = SensorFaultPlan::noisy(80, 0.02);
+    let campaign_config = CampaignConfig {
+        fault_plan: FaultPlan::hostile(80, 0.02)
+            .with_scheduled(Hours::new(12.0), FaultKind::Preemption)
+            .with_scheduled(Hours::new(12.0), FaultKind::RentFailure),
+        sensor_faults: SensorFaultPlan::noisy(80, 0.02),
+        ..CampaignConfig::default()
+    };
     Campaign::new_observed(
         Provider::new(ProviderConfig::aws_f1_like(2, 80)),
         Mission::ThreatModel1(config),

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use bti_physics::{Hours, LogicLevel};
 use cloud::{FaultKind, FaultPlan, Provider, ProviderConfig};
-use fleet::{CampaignSpec, ChaosPlan, FleetConfig, FleetError, Supervisor};
+use fleet::{CampaignResult, CampaignSpec, ChaosPlan, FleetConfig, Supervisor};
 use pentimento::threat_model1::{self, ThreatModel1Config};
 use pentimento::threat_model2::{self, ThreatModel2Config};
 use pentimento::{
@@ -120,10 +120,12 @@ fn hostile_tm1_campaign() -> Campaign {
         seed: 80,
         measurement_repeats: 2,
     };
-    let mut campaign_config = CampaignConfig::default();
-    campaign_config.fault_plan =
-        FaultPlan::hostile(80, 0.02).with_scheduled(Hours::new(12.0), FaultKind::Preemption);
-    campaign_config.sensor_faults = SensorFaultPlan::noisy(80, 0.02);
+    let campaign_config = CampaignConfig {
+        fault_plan: FaultPlan::hostile(80, 0.02)
+            .with_scheduled(Hours::new(12.0), FaultKind::Preemption),
+        sensor_faults: SensorFaultPlan::noisy(80, 0.02),
+        ..CampaignConfig::default()
+    };
     Campaign::new(
         Provider::new(ProviderConfig::aws_f1_like(2, 80)),
         Mission::ThreatModel1(config),
@@ -240,7 +242,7 @@ impl Drop for Scratch {
 #[derive(Debug, PartialEq)]
 struct FleetObservation {
     /// Per campaign: its id, then its outcome's series or its error tag.
-    results: Vec<(String, Option<Vec<RouteSeries>>, Option<&'static str>)>,
+    results: Vec<(String, Result<Vec<RouteSeries>, &'static str>)>,
     completed: usize,
     kills: u64,
     corruptions: u64,
@@ -284,8 +286,10 @@ fn observe_fleet(
                     seed,
                     measurement_repeats: 1,
                 };
-                let mut campaign_config = CampaignConfig::default();
-                campaign_config.fault_plan = plan.session_weather(i);
+                let campaign_config = CampaignConfig {
+                    fault_plan: plan.session_weather(i),
+                    ..CampaignConfig::default()
+                };
                 let mut campaign = Campaign::new(
                     Provider::new(ProviderConfig::aws_f1_like(2, seed)),
                     Mission::ThreatModel1(tm1),
@@ -304,9 +308,12 @@ fn observe_fleet(
             results: report
                 .results
                 .iter()
-                .map(|(id, result)| match result.outcome() {
-                    Some(outcome) => (id.clone(), Some(outcome.series.clone()), None),
-                    None => (id.clone(), None, result.error().map(FleetError::tag)),
+                .map(|(id, result)| {
+                    let observed = match result {
+                        CampaignResult::Completed(outcome) => Ok(outcome.series.clone()),
+                        CampaignResult::Failed(error) => Err(error.tag()),
+                    };
+                    (id.clone(), observed)
                 })
                 .collect(),
             completed: report.completed(),

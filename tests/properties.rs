@@ -182,7 +182,7 @@ proptest! {
         use pentimento::{roc_curve_counted, RouteSeries};
         let mut series = Vec::new();
         for i in 0..n_clean {
-            let bit = (i + seed as usize) % 2 == 0;
+            let bit = (i + seed as usize).is_multiple_of(2);
             let value = if bit { 1.0 + i as f64 } else { -1.0 - i as f64 };
             series.push(RouteSeries::from_raw(
                 i, 5_000.0, LogicLevel::from_bool(bit),

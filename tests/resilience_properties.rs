@@ -64,10 +64,11 @@ fn tm2_config(seed: u64) -> ThreatModel2Config {
 /// A retry budget comfortably above what the bounded fault intensities
 /// below can consume ("sufficient" in the property statement).
 fn generous_config(fault_plan: FaultPlan) -> CampaignConfig {
-    let mut config = CampaignConfig::default();
-    config.max_attempts = 12;
-    config.fault_plan = fault_plan;
-    config
+    CampaignConfig {
+        max_attempts: 12,
+        fault_plan,
+        ..CampaignConfig::default()
+    }
 }
 
 /// A unique scratch directory for one fleet store, removed on drop.
@@ -114,8 +115,10 @@ fn fleet_campaign(seed: u64, weather: &ChaosPlan, index: usize) -> Campaign {
         seed,
         measurement_repeats: 1,
     };
-    let mut config = CampaignConfig::default();
-    config.fault_plan = weather.session_weather(index);
+    let config = CampaignConfig {
+        fault_plan: weather.session_weather(index),
+        ..CampaignConfig::default()
+    };
     Campaign::new(
         Provider::new(ProviderConfig::aws_f1_like(2, seed)),
         Mission::ThreatModel1(tm1),
