@@ -150,8 +150,8 @@ pub enum FleetError {
         /// The underlying store error.
         source: StoreError,
     },
-    /// The campaign failed three times in a row (transient errors or
-    /// failed restores) and was quarantined.
+    /// The campaign failed three times (transient errors or failed
+    /// restores) without a step reaching a new hour, and was quarantined.
     CircuitOpen {
         /// The campaign that tripped.
         id: String,

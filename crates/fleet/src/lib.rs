@@ -252,6 +252,66 @@ mod tests {
         );
     }
 
+    /// A campaign whose step fails transiently at the same hour on every
+    /// replay makes no progress between restores, so it trips instead of
+    /// burning the restart budget.
+    #[test]
+    fn a_step_failing_at_the_same_hour_on_every_replay_trips() {
+        let scratch = Scratch::new();
+        let tm1 = ThreatModel1Config {
+            route_lengths_ps: vec![600.0],
+            routes_per_length: 4,
+            burn_hours: 20,
+            measure_every: 4,
+            mode: MeasurementMode::Oracle,
+            seed: 40,
+            measurement_repeats: 1,
+        };
+        // The hour-2 preemption forces a re-rent, and every rent fails.
+        let mut fault_plan = cloud::FaultPlan::none()
+            .with_scheduled(bti_physics::Hours::new(2.0), cloud::FaultKind::Preemption);
+        fault_plan.rent_failure_rate = 1.0;
+        let config = CampaignConfig {
+            max_attempts: 3,
+            fault_plan,
+            ..CampaignConfig::default()
+        };
+        let campaign = Campaign::new(
+            Provider::new(ProviderConfig::aws_f1_like(2, 40)),
+            Mission::ThreatModel1(tm1),
+            config,
+        )
+        .expect("campaign builds");
+        let recorder = std::sync::Arc::new(obs::Recorder::new());
+        let mut supervisor = Supervisor::new(&scratch.0, FleetConfig::default()).unwrap();
+        supervisor.set_recorder(Some(recorder.clone()));
+        let spec = CampaignSpec {
+            id: "c0".to_owned(),
+            campaign,
+        };
+        let report = supervisor.run(vec![spec], ChaosPlan::none());
+
+        let error = report.results[0].1.error().expect("typed failure");
+        assert!(
+            matches!(
+                error,
+                FleetError::CircuitOpen {
+                    consecutive_failures: 3,
+                    ..
+                }
+            ),
+            "{error}"
+        );
+        assert_eq!(report.restarts, 2);
+        assert_eq!(report.ticks, 8);
+        let [record] = report.quarantine.records() else {
+            panic!("one quarantine record: {:?}", report.quarantine);
+        };
+        assert_eq!(record.reason, QuarantineReason::BreakerTripped);
+        let trace = recorder.trace_jsonl();
+        assert_eq!(trace.matches("\"kind\":\"circuit_open\"").count(), 1);
+    }
+
     #[test]
     fn identical_chaos_runs_are_identical_in_every_observable() {
         let run = || {

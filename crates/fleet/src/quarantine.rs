@@ -9,7 +9,7 @@ use cloud::DeviceId;
 /// Why a quarantine record was appended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QuarantineReason {
-    /// The campaign failed three times in a row.
+    /// The campaign failed three times without reaching a new hour.
     BreakerTripped,
     /// The campaign's restart budget ran out.
     RestartBudgetExhausted,

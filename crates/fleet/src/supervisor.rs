@@ -36,9 +36,10 @@
 //!
 //! Each slot counts its consecutive failures: transient step and
 //! finalize errors, and restore errors other than
-//! [`StoreError::NoValidGeneration`]. A successful step, finalize or
-//! restore resets the count; the third failure in a row trips the slot,
-//! which fails with [`FleetError::CircuitOpen`].
+//! [`StoreError::NoValidGeneration`]. Only a step that reaches an hour
+//! the slot has never reached before resets the count, so a restore, or
+//! a replayed hour, is not progress; the third failure without progress
+//! trips the slot, which fails with [`FleetError::CircuitOpen`].
 //!
 //! Every terminal failure is a typed [`FleetError`] paired with a
 //! [`QuarantineRecord`]; the chaos suite asserts there is no third
@@ -223,9 +224,12 @@ struct Slot {
     generation: u64,
     restarts: u32,
     ticks: u64,
-    /// Failures since the last success; [`FAILURE_THRESHOLD`] trips the
-    /// slot.
+    /// Failures since a step last reached a new hour;
+    /// [`FAILURE_THRESHOLD`] trips the slot.
     consecutive_failures: u32,
+    /// The highest hour a step of this slot has reached. A replayed step
+    /// below it is not progress, so it leaves the failure count alone.
+    high_water_hour: usize,
     device: cloud::DeviceId,
     /// This slot's slice of the chaos schedule.
     chaos: ChaosCursor,
@@ -455,8 +459,8 @@ impl Supervisor {
     }
 
     /// Counts one recoverable failure: the campaign dies awaiting
-    /// recovery, and the [`FAILURE_THRESHOLD`]th failure in a row trips
-    /// the slot.
+    /// recovery, and the [`FAILURE_THRESHOLD`]th failure since a step
+    /// last reached a new hour trips the slot.
     fn count_failure(&mut self, slot: &mut Slot, error: PentimentoError, report: &mut FleetReport) {
         slot.last_error = Some(error);
         slot.campaign = None;
@@ -544,7 +548,6 @@ impl Supervisor {
                 self.slot_event(slot, EventKind::RecoveryScan, generation as f64);
                 self.incr("fleet.recovery_scans");
                 slot.generation = generation + 1;
-                slot.consecutive_failures = 0;
                 slot.campaign = Some(campaign);
             }
             Err(error @ StoreError::NoValidGeneration { .. }) => {
@@ -579,7 +582,6 @@ impl Supervisor {
             match campaign.run() {
                 Ok(outcome) => {
                     slot.arena_bytes = campaign.provider().peak_aging_memory_bytes();
-                    slot.consecutive_failures = 0;
                     slot.result = Some(CampaignResult::Completed(Box::new(outcome)));
                     slot.campaign = None;
                 }
@@ -601,8 +603,11 @@ impl Supervisor {
         }
         match campaign.step() {
             Ok(_) => {
-                slot.consecutive_failures = 0;
                 let hour = campaign.hour();
+                if hour > slot.high_water_hour {
+                    slot.high_water_hour = hour;
+                    slot.consecutive_failures = 0;
+                }
                 let cadence = self.config.checkpoint_every_hours.max(1);
                 let mut intent = None;
                 if hour.is_multiple_of(cadence) || campaign.is_complete() {
@@ -739,6 +744,7 @@ impl Supervisor {
                 restarts: 0,
                 ticks: 0,
                 consecutive_failures: 0,
+                high_water_hour: 0,
                 device,
                 chaos: ChaosCursor::new(&chaos, index),
                 result: None,
@@ -921,6 +927,7 @@ mod tests {
             restarts: 0,
             ticks: 0,
             consecutive_failures: 0,
+            high_water_hour: 0,
             device: cloud::DeviceId(0),
             chaos: ChaosCursor::new(&ChaosPlan::none(), 0),
             result: None,

@@ -28,8 +28,9 @@
 //!
 //! Measurement and calibration randomness comes from **counter-based
 //! per-route streams** ([`tdc::stream_seed`]) rather than one sequential
-//! generator, so the per-phase fan-out over routes is bit-identical at
-//! every thread count and independent of scheduling order. The phase
+//! generator. The campaign's sensors are one [`TdcArray`], which seeds
+//! the streams and fans out over routes, so every phase is bit-identical
+//! at every thread count and independent of scheduling order. The phase
 //! index is derived from the number of recorded measurements, so resumed
 //! campaigns replay the same streams with no extra checkpoint state.
 //! (Switching to derived streams was a one-time, documented golden-value
@@ -48,13 +49,12 @@ use std::sync::Arc;
 
 use bti_physics::{Hours, LogicLevel};
 use cloud::{CloudError, DeviceId, FaultKind, FaultPlan, Provider, Session, TenantId};
-use fpga_fabric::FpgaDevice;
+use fpga_fabric::{FpgaDevice, RouteDelay};
 use obs::{CampaignEvent, EventKind, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use tdc::{stream_seed, SensorFaultPlan, TdcConfig, TdcSensor, STREAM_CALIBRATE, STREAM_MEASURE};
+use tdc::{stream_seed, SensorFaultPlan, TdcArray, TdcConfig, TdcSensor};
 
 use crate::classify::{
     BitClassifier, Classification, DriftSlopeClassifier, RecoverySlopeClassifier,
@@ -349,7 +349,7 @@ struct RunState {
     session: Option<Session>,
     skeleton: Skeleton,
     truth: Vec<LogicLevel>,
-    sensors: Vec<TdcSensor>,
+    sensors: TdcArray,
     hours_log: Vec<f64>,
     readings: Vec<Vec<Option<f64>>>,
     /// Completed attack-window hours.
@@ -466,7 +466,7 @@ impl Campaign {
                 session: None,
                 skeleton: Skeleton::empty(),
                 truth: Vec::new(),
-                sensors: Vec::new(),
+                sensors: TdcArray::default(),
                 hours_log: Vec::new(),
                 readings: Vec::new(),
                 hour: 0,
@@ -526,7 +526,7 @@ impl Campaign {
         let sensors = if cfg.mode == MeasurementMode::Tdc {
             self.place_and_calibrate(&session, &skeleton)?
         } else {
-            Vec::new()
+            TdcArray::default()
         };
 
         let fingerprint = DeviceFingerprint::capture(self.provider.device(&session)?, &skeleton);
@@ -617,7 +617,7 @@ impl Campaign {
         let sensors = if cfg.mode == MeasurementMode::Tdc {
             self.place_and_calibrate(&session, &skeleton)?
         } else {
-            Vec::new()
+            TdcArray::default()
         };
 
         let fingerprint = DeviceFingerprint::capture(self.provider.device(&session)?, &skeleton);
@@ -651,9 +651,7 @@ impl Campaign {
             fault.at = Hours::new(fault.at.value() + epoch.value());
         }
         self.provider.set_fault_plan(plan);
-        for sensor in &mut self.run.sensors {
-            sensor.set_fault_plan(self.config.sensor_faults.clone());
-        }
+        self.run.sensors.set_fault_plan(&self.config.sensor_faults);
         self.armed = true;
         self.note_phase("arm");
     }
@@ -670,37 +668,18 @@ impl Campaign {
         }
     }
 
-    /// Places one sensor per skeleton route, then calibrates them in
-    /// parallel from per-sensor derived streams
-    /// (`stream_seed(mission_seed, i, STREAM_CALIBRATE)`) — the streams
-    /// of [`tdc::TdcArray::calibrate_all_streamed`], bit-identical at
-    /// every thread count. The fan-out is timed as one
-    /// `tdc.calibrate_batch` span.
+    /// Places one sensor per skeleton route, then calibrates the array
+    /// through [`TdcArray::calibrate_all_streamed_observed`] from the
+    /// mission seed.
     fn place_and_calibrate(
         &self,
         session: &Session,
         skeleton: &Skeleton,
-    ) -> Result<Vec<TdcSensor>, PentimentoError> {
+    ) -> Result<TdcArray, PentimentoError> {
         let device = self.provider.device(session)?;
-        let mut sensors = Vec::with_capacity(skeleton.len());
-        for entry in skeleton.entries() {
-            sensors.push(TdcSensor::place(
-                device,
-                entry.route.clone(),
-                TdcConfig::cloud(),
-            )?);
-        }
-        let master = self.mission.seed();
-        let _span = self.obs().map(|r| r.span("tdc.calibrate_batch"));
-        sensors
-            .par_iter_mut()
-            .enumerate()
-            .map(|(i, sensor)| {
-                let mut rng =
-                    StdRng::seed_from_u64(stream_seed(master, i as u64, STREAM_CALIBRATE));
-                sensor.calibrate(device, &mut rng)
-            })
-            .collect::<Result<Vec<f64>, tdc::TdcError>>()?;
+        let routes = skeleton.entries().iter().map(|e| e.route.clone());
+        let mut sensors = TdcArray::place(device, routes, TdcConfig::cloud())?;
+        sensors.calibrate_all_streamed_observed(device, self.mission.seed(), self.obs())?;
         Ok(sensors)
     }
 
@@ -1203,18 +1182,14 @@ impl Campaign {
     // ------------------------------------------------------------------
 
     /// Takes one measurement phase: every route, `measurement_repeats`
-    /// sensor reads each, gap-tolerantly, fanned across worker threads.
-    ///
-    /// Each route draws from its own
-    /// `stream_seed(mission_seed, route, STREAM_MEASURE + phase)` stream
-    /// (the phase index is the count of measurements already recorded),
-    /// the streams of [`tdc::TdcArray::measure_deltas_streamed`], so every
-    /// path is independent of scheduling order. Results merge serially in
-    /// route order, so stats accumulate and the first fatal error on the
-    /// lowest-indexed route wins deterministically. The fan-out is timed
-    /// as one `tdc.measure_batch` span, and the merge counts every sensor
-    /// read (usable repeats plus retried ones) into `tdc.sensor_reads` and
-    /// its capture samples into `tdc.samples`.
+    /// sensor reads each, gap-tolerantly, fanned out by
+    /// [`TdcArray::read_streamed`] with the phase index set to the count
+    /// of measurements already recorded, so every route's stream is
+    /// independent of scheduling order. Results merge serially in route
+    /// order, so stats accumulate and the first fatal error on the
+    /// lowest-indexed route wins deterministically. The merge counts every
+    /// sensor read (usable repeats plus retried ones) into
+    /// `tdc.sensor_reads` and its capture samples into `tdc.samples`.
     fn record(&mut self, hour: f64) -> Result<(), PentimentoError> {
         let session = self.current_session()?;
         let phase = self.run.hours_log.len() as u64;
@@ -1241,35 +1216,25 @@ impl Campaign {
                 // exactly when the sensor fault model is: on clean traces
                 // the plain estimator is the attacker's optimum.
                 let robust = self.armed && !self.config.sensor_faults.is_benign();
-                let master = self.mission.seed();
                 let max_attempts = self.config.max_attempts;
                 let device = self.provider.device(&session)?;
-                let span = self.obs().map(|r| r.span("tdc.measure_batch"));
-                let points: Vec<Result<RoutePoint, PentimentoError>> = self
-                    .run
-                    .sensors
-                    .par_iter()
-                    .enumerate()
-                    .map(|(i, sensor)| {
-                        measure_route(
-                            device,
-                            sensor,
-                            i,
-                            phase,
-                            master,
-                            repeats,
-                            robust,
-                            max_attempts,
-                        )
-                    })
-                    .collect();
-                drop(span);
+                let points = self.run.sensors.read_streamed(
+                    device,
+                    self.mission.seed(),
+                    phase,
+                    self.obs(),
+                    |i, sensor, delay, rng| {
+                        measure_route(sensor, delay, rng, i, phase, repeats, robust, max_attempts)
+                    },
+                );
                 let mut sensor_reads = 0;
                 let mut samples = 0;
                 for (i, point) in points.into_iter().enumerate() {
                     let point = point?;
                     let reads = point.got as u64 + u64::from(point.retries);
-                    let per_read = self.run.sensors[i].config().samples_per_measurement();
+                    let per_read = self.run.sensors.sensors()[i]
+                        .config()
+                        .samples_per_measurement();
                     sensor_reads += reads;
                     samples += reads * per_read as u64;
                     self.stats.measurement_retries += point.retries;
@@ -1344,29 +1309,25 @@ struct RoutePoint {
     backoff_s: f64,
 }
 
-/// Measures one route for one phase under the retry budget. A repeat
-/// whose budget runs dry on transient errors is dropped (the gap-tolerant
-/// series absorbs it); fatal errors propagate.
+/// Measures one route for one phase under the retry budget, against the
+/// route's `delay` and its `rng` stream as [`TdcArray::read_streamed`]
+/// hands them over. A repeat whose budget runs dry on transient errors is
+/// dropped (the gap-tolerant series absorbs it); fatal errors propagate.
 ///
 /// All randomness — sensor reads *and* backoff jitter — comes from
 /// per-(route, phase) derived streams, so the result is a pure function
 /// of its arguments and identical no matter which worker thread runs it.
 #[allow(clippy::too_many_arguments)]
 fn measure_route(
-    device: &FpgaDevice,
     sensor: &TdcSensor,
+    delay: RouteDelay,
+    rng: &mut StdRng,
     route: usize,
     phase: u64,
-    master_seed: u64,
     repeats: usize,
     robust: bool,
     max_attempts: u32,
 ) -> Result<RoutePoint, PentimentoError> {
-    let mut rng = StdRng::seed_from_u64(stream_seed(
-        master_seed,
-        route as u64,
-        STREAM_MEASURE + phase,
-    ));
     let mut point = RoutePoint {
         value: None,
         got: 0,
@@ -1374,17 +1335,14 @@ fn measure_route(
         quorum_failures: 0,
         backoff_s: 0.0,
     };
-    // Repeats and retries read the same device state: walk the route once
-    // for all of them.
-    let delay = device.route_delay(sensor.route());
     let mut acc = 0.0;
     for _ in 0..repeats {
         let mut sample = None;
         for attempt in 1..=max_attempts {
             let result = if robust {
-                sensor.measure_robust_at(delay, ROBUST_MIN_QUORUM, &mut rng)
+                sensor.measure_robust_at(delay, ROBUST_MIN_QUORUM, rng)
             } else {
-                sensor.measure_at(delay, &mut rng)
+                sensor.measure_at(delay, rng)
             };
             match result {
                 Ok(measurement) => {

@@ -161,7 +161,7 @@ impl LabExperiment {
                 skeleton.entries().iter().map(|e| e.route.clone()),
                 TdcConfig::lab(),
             )?,
-            MeasurementMode::Oracle => TdcArray::place(&device, Vec::new(), TdcConfig::lab())?,
+            MeasurementMode::Oracle => TdcArray::default(),
         };
         Ok(Self {
             config,
@@ -198,11 +198,12 @@ impl LabExperiment {
     fn measure_all(&self, phase: u64) -> Result<Vec<f64>, PentimentoError> {
         match self.config.mode {
             MeasurementMode::Oracle => Ok(oracle_deltas(&self.device, &self.skeleton)),
-            MeasurementMode::Tdc => Ok(self.sensors.measure_deltas_streamed(
+            MeasurementMode::Tdc => Ok(self.sensors.measure_deltas_streamed_observed(
                 &self.device,
                 1,
                 self.master_seed,
                 phase,
+                None,
             )?),
         }
     }
@@ -219,7 +220,7 @@ impl LabExperiment {
         // one derived RNG stream per sensor.
         if self.config.mode == MeasurementMode::Tdc {
             self.sensors
-                .calibrate_all_streamed(&self.device, self.master_seed)?;
+                .calibrate_all_streamed_observed(&self.device, self.master_seed, None)?;
         }
 
         let mut hours_log: Vec<f64> = Vec::new();

@@ -5,9 +5,10 @@
 //! calibration and measurement procedures. [`TdcArray`] packages that
 //! pattern: place against a set of routes, calibrate all, and read all
 //! (optionally averaging repeated measurements, since a measurement costs
-//! seconds while the condition phase costs an hour).
+//! seconds while the condition phase costs an hour). It is the only code
+//! that fans out over sensors and seeds their RNG streams.
 
-use fpga_fabric::{FpgaDevice, Route};
+use fpga_fabric::{FpgaDevice, Route, RouteDelay};
 use obs::Recorder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,10 +16,10 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::stream::{stream_seed, STREAM_CALIBRATE, STREAM_MEASURE};
-use crate::{TdcConfig, TdcError, TdcSensor};
+use crate::{SensorFaultPlan, TdcConfig, TdcError, TdcSensor};
 
 /// A bank of TDC sensors sharing one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TdcArray {
     sensors: Vec<TdcSensor>,
 }
@@ -58,33 +59,29 @@ impl TdcArray {
         &self.sensors
     }
 
+    /// Arms every sensor's capture path with `plan`.
+    pub fn set_fault_plan(&mut self, plan: &SensorFaultPlan) {
+        for sensor in &mut self.sensors {
+            sensor.set_fault_plan(plan.clone());
+        }
+    }
+
     /// Calibration phase for the whole bank, fanned across worker threads
     /// with one derived RNG stream per sensor: sensor `i` draws from
     /// `stream_seed(master_seed, i, STREAM_CALIBRATE)`, so the result is
     /// bit-identical at every thread count and independent of scheduling
     /// order: no sensor's draws depend on another's.
     ///
-    /// # Errors
-    ///
-    /// Returns the calibration failure of the lowest-indexed failing
-    /// sensor.
-    pub fn calibrate_all_streamed(
-        &mut self,
-        device: &FpgaDevice,
-        master_seed: u64,
-    ) -> Result<Vec<f64>, TdcError> {
-        self.calibrate_all_streamed_observed(device, master_seed, None)
-    }
-
-    /// [`TdcArray::calibrate_all_streamed`] with an optional telemetry
-    /// recorder: the batch is timed as one `tdc.calibrate_batch` span and,
-    /// when it succeeds, counted per sensor. Only aggregate counters are
+    /// With a telemetry recorder, the batch is timed as one
+    /// `tdc.calibrate_batch` span and, when it succeeds, counted per
+    /// sensor into `tdc.calibrations`. Only aggregate counters are
     /// recorded (never per-worker events), so an attached recorder cannot
     /// leak thread interleavings into a trace.
     ///
     /// # Errors
     ///
-    /// As [`TdcArray::calibrate_all_streamed`].
+    /// Returns the calibration failure of the lowest-indexed failing
+    /// sensor.
     pub fn calibrate_all_streamed_observed(
         &mut self,
         device: &FpgaDevice,
@@ -109,39 +106,47 @@ impl TdcArray {
         result
     }
 
-    /// Batched read: measures the whole bank in one call, fanned across
-    /// worker threads, averaging `repeats` reads per sensor — the
-    /// averaging trick the attack drivers use to push the noise floor
-    /// below weak cloud imprints. Sensor `i`
-    /// at measurement phase `phase` (0 for the hour-zero baseline) draws
-    /// from its own stream `stream_seed(master_seed, i, STREAM_MEASURE +
-    /// phase)`, so the returned deltas are bit-identical at every thread
-    /// count and independent of which routes were measured before.
+    /// One measurement phase over the whole bank, fanned across worker
+    /// threads: `read(i, sensor, delay, rng)` runs once per sensor with
+    /// its route delay, walked once, and its own stream
+    /// `stream_seed(master_seed, i, STREAM_MEASURE + phase)`, where `phase`
+    /// counts the phases recorded before (0 for the hour-zero baseline).
+    /// Results come back in sensor order, bit-identical at every thread
+    /// count. With a recorder, the fan-out is one `tdc.measure_batch` span.
+    pub fn read_streamed<R, F>(
+        &self,
+        device: &FpgaDevice,
+        master_seed: u64,
+        phase: u64,
+        recorder: Option<&Recorder>,
+        read: F,
+    ) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize, &TdcSensor, RouteDelay, &mut StdRng) -> R + Sync,
+    {
+        let _span = recorder.map(|r| r.span("tdc.measure_batch"));
+        self.sensors
+            .par_iter()
+            .enumerate()
+            .map(|(i, sensor)| {
+                let stream = stream_seed(master_seed, i as u64, STREAM_MEASURE + phase);
+                let mut rng = StdRng::seed_from_u64(stream);
+                read(i, sensor, device.route_delay(sensor.route()), &mut rng)
+            })
+            .collect()
+    }
+
+    /// Batched read: measures the whole bank through
+    /// [`TdcArray::read_streamed`], averaging `repeats` reads per sensor —
+    /// the averaging trick the attack drivers use to push the noise floor
+    /// below weak cloud imprints. With a recorder, a successful batch
+    /// grows the batch, read and `tdc.samples` counters by its totals.
     ///
     /// # Errors
     ///
     /// Returns the failure of the lowest-indexed failing sensor (e.g. an
     /// uncalibrated one); `repeats` of zero is rejected.
-    pub fn measure_deltas_streamed(
-        &self,
-        device: &FpgaDevice,
-        repeats: usize,
-        master_seed: u64,
-        phase: u64,
-    ) -> Result<Vec<f64>, TdcError> {
-        self.measure_deltas_streamed_observed(device, repeats, master_seed, phase, None)
-    }
-
-    /// [`TdcArray::measure_deltas_streamed`] with an optional telemetry
-    /// recorder: the batch is timed as one `tdc.measure_batch` span, and a
-    /// successful batch grows the batch, read and `tdc.samples` counters
-    /// by its totals. Only
-    /// aggregate counters are recorded (never per-worker events), so an
-    /// attached recorder cannot leak thread interleavings into a trace.
-    ///
-    /// # Errors
-    ///
-    /// As [`TdcArray::measure_deltas_streamed`].
     pub fn measure_deltas_streamed_observed(
         &self,
         device: &FpgaDevice,
@@ -153,26 +158,21 @@ impl TdcArray {
         if repeats == 0 {
             return Err(TdcError::InvalidConfig("repeats must be at least 1"));
         }
-        let _span = recorder.map(|r| r.span("tdc.measure_batch"));
         let result: Result<Vec<f64>, TdcError> = self
-            .sensors
-            .par_iter()
-            .enumerate()
-            .map(|(i, sensor)| {
-                let mut rng = StdRng::seed_from_u64(stream_seed(
-                    master_seed,
-                    i as u64,
-                    STREAM_MEASURE + phase,
-                ));
-                // The route's delay cannot move between repeats: walk it
-                // once for all of them.
-                let delay = device.route_delay(sensor.route());
-                let mut acc = 0.0;
-                for _ in 0..repeats {
-                    acc += sensor.measure_at(delay, &mut rng)?.delta_ps;
-                }
-                Ok(acc / repeats as f64)
-            })
+            .read_streamed(
+                device,
+                master_seed,
+                phase,
+                recorder,
+                |_, sensor, delay, rng| {
+                    let mut acc = 0.0;
+                    for _ in 0..repeats {
+                        acc += sensor.measure_at(delay, rng)?.delta_ps;
+                    }
+                    Ok(acc / repeats as f64)
+                },
+            )
+            .into_iter()
             .collect();
         if let (Some(r), Ok(_)) = (recorder, &result) {
             let samples: usize = self
@@ -216,11 +216,11 @@ mod tests {
             TdcArray::place(&device, routes(&device, 4), TdcConfig::lab()).expect("places");
         assert_eq!(array.len(), 4);
         let thetas = array
-            .calibrate_all_streamed(&device, 81)
+            .calibrate_all_streamed_observed(&device, 81, None)
             .expect("calibrates");
         assert_eq!(thetas.len(), 4);
         let deltas = array
-            .measure_deltas_streamed(&device, 1, 81, 0)
+            .measure_deltas_streamed_observed(&device, 1, 81, 0, None)
             .expect("measures");
         for delta in deltas {
             assert!(delta.abs() < 1.5);
@@ -232,7 +232,7 @@ mod tests {
         let device = FpgaDevice::zcu102_new(80);
         let array = TdcArray::place(&device, routes(&device, 2), TdcConfig::lab()).expect("places");
         assert_eq!(
-            array.measure_deltas_streamed(&device, 1, 80, 0),
+            array.measure_deltas_streamed_observed(&device, 1, 80, 0, None),
             Err(TdcError::NotCalibrated)
         );
         // A failed batch did no reads, so an attached recorder counts none.
@@ -257,14 +257,14 @@ mod tests {
         let mut array =
             TdcArray::place(&device, routes(&device, 2), TdcConfig::cloud()).expect("places");
         array
-            .calibrate_all_streamed(&device, 82)
+            .calibrate_all_streamed_observed(&device, 82, None)
             .expect("calibrates");
         // Each phase is a fresh noise draw of the same (unaged) routes.
         let spread = |repeats: usize| {
             let reads: Vec<f64> = (0..20)
                 .map(|phase| {
                     array
-                        .measure_deltas_streamed(&device, repeats, 82, phase)
+                        .measure_deltas_streamed_observed(&device, repeats, 82, phase, None)
                         .expect("measures")[0]
                 })
                 .collect();
@@ -282,12 +282,12 @@ mod tests {
         let rs = routes(&device, 2);
         let mut array = TdcArray::place(&device, rs.clone(), TdcConfig::lab()).expect("places");
         array
-            .calibrate_all_streamed(&device, 85)
+            .calibrate_all_streamed_observed(&device, 85, None)
             .expect("calibrates");
         device.condition_route(&rs[0], DutyCycle::ALWAYS_ONE, Hours::new(150.0));
         device.condition_route(&rs[1], DutyCycle::ALWAYS_ZERO, Hours::new(150.0));
         let deltas = array
-            .measure_deltas_streamed(&device, 4, 85, 1)
+            .measure_deltas_streamed_observed(&device, 4, 85, 1, None)
             .expect("measures");
         assert!(deltas[0] > 2.0, "burn-1 route: {}", deltas[0]);
         assert!(deltas[1] < -2.0, "burn-0 route: {}", deltas[1]);
@@ -304,7 +304,9 @@ mod tests {
     fn zero_repeats_rejected() {
         let device = FpgaDevice::zcu102_new(87);
         let array = TdcArray::place(&device, routes(&device, 1), TdcConfig::lab()).expect("places");
-        assert!(array.measure_deltas_streamed(&device, 0, 87, 0).is_err());
+        assert!(array
+            .measure_deltas_streamed_observed(&device, 0, 87, 0, None)
+            .is_err());
     }
 
     #[test]
@@ -320,12 +322,12 @@ mod tests {
                         TdcArray::place(&device, routes(&device, 6), TdcConfig::cloud())
                             .expect("places");
                     let thetas = array
-                        .calibrate_all_streamed(&device, 88)
+                        .calibrate_all_streamed_observed(&device, 88, None)
                         .expect("calibrates");
                     let deltas: Vec<Vec<f64>> = (0..4)
                         .map(|phase| {
                             array
-                                .measure_deltas_streamed(&device, 3, 88, phase)
+                                .measure_deltas_streamed_observed(&device, 3, 88, phase, None)
                                 .expect("measures")
                         })
                         .collect();
@@ -344,12 +346,16 @@ mod tests {
         let recorder = Recorder::new();
         let mut plain = TdcArray::place(&device, routes(&device, 3), TdcConfig::cloud()).unwrap();
         let mut observed = plain.clone();
-        let a = plain.calibrate_all_streamed(&device, 90).unwrap();
+        let a = plain
+            .calibrate_all_streamed_observed(&device, 90, None)
+            .unwrap();
         let b = observed
             .calibrate_all_streamed_observed(&device, 90, Some(&recorder))
             .unwrap();
         assert_eq!(a, b, "telemetry must not perturb calibration");
-        let x = plain.measure_deltas_streamed(&device, 2, 90, 1).unwrap();
+        let x = plain
+            .measure_deltas_streamed_observed(&device, 2, 90, 1, None)
+            .unwrap();
         let y = observed
             .measure_deltas_streamed_observed(&device, 2, 90, 1, Some(&recorder))
             .unwrap();
@@ -375,12 +381,12 @@ mod tests {
         let mut array =
             TdcArray::place(&device, routes(&device, 3), TdcConfig::cloud()).expect("places");
         array
-            .calibrate_all_streamed(&device, 89)
+            .calibrate_all_streamed_observed(&device, 89, None)
             .expect("calibrates");
         let forward: Vec<Vec<f64>> = (0..3)
             .map(|p| {
                 array
-                    .measure_deltas_streamed(&device, 2, 89, p)
+                    .measure_deltas_streamed_observed(&device, 2, 89, p, None)
                     .expect("ok")
             })
             .collect();
@@ -388,7 +394,7 @@ mod tests {
             .rev()
             .map(|p| {
                 array
-                    .measure_deltas_streamed(&device, 2, 89, p)
+                    .measure_deltas_streamed_observed(&device, 2, 89, p, None)
                     .expect("ok")
             })
             .collect();

@@ -67,4 +67,4 @@ pub use error::TdcError;
 pub use faults::SensorFaultPlan;
 pub use measurement::{Measurement, Trace};
 pub use sensor::TdcSensor;
-pub use stream::{stream_seed, STREAM_CALIBRATE, STREAM_MEASURE};
+pub use stream::stream_seed;

@@ -8,8 +8,8 @@
 //! finalizer over the pair, which decorrelates neighbouring indices and
 //! phases while staying pure arithmetic (no global state, no ordering).
 //!
-//! Conventions shared by the drivers, the campaign runner, and
-//! [`crate::TdcArray`]'s batched read path:
+//! [`crate::TdcArray`] is the one caller that applies these seeds to
+//! sensors, so every read path draws the same streams by construction:
 //!
 //! * calibration of sensor `i` draws from
 //!   `stream_seed(master, i, STREAM_CALIBRATE)`;
@@ -18,12 +18,12 @@
 //!   `stream_seed(master, i, STREAM_MEASURE + p)`.
 
 /// Phase tag for calibration draws.
-pub const STREAM_CALIBRATE: u64 = 0x0001_0000_0000;
+pub(crate) const STREAM_CALIBRATE: u64 = 0x0001_0000_0000;
 
 /// Base phase tag for measurement draws; add the measurement phase number
 /// (the count of previously recorded phases, so the hour-zero baseline is
 /// phase `STREAM_MEASURE + 0`).
-pub const STREAM_MEASURE: u64 = 0x0002_0000_0000;
+pub(crate) const STREAM_MEASURE: u64 = 0x0002_0000_0000;
 
 /// Derives the seed of the `(index, phase)` RNG stream from a master seed.
 ///

@@ -195,9 +195,15 @@ echo "== fleet_scaling smoke (serial fleet tick, pool widths 1 and 2) =="
 # trace, or quarantine ledger diverge from the width-1
 # reference. The drained telemetry must
 # validate through the strict obs-analyze parser (scheduler_tick /
-# commit_batch events ride the tick axis, content-sorted).
-cargo run --release -q -p bench --bin fleet_scaling -- --smoke --threads 2 \
-    --trace /tmp/ci_fleet_trace.jsonl --metrics /tmp/ci_fleet_metrics.json
+# commit_batch events ride the tick axis, content-sorted). The bin writes
+# results/BENCH_fleet.json under its working directory, which carries
+# this host's timings, so it runs from a scratch directory and leaves the
+# checked-in artifact alone.
+repo="$(pwd)"
+rm -rf /tmp/ci_fleet_cwd && mkdir -p /tmp/ci_fleet_cwd
+(cd /tmp/ci_fleet_cwd && cargo run --release -q --manifest-path "$repo/Cargo.toml" \
+    -p bench --bin fleet_scaling -- --smoke --threads 2 \
+    --trace /tmp/ci_fleet_trace.jsonl --metrics /tmp/ci_fleet_metrics.json)
 cargo run --release -q -p bench --bin obs_report -- \
     validate /tmp/ci_fleet_trace.jsonl /tmp/ci_fleet_metrics.json
 
@@ -223,5 +229,11 @@ if command -v cargo-fmt >/dev/null 2>&1; then
 else
     echo "rustfmt not installed; skipping (install with: rustup component add rustfmt)"
 fi
+
+echo "== results/ left untouched =="
+# Every bin above either reproduces its checked-in artifact byte for byte
+# or runs from a scratch directory, so the gate leaves results/ clean.
+test -z "$(git status --porcelain -- results/)" \
+    || { git status --porcelain -- results/; echo "FAIL: CI changed results/"; exit 1; }
 
 echo "CI gate passed."
